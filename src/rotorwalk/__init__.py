@@ -51,10 +51,8 @@ from .experiment import (
     ParticleStatus,
     compute_invariant,
     init_experiment,
-    range_at,
     run_until_settled,
     step,
-    survivors_at,
 )
 from .analysis import (
     EnsembleSummary,
@@ -111,7 +109,6 @@ __all__ = [
     "philox_generator",
     "random_config",
     "random_ensemble",
-    "range_at",
     "residual",
     "run_until_settled",
     "run_verification",
@@ -120,7 +117,6 @@ __all__ = [
     "solve_harmonic",
     "srw_escape_mc",
     "step",
-    "survivors_at",
     "theorem_check",
     "weight_increment",
     "weight_table",

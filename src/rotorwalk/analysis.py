@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .weights import (
     random_config,
     weight_table,
 )
-from .experiment import ExperimentState, init_experiment, run_until_settled
+from .experiment import ExperimentState, compute_invariant, init_experiment, run_until_settled
 
 logger = logging.getLogger(__name__)
 
@@ -103,37 +103,29 @@ class TheoremCheckResult:
 class InvariantTracker:
     """Tracks the worst deviation of the conserved quantity during a run.
 
-    Recomputes the full sum from scratch at each sampled event; on problems
-    past _EVENT_CHECK_BUDGET the sampling thins out to about once per round.
-    The target value is n * v(origin), fixed at construction.
+    Every sample recomputes the full sum with compute_invariant.  observe()
+    samples at every event, thinning out to about once per round on problems
+    past _EVENT_CHECK_BUDGET; sample() always samples.  The target value is
+    n * v(origin), fixed at construction.
     """
 
     def __init__(self, state: ExperimentState, profile: HarmonicProfile, wt: WeightTable):
         self._state = state
-        self._v = profile.voltage
-        self._values = wt.values
-        self._indptr = wt.indptr
-        self._deg_o = state._deg[state._origin]
+        self._profile = profile
+        self._wt = wt
         self.target = float(state.n * profile.voltage[state.graph.origin])
         self.per_event = state.n * state.graph.num_vertices <= _EVENT_CHECK_BUDGET
         self._next_check = 0
         self.max_dev = 0.0
         self.observe()  # t = 0
 
-    def current(self) -> float:
-        st = self._state
-        total = float(np.sum(self._v[st.positions]))
-        total += min(st.t, st.n) / self._deg_o
-        rho = st.rho
-        rho0 = st.rho0
-        sink = st._sink
-        values = self._values
-        indptr = self._indptr
-        for x in st._range_list:
-            if not sink[x]:
-                b = int(indptr[x])
-                total += float(values[b + rho[x]]) - float(values[b + rho0[x]])
-        return total
+    def sample(self) -> float:
+        """Recompute the conserved quantity, fold in its deviation, and return it."""
+        value = compute_invariant(self._state, self._profile, self._wt)
+        dev = abs(value - self.target)
+        if dev > self.max_dev:
+            self.max_dev = dev
+        return value
 
     def observe(self) -> Optional[float]:
         """Sample the deviation if due; returns it when sampled, else None."""
@@ -141,36 +133,34 @@ class InvariantTracker:
         if not self.per_event and st.t < self._next_check:
             return None
         self._next_check = st.t + st.n
-        dev = abs(self.current() - self.target)
-        if dev > self.max_dev:
-            self.max_dev = dev
-        return dev
+        return abs(self.sample() - self.target)
 
     def finish(self) -> float:
         """Force one last sample and return the worst deviation seen."""
-        self._next_check = 0
-        self.observe()
+        self.sample()
         return self.max_dev
-
-
-def _describe_config(graph: Graph, config: RotorConfig, wt: WeightTable) -> str:
-    return "min-weight" if config == min_weight_config(graph, wt) else "custom"
 
 
 def escape_sweep(
     graph: Graph,
     mechanism: RotorMechanism,
-    config: RotorConfig,
+    config: Optional[RotorConfig],
     n_values: Sequence[int],
     *,
     profile: Optional[HarmonicProfile] = None,
     check_invariant: bool = False,
     max_steps: int = 10**9,
+    observer: Optional[Callable[[ExperimentState, float], None]] = None,
 ) -> EscapeReport:
     """Run the experiment for each n and report escape rates and gaps.
 
-    With check_invariant the conserved quantity is recomputed throughout the
-    run and the worst absolute deviation from n*v(origin) is reported.
+    config None means the min-weight configuration, built from the sweep's
+    own weight table.  With check_invariant the conserved quantity is
+    recomputed throughout the run and the worst absolute deviation from
+    n*v(origin) is reported.  observer, if given, is called after every move
+    with the state and the conserved quantity after that move; it is computed
+    once per move and also feeds the reported deviation, which then covers
+    every move.
     """
     if not n_values:
         raise InvalidParameter("n_values must be non-empty")
@@ -181,6 +171,11 @@ def escape_sweep(
         profile = solve_harmonic(graph)
     wt = weight_table(graph, mechanism, profile)
     alpha = profile.escape_probability
+    if config is None:
+        config = min_weight_config(graph, wt)
+        config_name = "min-weight"
+    else:
+        config_name = "min-weight" if config == min_weight_config(graph, wt) else "custom"
 
     rates: list[float] = []
     gaps: list[float] = []
@@ -189,12 +184,15 @@ def escape_sweep(
 
     for n in n_values:
         state = init_experiment(graph, mechanism, config, n)
-        observer = None
-        if check_invariant:
+        on_move = None
+        if observer is not None:
             tracker = InvariantTracker(state, profile, wt)
-            observer = lambda st: tracker.observe()  # noqa: E731
+            on_move = lambda st: observer(st, tracker.sample())  # noqa: E731
+        elif check_invariant:
+            tracker = InvariantTracker(state, profile, wt)
+            on_move = lambda st: tracker.observe()  # noqa: E731
 
-        run_until_settled(state, max_steps=max_steps, observer=observer)
+        run_until_settled(state, max_steps=max_steps, observer=on_move)
         if check_invariant:
             dev = tracker.finish()
             worst = dev if worst is None else max(worst, dev)
@@ -206,7 +204,7 @@ def escape_sweep(
     return EscapeReport(
         graph=graph.describe(),
         mechanism=mechanism.describe(),
-        config=_describe_config(graph, config, wt),
+        config=config_name,
         alpha=alpha,
         n_values=list(n_values),
         rates=rates,

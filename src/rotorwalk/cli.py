@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 import yaml
 
-from .analysis import EscapeReport, InvariantTracker, escape_sweep
+from .analysis import escape_sweep
 from .errors import (
     AbortedMaxSteps,
     DimensionMismatch,
@@ -32,7 +31,7 @@ from .errors import (
     InvalidParameter,
     NonConvergence,
 )
-from .experiment import ParticleStatus, init_experiment, run_until_settled
+from .experiment import ParticleStatus
 from .graphs import (
     Graph,
     build_bary_tree,
@@ -172,10 +171,11 @@ def _build_mechanism(g: Graph, ns: argparse.Namespace):
     raise InvalidParameter(f"unknown mechanism {ns.mechanism!r}")
 
 
-def _build_config(g: Graph, mech, wt, ns: argparse.Namespace):
+def _build_config(g: Graph, mech, ns: argparse.Namespace):
+    """The --config choice; None stands for the min-weight configuration."""
     choice = ns.config
     if choice == "rho-min":
-        return min_weight_config(g, wt)
+        return None
     if choice == "random":
         return random_config(g, _int_token(ns.seed_config))
     return load_config_csv(g, mech, Path(choice).read_text())
@@ -232,76 +232,59 @@ def _trace_path(base: Path, n: int, multiple: bool) -> Path:
     return base.with_name(f"{base.stem}-n{n}{base.suffix or '.csv'}")
 
 
-def _run_traced(g, mech, config, n_values, profile, ns) -> EscapeReport:
-    """Sweep with per-move trace rows; mirrors escape_sweep's report."""
-    wt = weight_table(g, mech, profile)
-    alpha = profile.escape_probability
-    base = Path(ns.trace)
-    rates, gaps, steps = [], [], []
-    worst = None
-    t0 = time.perf_counter()
+class _TraceWriter:
+    """escape_sweep observer writing one CSV row per move, one file per n."""
 
-    for n in n_values:
-        state = init_experiment(g, mech, config, n)
-        tracker = InvariantTracker(state, profile, wt)
-        with open(_trace_path(base, n, len(n_values) > 1), "w") as fh:
-            w = trace_writer(fh)
+    def __init__(self, base: Path, multiple: bool):
+        self._base = base
+        self._multiple = multiple
+        self._n = None
+        self._fh = None
+        self._w = None
 
-            def observer(st):
-                mover, x, y = st.last_event
-                status = st.status[mover]
-                if status == ParticleStatus.RETURNED:
-                    change = "returned"
-                elif status == ParticleStatus.ABSORBED:
-                    change = "absorbed"
-                elif x == st.graph.origin:
-                    change = "left-origin"
-                else:
-                    change = ""
-                w.writerow([
-                    st.t - 1, mover, g.labels[x], g.labels[y],
-                    change, st.survivors, repr(tracker.current()),
-                ])
+    def __call__(self, st, invariant: float) -> None:
+        if st.n != self._n:
+            self.close()
+            self._n = st.n
+            self._fh = open(_trace_path(self._base, st.n, self._multiple), "w")
+            self._w = trace_writer(self._fh)
+        mover, x, y = st.last_event
+        status = st.status[mover]
+        if status == ParticleStatus.RETURNED:
+            change = "returned"
+        elif status == ParticleStatus.ABSORBED:
+            change = "absorbed"
+        elif x == st.graph.origin:
+            change = "left-origin"
+        else:
+            change = ""
+        labels = st.graph.labels
+        self._w.writerow([
+            st.t - 1, mover, labels[x], labels[y], change, st.survivors, repr(invariant),
+        ])
 
-            run_until_settled(state, max_steps=ns.max_steps, observer=observer)
-        if ns.check_invariant:
-            dev = tracker.finish()
-            worst = dev if worst is None else max(worst, dev)
-        rates.append(state.survivors / n)
-        gaps.append(rates[-1] - alpha)
-        steps.append(state.t)
-
-    return EscapeReport(
-        graph=g.describe(),
-        mechanism=mech.describe(),
-        config="min-weight" if config == min_weight_config(g, wt) else "custom",
-        alpha=alpha,
-        n_values=list(n_values),
-        rates=rates,
-        gaps=gaps,
-        steps=steps,
-        max_invariant_dev=worst,
-        runtime_s=time.perf_counter() - t0,
-    )
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
     g = _build_graph(ns)
     mech = _build_mechanism(g, ns)
-    profile = solve_harmonic(g)
-    wt = weight_table(g, mech, profile)
-    config = _build_config(g, mech, wt, ns)
+    config = _build_config(g, mech, ns)
     n_values = _parse_n(ns)
 
-    if ns.trace:
-        report = _run_traced(g, mech, config, n_values, profile, ns)
-    else:
+    trace = _TraceWriter(Path(ns.trace), len(n_values) > 1) if ns.trace else None
+    try:
         report = escape_sweep(
             g, mech, config, n_values,
-            profile=profile,
             check_invariant=ns.check_invariant,
             max_steps=ns.max_steps,
+            observer=trace,
         )
+    finally:
+        if trace is not None:
+            trace.close()
 
     for n, rate, gap in zip(report.n_values, report.rates, report.gaps):
         print(f"n={n} escaped={round(rate * n)} rate={rate!r} gap={gap!r}")

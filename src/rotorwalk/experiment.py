@@ -259,16 +259,6 @@ def _run_rounds_fast(state: ExperimentState, live: list[int], max_steps: int) ->
     return state
 
 
-def survivors_at(state: ExperimentState) -> int:
-    """Particles that have not returned to the origin (escaped ones count)."""
-    return state.survivors
-
-
-def range_at(state: ExperimentState) -> set[int]:
-    """Set of vertices visited by any particle so far."""
-    return state.range
-
-
 def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> float:
     """Recompute the conserved quantity from the current state.
 

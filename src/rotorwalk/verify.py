@@ -31,7 +31,6 @@ from .harmonic import mc_green, solve_harmonic
 from .weights import (
     RotorConfig,
     WeightTable,
-    min_weight_config,
     random_config,
     weight_increment,
     weight_table,
@@ -127,9 +126,8 @@ def check_invariant(graphs: list[Graph], n_values, tol: float = 1e-8) -> CheckRe
         profile = solve_harmonic(g)
         scale = max(1.0, profile.voltage[g.origin])
         for mech in _mechanisms(g):
-            wt = weight_table(g, mech, profile)
-            configs = [min_weight_config(g, wt)]
-            configs += [random_config(g, s) for s in _CONFIG_SEEDS]
+            # None: the min-weight configuration, built inside escape_sweep
+            configs = [None] + [random_config(g, s) for s in _CONFIG_SEEDS]
             for config in configs:
                 rep = escape_sweep(
                     g, mech, config, n_values, profile=profile, check_invariant=True

@@ -108,37 +108,48 @@ def weight_increment(g: Graph, mech: RotorMechanism, profile: HarmonicProfile, x
     return edge_weight(g, mech, profile, x, (i + 1) % d) - edge_weight(g, mech, profile, x, i)
 
 
+def _near_min_scan(g: Graph, wt: WeightTable) -> tuple[np.ndarray, int]:
+    """First near-minimal mechanism index of every vertex (-1 at sinks), and the tie count.
+
+    A weight within TIE_TOL of its vertex's minimum is near-minimal; a
+    non-sink vertex with several near-minimal edges is a tie.
+    """
+    values = wt.values
+    indptr = np.asarray(wt.indptr, dtype=np.int64)
+    deg = np.diff(indptr)
+    owner = np.repeat(np.arange(deg.size), deg)
+    has_edges = deg > 0
+    starts = indptr[:-1][has_edges]
+
+    mins = np.full(deg.size, np.inf)
+    mins[has_edges] = np.minimum.reduceat(values, starts)
+    near = values <= mins[owner] + TIE_TOL
+    # mechanism index of each near-minimal edge; the others are past every index
+    index = np.where(near, np.arange(values.size) - indptr[owner], values.size)
+    first = np.full(deg.size, -1, dtype=np.int64)
+    first[has_edges] = np.minimum.reduceat(index, starts)
+
+    sink = np.asarray(g.is_sink, dtype=bool)
+    first[sink] = -1
+    tied = ~sink & (np.bincount(owner[near], minlength=deg.size) > 1)
+    return first, int(np.count_nonzero(tied))
+
+
 def min_weight_config(g: Graph, wt: WeightTable) -> RotorConfig:
     """Rotor configuration pointing each vertex at a minimal-weight edge.
 
     Weights within TIE_TOL of the minimum count as tied; ties resolve to the
     smallest mechanism index.
     """
-    pos = [-1] * g.num_vertices
-    ties = 0
-    for x in range(g.num_vertices):
-        if g.is_sink[x]:
-            continue
-        ws = wt.vertex_slice(x)
-        near = np.flatnonzero(ws <= ws.min() + TIE_TOL)
-        if near.size > 1:
-            ties += 1
-        pos[x] = int(near[0])
+    pos, ties = _near_min_scan(g, wt)
     if ties:
         logger.debug("min-weight ties at %d of %d vertices", ties, g.num_vertices)
-    return RotorConfig(pos=tuple(pos))
+    return RotorConfig(pos=tuple(pos.tolist()))
 
 
 def count_min_weight_ties(g: Graph, wt: WeightTable) -> int:
     """Number of vertices whose minimal weight is attained by several edges."""
-    ties = 0
-    for x in range(g.num_vertices):
-        if g.is_sink[x]:
-            continue
-        ws = wt.vertex_slice(x)
-        if np.flatnonzero(ws <= ws.min() + TIE_TOL).size > 1:
-            ties += 1
-    return ties
+    return _near_min_scan(g, wt)[1]
 
 
 def random_config(g: Graph, seed: int) -> RotorConfig:

@@ -33,6 +33,12 @@ def test_escape_sweep_p3(p3_solved):
     assert rep.max_invariant_dev == 0.0
     assert rep.config == "min-weight"
     assert rep.graph == "path(3)"
+    assert _fields(escape_sweep(g, mech, None, [2, 4, 8], check_invariant=True)) == _fields(rep)
+
+
+def _fields(rep):
+    """Report fields without the run time."""
+    return {k: v for k, v in vars(rep).items() if k != "runtime_s"}
 
 
 def test_escape_sweep_matches_direct_run(small_graph):
@@ -47,9 +53,14 @@ def test_escape_sweep_matches_direct_run(small_graph):
         assert steps == state.t
     assert all(0.0 <= r <= 1.0 for r in rep.rates)
     assert rep.max_invariant_dev <= 1e-10
-    assert rep.config == "custom" or cfg == min_weight_config(
-        g, weight_table(g, mech, solve_harmonic(g))
-    )
+    min_cfg = min_weight_config(g, weight_table(g, mech, solve_harmonic(g)))
+    assert rep.config == "custom" or cfg == min_cfg
+
+    # config None is the min-weight configuration, reported as such
+    rep_none = escape_sweep(g, mech, None, [1, 3, 9], check_invariant=True)
+    rep_min = escape_sweep(g, mech, min_cfg, [1, 3, 9], check_invariant=True)
+    assert _fields(rep_none) == _fields(rep_min)
+    assert rep_none.config == "min-weight"
 
 
 def test_escape_sweep_transient_path():

@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -198,3 +199,50 @@ def test_usage_error_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert main(["run", "--help"]) == 0
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+LATTICE_2_4 = ("--lattice", "2", "4", "--mechanism", "shuffled", "--seed-mech", "3")
+
+
+def test_rho_min_config_matches_golden(capsys, tmp_path):
+    code, _, _ = run_cli(capsys, "rho-min", *LATTICE_2_4, "--out-dir", str(tmp_path))
+    assert code == 0
+    assert (tmp_path / "config.csv").read_bytes() == (GOLDEN / "config.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name, config_args", [
+    ("rho-min", ("--config", "rho-min")),
+    ("random-5", ("--config", "random", "--seed-config", "5")),
+    ("config-csv", ("--config", str(GOLDEN / "config.csv"))),
+])
+def test_run_reports_match_golden(capsys, tmp_path, name, config_args):
+    code, _, _ = run_cli(
+        capsys, "run", *LATTICE_2_4, "--n", "20,100", *config_args,
+        "--check-invariant", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    for fname in ("report.json", "report.csv"):
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes()
+
+
+def test_run_trace_matches_golden(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "run", *LATTICE_2_4, "--n", "2,7",
+        "--trace", str(tmp_path / "trace.csv"), "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    for fname in ("trace-n2.csv", "trace-n7.csv"):
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes()
+
+
+def test_traced_report_equals_untraced(capsys, tmp_path):
+    """The trace observer must not change the report, max_invariant_dev included."""
+    args = ("run", *LATTICE_2_4, "--n", "20,100", "--check-invariant")
+    code, _, _ = run_cli(capsys, *args, "--out-dir", str(tmp_path / "a"))
+    assert code == 0
+    code, _, _ = run_cli(capsys, *args, "--trace", str(tmp_path / "t.csv"),
+                         "--out-dir", str(tmp_path / "b"))
+    assert code == 0
+    for fname in ("report.json", "report.csv"):
+        assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()

@@ -12,12 +12,10 @@ from rotorwalk import (
     init_experiment,
     min_weight_config,
     random_config,
-    range_at,
     run_until_settled,
     shuffled_mechanism,
     solve_harmonic,
     step,
-    survivors_at,
     weight_table,
 )
 
@@ -51,8 +49,8 @@ def test_p3_two_particle_trace(p3_solved):
 
     assert state.settled
     assert state.statuses == [ParticleStatus.RETURNED, ParticleStatus.ABSORBED]
-    assert survivors_at(state) == 1
-    assert range_at(state) == {o, a, s}
+    assert state.survivors == 1
+    assert state.range == {o, a, s}
 
 
 def test_p3_even_counts_escape_exactly_half(p3_solved):
