@@ -1,11 +1,13 @@
 """Escape-rate experiments and bound checks built on the core engine.
 
 escape_sweep runs the n-particle experiment for a list of n values and
-reports escape rates against the harmonic escape probability.  theorem_check
-replays a sweep while asserting the facts the minimizing configuration
-guarantees: conserved quantity constant, escaped fraction at or above the
-escape probability once every particle has moved, and final gaps nonnegative
-and non-increasing in n.
+reports escape rates against the harmonic escape probability; it is the only
+sweep loop.  theorem_check reads one escape_sweep and asserts the facts the
+minimizing configuration guarantees: conserved quantity constant, escaped
+fraction at or above the escape probability once every particle has moved,
+and final gaps nonnegative and non-increasing in n.  The lower bound is
+checked at settle: survivors never increase during a run, so the settled
+rate is the minimum of survivors/n over every t >= n.
 """
 from __future__ import annotations
 
@@ -127,13 +129,13 @@ class InvariantTracker:
             self.max_dev = dev
         return value
 
-    def observe(self) -> Optional[float]:
-        """Sample the deviation if due; returns it when sampled, else None."""
+    def observe(self) -> None:
+        """Sample the deviation if due; the worst one is read from finish()."""
         st = self._state
         if not self.per_event and st.t < self._next_check:
-            return None
+            return
         self._next_check = st.t + st.n
-        return abs(self.sample() - self.target)
+        self.sample()
 
     def finish(self) -> float:
         """Force one last sample and return the worst deviation seen."""
@@ -315,53 +317,37 @@ def theorem_check(
     invariant_tol: float = 1e-8,
     bound_slack: float = 1e-9,
 ) -> TheoremCheckResult:
-    """Verify the guarantees of the minimizing configuration across a sweep.
+    """Verify the guarantees of the minimizing configuration across one sweep.
 
-    For each n: the conserved quantity stays within invariant_tol (relative)
-    of n*v(origin) at every sampled event, and survivors/n never drops below
-    escape probability minus bound_slack once t >= n.  Across n: final gaps
-    are nonnegative and non-increasing.  A custom config exercises the same
-    machinery without the guarantees; violations are then expected and are
-    recorded rather than raised.
+    Reads a single escape_sweep with invariant checks.  Lower bound: survivors
+    never increase during a run, so the settled rate is the minimum of
+    survivors/n over every t >= n; one lower-bound violation is recorded per n
+    whose settled rate is below escape probability minus bound_slack, at its
+    settle time t.  Invariant: the sweep's worst absolute deviation, divided by
+    the smallest n's target n*v(origin) (never looser than a per-n scale), must
+    stay within invariant_tol; a failure is one violation at the smallest n
+    with t = -1.  Across n: final gaps are nonnegative and non-increasing.  A
+    custom config exercises the same checks without the guarantees;
+    violations are then expected and are recorded rather than raised.
     """
     profile = solve_harmonic(graph)
-    wt = weight_table(graph, mechanism, profile)
-    if config is None:
-        config = min_weight_config(graph, wt)
-    alpha = profile.escape_probability
-
-    violations: list[BoundViolation] = []
-    rates: list[float] = []
-    gaps: list[float] = []
-    max_dev = 0.0
-
-    for n in n_values:
-        state = init_experiment(graph, mechanism, config, n)
-        tracker = InvariantTracker(state, profile, wt)
-        scale = max(1.0, abs(tracker.target))
-
-        def observer(st, _tr=tracker, _scale=scale, _n=n):
-            dev = _tr.observe()
-            if dev is not None and dev / _scale > invariant_tol:
-                violations.append(BoundViolation(_n, st.t, "invariant", dev / _scale, invariant_tol))
-            if st.t >= _n:
-                frac = st.survivors / _n
-                if frac < alpha - bound_slack:
-                    violations.append(BoundViolation(_n, st.t, "lower-bound", frac, alpha))
-
-        run_until_settled(state, observer=observer)
-        dev = tracker.finish() / scale
-        if dev > invariant_tol:
-            violations.append(BoundViolation(n, state.t, "invariant", dev, invariant_tol))
-        max_dev = max(max_dev, dev)
-        rate = state.survivors / n
-        rates.append(rate)
-        gaps.append(rate - alpha)
-        if rate < alpha - bound_slack:
-            violations.append(BoundViolation(n, state.t, "lower-bound", rate, alpha))
-
-    inv_ok = not any(v.kind == "invariant" for v in violations)
-    lower_ok = not any(v.kind == "lower-bound" for v in violations)
+    rep = escape_sweep(
+        graph, mechanism, config, n_values, profile=profile, check_invariant=True
+    )
+    alpha = rep.alpha
+    gaps = rep.gaps
+    violations = [
+        BoundViolation(n, t, "lower-bound", rate, alpha)
+        for n, t, rate in zip(rep.n_values, rep.steps, rep.rates)
+        if rate < alpha - bound_slack
+    ]
+    lower_ok = not violations
+    scale = max(1.0, min(n_values) * float(profile.voltage[graph.origin]))
+    max_dev = rep.max_invariant_dev / scale
+    inv_ok = max_dev <= invariant_tol
+    if not inv_ok:
+        violations.append(BoundViolation(min(n_values), -1, "invariant", max_dev, invariant_tol))
+        logger.warning("conserved quantity deviated beyond %g", invariant_tol)
 
     gaps_nonneg = all(gp >= -bound_slack for gp in gaps)
     monotone = all(gaps[k + 1] <= gaps[k] + bound_slack for k in range(len(gaps) - 1))
@@ -376,13 +362,10 @@ def theorem_check(
                     BoundViolation(n_values[k + 1], -1, "gap-increase", gaps[k + 1], gaps[k])
                 )
 
-    if not inv_ok:
-        logger.warning("conserved quantity deviated beyond %g", invariant_tol)
-
     return TheoremCheckResult(
         alpha=alpha,
-        n_values=list(n_values),
-        rates=rates,
+        n_values=rep.n_values,
+        rates=rep.rates,
         gaps=gaps,
         max_invariant_dev=max_dev,
         invariant_ok=inv_ok,

@@ -7,7 +7,8 @@ Subcommands:
     verify   run the built-in property suite
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error,
-3 runtime abort (non-convergence or step-budget exhaustion).
+3 runtime abort (non-convergence or step-budget exhaustion).  A closed
+stdout pipe ends the `rotorwalk` command by SIGPIPE, like other Unix filters.
 
 A YAML config file can stand in for flags (--config-file); explicitly
 given flags win over file values.  All randomness is seeded; defaults are
@@ -17,6 +18,7 @@ bytes in every written artifact.
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -406,6 +408,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
+    # a closed stdout pipe (`| head`) ends the process quietly, as for other
+    # Unix filters, instead of surfacing as an input error
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -139,20 +139,23 @@ def check_invariant(graphs: list[Graph], n_values, tol: float = 1e-8) -> CheckRe
 
 
 def check_lower_bound(graphs: list[Graph], n_values, tol: float = 1e-9) -> CheckRecord:
-    """survivors/n >= alpha - tol at every t >= n under the minimizing config."""
+    """survivors/n >= alpha - tol at every t >= n under the minimizing config.
+
+    Survivors never increase during a run, so the settled rate is the minimum
+    of survivors/n over t >= n: one unobserved escape_sweep per mechanism
+    decides the check on the fast settle path.
+    """
     worst, where = 0.0, ""
     ok = True
     for g in graphs:
+        profile = solve_harmonic(g)
         for mech in _mechanisms(g):
-            res = theorem_check(g, mech, n_values, bound_slack=tol)
-            shortfall = 0.0
-            for v in res.violations:
-                if v.kind == "lower-bound":
-                    shortfall = max(shortfall, res.alpha - v.value)
-            if not res.lower_bound_ok:
+            rep = escape_sweep(g, mech, None, n_values, profile=profile)
+            short = [rep.alpha - rate for rate in rep.rates if rate < rep.alpha - tol]
+            if short:
                 ok = False
-            if shortfall > worst:
-                worst, where = shortfall, f"{g.describe()} mech={mech.describe()}"
+                if max(short) > worst:
+                    worst, where = max(short), f"{g.describe()} mech={mech.describe()}"
     return CheckRecord("min-config-lower-bound", ok, worst, tol, where)
 
 

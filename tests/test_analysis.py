@@ -133,9 +133,10 @@ def test_theorem_check_p3_exact(p3):
 
 def test_theorem_check_flags_bad_config(p3):
     # rotor at a parked on the sink edge: the first walker comes straight back
-    res = theorem_check(
-        p3, default_mechanism(p3), [1], config=RotorConfig(pos=(0, 1, -1))
-    )
+    mech = default_mechanism(p3)
+    cfg = RotorConfig(pos=(0, 1, -1))
+    n_values = [1, 2, 3, 4]
+    res = theorem_check(p3, mech, n_values, config=cfg)
     assert not res.lower_bound_ok
     assert not res.ok
     first = next(v for v in res.violations if v.kind == "lower-bound")
@@ -144,6 +145,51 @@ def test_theorem_check_flags_bad_config(p3):
     assert first.value == 0.0
     # the conserved quantity holds for every configuration, good or bad
     assert res.invariant_ok
+
+    # one lower-bound violation per failing n, at that n's settle time
+    rep = escape_sweep(p3, mech, cfg, n_values)
+    failing = [n for n, rate in zip(n_values, rep.rates) if rate < rep.alpha - 1e-9]
+    assert failing == [1, 3]
+    for n in failing:
+        found = [v for v in res.violations if v.kind == "lower-bound" and v.n == n]
+        assert len(found) == 1
+        assert found[0].t == rep.steps[n_values.index(n)]
+        assert found[0].value == rep.rates[n_values.index(n)]
+    assert all(v.n in failing for v in res.violations if v.kind == "lower-bound")
+
+
+def _weight_max_config(g, wt):
+    return RotorConfig(pos=tuple(
+        -1 if g.is_sink[x] else int(np.argmax(wt.vertex_slice(x)))
+        for x in range(g.num_vertices)
+    ))
+
+
+@pytest.mark.parametrize("g", [build_path(3), build_lattice_ball(2, 3)], ids=lambda g: g.describe())
+@pytest.mark.parametrize("config_kind", ["min-weight", "random", "weight-max"])
+def test_survivors_never_increase(g, config_kind):
+    """What checking the lower bound at settle rests on: survivors only go down,
+    so min over t >= n of survivors/n is the settled rate."""
+    mech = default_mechanism(g)
+    wt = weight_table(g, mech, solve_harmonic(g))
+    cfg = {
+        "min-weight": min_weight_config(g, wt),
+        "random": random_config(g, 4),
+        "weight-max": _weight_max_config(g, wt),
+    }[config_kind]
+    n_values = list(range(1, 21))
+    rep = escape_sweep(g, mech, cfg, n_values)
+    for n, settled_rate in zip(n_values, rep.rates):
+        state = init_experiment(g, mech, cfg, n)
+        history = [(0, n)]  # (t, survivors) after every move
+        run_until_settled(state, observer=lambda st: history.append((st.t, st.survivors)))
+        counts = [s for _, s in history]
+        assert all(b <= a for a, b in zip(counts, counts[1:]))
+        # survivors are constant between moves: the value at t = n is the
+        # last one recorded at or before n
+        at_n = [s for t, s in history if t <= n][-1]
+        later = [s for t, s in history if t > n]
+        assert min([at_n] + later) / n == state.survivors / n == settled_rate
 
 
 def test_theorem_check_transient_fixture():

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,3 +250,35 @@ def test_traced_report_equals_untraced(capsys, tmp_path):
     assert code == 0
     for fname in ("report.json", "report.csv"):
         assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+
+@pytest.mark.parametrize("name, argv, exit_code", [
+    ("quick-inject-corruption", ("--quick", "--inject-corruption"), 1),
+    ("lattice-2-5", ("--graph", "lattice:2,5"), 0),
+])
+def test_verify_matches_golden(capsys, name, argv, exit_code):
+    """Covers check_lower_bound and the corrupted-config control (theorem_check)."""
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == exit_code
+    assert out.encode() == (GOLDEN / "verify" / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
+    """A reader that went away (`| head`) ends the command by SIGPIPE, not exit 2."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    n_values = ",".join(str(n) for n in range(1, 21))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotorwalk.cli", "run", "--lattice", "2", "6",
+             "--n", n_values],
+            stdout=write_end, stderr=subprocess.PIPE, cwd=tmp_path, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == -signal.SIGPIPE
+    assert proc.stderr == b""
