@@ -15,10 +15,18 @@ The conserved quantity checked throughout is
 which stays exactly equal to its t=0 value n * v(origin) for every initial
 configuration.  Survivors are the particles that have not returned; on a
 sink truncation the settled survivor count is the experiment's escape count.
+
+An unobserved settle moves whole rounds at once (_settle_rounds), with the
+same steps, rotors and range order as step().  That is exact because a rotor
+changes only when a particle leaves its vertex, and every live particle
+moves exactly once per round.  So the particles leaving x in a round are the
+ones at x when the round starts, in turn order, and the k-th of them
+(k = 0, 1, ...) takes mechanism position (rho(x) + k + 1) mod deg(x).
 """
 from __future__ import annotations
 
 from enum import IntEnum
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -76,13 +84,24 @@ class ExperimentState:
         self._range_mask = bytearray(graph.num_vertices)
         self._range_mask[graph.origin] = 1
         self._range_list: list[int] = [graph.origin]
-
-        # flat lookups for the hot loop
         self._origin = graph.origin
-        self._deg: list[int] = [len(o) for o in mechanism.order]
-        self._sink: list[bool] = [bool(b) for b in graph.is_sink]
-        self._mt: list[int] = mechanism.flat.tolist()
-        self._mi: list[int] = mechanism.indptr.tolist()
+
+    # flat Python lookups for step() and compute_invariant, built on first use
+    @cached_property
+    def _deg(self) -> list[int]:
+        return [len(o) for o in self.mechanism.order]
+
+    @cached_property
+    def _sink(self) -> list[bool]:
+        return [bool(b) for b in self.graph.is_sink]
+
+    @cached_property
+    def _mt(self) -> list[int]:
+        return self.mechanism.flat.tolist()
+
+    @cached_property
+    def _mi(self) -> list[int]:
+        return self.mechanism.indptr.tolist()
 
     @property
     def settled(self) -> bool:
@@ -172,14 +191,14 @@ def run_until_settled(
         if observer is not None and state.last_event is not None:
             observer(state)
 
+    if observer is None:
+        return _settle_rounds(state, max_steps)
+
     # round order: particle i moves at t = round_start + (i-1) mod n
     live = sorted(
         (i for i in range(n) if state.status[i] < _RETURNED),
         key=lambda i: (i - 1) % n,
     )
-    if observer is None:
-        return _run_rounds_fast(state, live, max_steps)
-
     status = state.status
     while live:
         round_start = state.t
@@ -199,64 +218,105 @@ def run_until_settled(
     return state
 
 
-def _run_rounds_fast(state: ExperimentState, live: list[int], max_steps: int) -> ExperimentState:
-    """step() inlined over whole rounds; the bookkeeping matches step() exactly."""
+def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
+    """Run whole rounds from a round start, each round's moves at once in numpy.
+
+    Reaches the state step() would reach: t, positions, rotors, statuses and
+    the range in first-visit order.  This is exact because a rotor changes
+    only when a particle leaves its vertex, and every live particle moves
+    exactly once per round.  So the particles leaving x in a round are the
+    ones at x when it starts, in turn order, and the k-th of them
+    (k = 0, 1, ...) takes mechanism position (rho(x) + k + 1) mod deg(x).
+
+    max_steps is checked before each round against the round's last turn;
+    on abort the state is written back consistent and can be resumed.
+    """
     n = state.n
-    positions = state.positions
-    status = state.status
-    rho = state.rho
-    deg = state._deg
-    sink = state._sink
-    mt = state._mt
-    mi = state._mi
-    origin = state._origin
-    range_mask = state._range_mask
+    graph = state.graph
+    num_vertices = graph.num_vertices
+    mech = state.mechanism
+    deg = np.diff(mech.indptr)
+    # status of a particle that has just arrived at each vertex
+    arrival = np.full(num_vertices, _ACTIVE, dtype=np.int8)
+    arrival[graph.is_sink] = _ABSORBED
+    arrival[state._origin] = _RETURNED
+
+    # positions in the smallest vertex type: with V <= 65536 it is uint16,
+    # which the stable argsort sorts by radix
+    positions = np.array(state.positions, dtype=np.min_scalar_type(num_vertices - 1))
+    status = np.array(state.status, dtype=np.int8)
+    rho = np.array(state.rho, dtype=np.int64)
+    range_mask = np.frombuffer(state._range_mask, dtype=np.uint8)  # writes through
     range_list = state._range_list
-    survivors = state.survivors
-    remaining = state.remaining
 
-    last_turn = state.t - 1
-    while live:
-        round_start = state.t
-        if round_start + (live[-1] - 1) % n >= max_steps:
-            state.survivors = survivors
-            state.remaining = remaining
-            raise AbortedMaxSteps(f"experiment not settled after {max_steps} steps")
-        nxt = []
-        append = nxt.append
-        for i in live:
-            x = positions[i]
-            r = rho[x] + 1
-            if r == deg[x]:
-                r = 0
-            rho[x] = r
-            y = mt[mi[x] + r]
-            positions[i] = y
-            if not range_mask[y]:
-                range_mask[y] = 1
-                range_list.append(y)
-            if y == origin:
-                status[i] = _RETURNED
-                survivors -= 1
-                remaining -= 1
-                last_turn = round_start + (i - 1) % n
-            elif sink[y]:
-                status[i] = _ABSORBED
-                remaining -= 1
-                last_turn = round_start + (i - 1) % n
-            else:
-                status[i] = _ACTIVE
-                append(i)
-        if nxt:
-            state.t = round_start + n
-        else:
-            state.t = last_turn + 1
-        live = nxt
+    # turn order 1, 2, ..., n-1, 0; particle i moves at round_start + (i-1) mod n
+    live = np.roll(np.arange(n), -1)
+    live = live[status[live] < _RETURNED]
+    t = state.t
+    try:
+        while live.size:
+            round_start = t
+            last_turn = round_start + (int(live[-1]) - 1) % n
+            if last_turn >= max_steps:
+                raise AbortedMaxSteps(f"experiment not settled after {max_steps} steps")
+            y = _leave_together(positions[live], rho, deg, mech)
+            positions[live] = y
 
-    state.survivors = survivors
-    state.remaining = remaining
+            if len(range_list) < num_vertices:
+                fresh = y[range_mask[y] == 0]
+                if fresh.size:
+                    _, first = np.unique(fresh, return_index=True)
+                    fresh = fresh[np.sort(first)]
+                    range_mask[fresh] = 1
+                    range_list.extend(fresh.tolist())
+
+            arrived = arrival[y]
+            status[live] = arrived
+            live = live[arrived == _ACTIVE]
+            # t after the round: its end, or one past the last mover if all finished
+            t = round_start + n if live.size else last_turn + 1
+    finally:
+        # every position is in the range: share its int objects, not one per particle
+        vertex = np.empty(num_vertices, dtype=object)
+        vertex[range_list] = range_list
+        state.positions[:] = vertex[positions].tolist()
+        state.status[:] = status.tolist()
+        state.rho[:] = rho.tolist()
+        state.t = t
+        state.survivors = n - int(np.count_nonzero(status == _RETURNED))
+        state.remaining = int(np.count_nonzero(status < _RETURNED))
     state.last_event = None
     return state
+
+
+def _leave_together(x: np.ndarray, rho: np.ndarray, deg: np.ndarray, mech: RotorMechanism) -> np.ndarray:
+    """Move one round's particles, at vertices x in turn order; return their targets.
+
+    A stable sort of x groups each vertex's leavers in turn order; the k-th
+    of them takes position (rho(v) + k + 1) mod deg(v), and the last one's
+    position is v's new rotor (rho is updated in place).
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order].astype(np.intp)
+    m = xs.size
+    # each vertex's leavers form a run of xs: k minus the run's start is the rank
+    run_edge = np.empty(m + 1, dtype=bool)
+    run_edge[0] = run_edge[m] = True
+    np.not_equal(xs[1:], xs[:-1], out=run_edge[1:m])
+    k = np.arange(m)
+    r = np.where(run_edge[:m], k, 0)
+    np.maximum.accumulate(r, out=r)
+    np.subtract(k, r, out=r)
+    # r: rank, then the mechanism position taken, then its flat index
+    r += rho[xs]
+    r += 1
+    r %= deg[xs]
+    last = np.flatnonzero(run_edge[1:])  # the last leaver sets the rotor
+    rho[xs[last]] = r[last]
+    r += mech.indptr[xs]
+    y = np.empty(m, dtype=np.intp)
+    y[order] = mech.flat[r]
+    return y
 
 
 def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> float:

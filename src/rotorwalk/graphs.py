@@ -361,12 +361,39 @@ def shuffled_mechanism(g: Graph, seed: int) -> RotorMechanism:
 
 
 def check_mechanism(g: Graph, mech: RotorMechanism) -> None:
-    """Validate that mech matches g: sinks empty, others permute their adjacency."""
-    if len(mech.order) != g.num_vertices:
+    """Validate that mech matches g: sinks empty, others permute their adjacency.
+
+    Raises GraphInvalid naming the lowest failing vertex.  Rows are compared
+    over the CSR arrays: a non-sink row of matching degree and in-range
+    targets is a permutation when its sorted (row, target) keys equal the
+    adjacency's.
+    """
+    n = g.num_vertices
+    if len(mech.order) != n:
         raise GraphInvalid("mechanism length does not match vertex count")
-    for x, adj in enumerate(g.adjacency):
-        if x in g.sinks:
-            if mech.order[x]:
-                raise GraphInvalid(f"sink {g.labels[x]} must have an empty mechanism")
-        elif Counter(mech.order[x]) != Counter(adj):
-            raise GraphInvalid(f"mechanism at {g.labels[x]} is not a permutation of its edges")
+    sink = g.is_sink
+    deg = np.diff(mech.indptr)
+    row = np.repeat(np.arange(n), deg)
+    bad = np.where(sink, deg != 0, deg != g.degrees)
+    bad[row[(mech.flat < 0) | (mech.flat >= n)]] = True
+
+    # the rows still good have their adjacency's degree, so their keys align
+    same = ~bad & ~sink
+    keys = _sorted_row_keys(row, mech.flat, same)
+    adj_keys = _sorted_row_keys(np.repeat(np.arange(n), g.degrees), g.adj_flat, same)
+    bad[adj_keys[keys != adj_keys] // n] = True
+
+    if bad.any():
+        x = int(np.argmax(bad))
+        if sink[x]:
+            raise GraphInvalid(f"sink {g.labels[x]} must have an empty mechanism")
+        raise GraphInvalid(f"mechanism at {g.labels[x]} is not a permutation of its edges")
+
+
+def _sorted_row_keys(row: np.ndarray, target: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sorted keys row * V + target of the CSR entries in the rows where keep is set."""
+    pick = keep[row]
+    keys = row[pick] * keep.size
+    keys += target[pick]
+    keys.sort()
+    return keys

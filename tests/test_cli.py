@@ -230,6 +230,17 @@ def test_run_reports_match_golden(capsys, tmp_path, name, config_args):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes()
 
 
+def test_run_colocated_particles_matches_golden(capsys, tmp_path):
+    """Thousands of particles share vertices each round; pins the settle's steps too."""
+    code, _, _ = run_cli(
+        capsys, "run", "--lattice", "2", "8", "--n", "1,500,5000", "--mechanism", "shuffled",
+        "--seed-mech", "3", "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    for fname in ("report.json", "report.csv"):
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / "lattice-2-8" / fname).read_bytes()
+
+
 def test_run_trace_matches_golden(capsys, tmp_path):
     code, _, _ = run_cli(
         capsys, "run", *LATTICE_2_4, "--n", "2,7",

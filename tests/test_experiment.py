@@ -6,6 +6,8 @@ from rotorwalk import (
     InvalidParameter,
     ParticleStatus,
     RotorConfig,
+    build_bary_tree,
+    build_lattice_ball,
     build_path,
     compute_invariant,
     default_mechanism,
@@ -214,3 +216,54 @@ def test_input_validation(p3_solved):
     other = solve_harmonic(build_path(5))
     with pytest.raises(DimensionMismatch):
         compute_invariant(state, other, wt)
+
+
+CROSS_GRAPHS = {
+    "lattice(2,6)": build_lattice_ball(2, 6),
+    "tree(3,4)": build_bary_tree(3, 4),
+    "lattice(3,3)": build_lattice_ball(3, 3),
+}
+
+
+def settled_fields(state):
+    return (state.t, state.positions, state.rho, state.status, state.survivors,
+            state.remaining, state._range_list, bytes(state._range_mask))
+
+
+@pytest.mark.parametrize("graph_name", CROSS_GRAPHS)
+@pytest.mark.parametrize("n", [100, 1000, 3000])
+@pytest.mark.parametrize("mech_seed", [None, 11])
+@pytest.mark.parametrize("config_kind", ["min", "random"])
+def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
+    """The unobserved settle moves whole rounds at once; an observed one goes through step()."""
+    g = CROSS_GRAPHS[graph_name]
+    mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
+    if config_kind == "min":
+        config = min_weight_config(g, weight_table(g, mech, solve_harmonic(g)))
+    else:
+        config = random_config(g, 21)
+
+    batched = run_until_settled(init_experiment(g, mech, config, n))
+    stepwise = run_until_settled(init_experiment(g, mech, config, n), observer=lambda st: None)
+
+    assert batched.settled
+    assert settled_fields(batched) == settled_fields(stepwise)
+
+
+@pytest.mark.parametrize("graph_name", ["lattice(2,6)", "tree(3,4)"])
+def test_abort_then_resume_equals_uninterrupted(graph_name):
+    g = CROSS_GRAPHS[graph_name]
+    mech = shuffled_mechanism(g, 11)
+    config = random_config(g, 21)
+    n = 1000
+    full = run_until_settled(init_experiment(g, mech, config, n))
+
+    state = init_experiment(g, mech, config, n)
+    with pytest.raises(AbortedMaxSteps):
+        run_until_settled(state, max_steps=full.t // 2)
+    assert 0 < state.t < full.t
+    assert state.survivors == sum(s != ParticleStatus.RETURNED for s in state.status)
+    assert state.remaining == sum(s < ParticleStatus.RETURNED for s in state.status)
+
+    run_until_settled(state)
+    assert settled_fields(state) == settled_fields(full)

@@ -230,6 +230,22 @@ def test_check_mechanism_rejects_bad_orders():
     with pytest.raises(GraphInvalid, match="length"):
         check_mechanism(g, RotorMechanism(order=((1,), (0, 2))))
 
+    # several failing vertices: the lowest id is named, with its own message
+    with pytest.raises(GraphInvalid, match="^mechanism at 0 is not a permutation"):
+        check_mechanism(g, RotorMechanism(order=((2,), (2, 2), (1,))))
+    with pytest.raises(GraphInvalid, match="^mechanism at 1 is not a permutation"):
+        check_mechanism(g, RotorMechanism(order=((1,), (0, 0), (1,))))
+    # ids s=0, o=1, a=2, t=3: a sink below a failing non-sink
+    h = load_edge_list("s o\no a\na t", "o", ["s", "t"])
+    with pytest.raises(GraphInvalid, match="^sink s must have an empty mechanism"):
+        check_mechanism(h, RotorMechanism(order=((1,), (2,), (1, 3), ())))
+    # wrong degree, out-of-range targets (which must not implicate a lower
+    # vertex whose keys they collide with) and wrong multiplicity
+    for order_a in ((1,), (1, 3, 3), (1, 5), (-3, 3), (1, 1)):
+        with pytest.raises(GraphInvalid, match="^mechanism at a is not a permutation"):
+            check_mechanism(h, RotorMechanism(order=((), (0, 2), order_a, ())))
+    check_mechanism(h, RotorMechanism(order=((), (2, 0), (3, 1), ())))
+
 
 def test_describe_names():
     assert build_path(3).describe() == "path(3)"

@@ -6,6 +6,8 @@ from rotorwalk import (
     IndexOutOfRange,
     RotorConfig,
     SinkHasNoRotor,
+    build_bary_tree,
+    build_lattice_ball,
     build_path,
     check_config,
     count_min_weight_ties,
@@ -19,6 +21,8 @@ from rotorwalk import (
     weight_increment,
     weight_table,
 )
+
+from rotorwalk.rng import philox_generator
 
 from oracles import dense_green, reference_edge_weight
 
@@ -140,6 +144,17 @@ def test_random_config_bounds_and_determinism(small_graph):
     assert seen_different
 
 
+@pytest.mark.parametrize("g", [build_path(6), build_lattice_ball(2, 5), build_bary_tree(3, 4)],
+                         ids=lambda g: g.describe())
+def test_random_config_matches_scalar_draws(g):
+    """The one vectorized draw equals one scalar draw per non-sink vertex in id order."""
+    for seed in range(20):
+        rng = philox_generator(seed)
+        pos = tuple(-1 if g.is_sink[x] else int(rng.integers(0, g.degree(x)))
+                    for x in range(g.num_vertices))
+        assert random_config(g, seed).pos == pos
+
+
 def test_random_config_uniform_marginal(p3):
     # vertex a has degree 2; its rotor index should be a fair coin across seeds
     hits = sum(random_config(p3, seed=k).pos[1] == 0 for k in range(10_000))
@@ -167,6 +182,17 @@ def test_check_config_rejections(p3):
         check_config(p3, RotorConfig(pos=(0, 2, -1)))
     with pytest.raises(DimensionMismatch):
         check_config(p3, RotorConfig(pos=(0, 0, 0)))
+    # several failing vertices: the lowest id is named, with its own message
+    with pytest.raises(DimensionMismatch, match="^rotor index 2 out of range at 1"):
+        check_config(p3, RotorConfig(pos=(0, 2, 0)))
+    with pytest.raises(DimensionMismatch, match=r"^rotor index 1\.5 out of range at 0"):
+        check_config(p3, RotorConfig(pos=(1.5, 2, 0)))
+    with pytest.raises(DimensionMismatch, match=f"^rotor index {2**70} out of range at 1"):
+        check_config(p3, RotorConfig(pos=(0, 2**70, 0)))
+    h = load_edge_list("s o\no a\na t", "o", ["s", "t"])  # ids s=0, o=1, a=2, t=3
+    with pytest.raises(DimensionMismatch, match="^sink s must carry rotor index -1"):
+        check_config(h, RotorConfig(pos=(0, 0, 5, 0)))
+    check_config(h, RotorConfig(pos=(-1, 0, 1, -1)))
 
 
 def test_edge_errors(p3_solved):
