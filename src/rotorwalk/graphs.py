@@ -13,10 +13,9 @@ of unique string labels for file IO and reporting.
 """
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product
 from typing import IO, Iterable
 
 import numpy as np
@@ -129,29 +128,7 @@ def check_graph(g: Graph) -> None:
         if not (0 <= s < n):
             raise GraphInvalid(f"sink id {s} out of range")
 
-    sink = g.is_sink
-    for x, adj in enumerate(g.adjacency):
-        if not adj:
-            raise GraphInvalid(f"vertex {g.labels[x]} has no edges")
-        counts = Counter(adj)
-        for y, c in counts.items():
-            if not (0 <= y < n):
-                raise GraphInvalid(f"neighbor id {y} out of range at {g.labels[x]}")
-            if y == x:
-                raise GraphInvalid(f"self-loop at vertex {g.labels[x]}")
-            if c > 1 and not (sink[x] or sink[y]):
-                raise GraphInvalid(
-                    f"duplicate edge between non-sink vertices {g.labels[x]} and {g.labels[y]}"
-                )
-
-    # symmetry with multiplicity
-    for x, adj in enumerate(g.adjacency):
-        cx = Counter(adj)
-        for y, c in cx.items():
-            if Counter(g.adjacency[y])[x] != c:
-                raise GraphInvalid(
-                    f"asymmetric adjacency between {g.labels[x]} and {g.labels[y]}"
-                )
+    _check_adjacency(g)
 
     # connectivity of the whole graph
     seen = [False] * n
@@ -168,14 +145,95 @@ def check_graph(g: Graph) -> None:
         raise GraphInvalid(f"graph is disconnected (vertex {missing} unreachable)")
 
 
-def _graph_from_edges(edges, origin, sinks, labels, name="") -> Graph:
-    """Assemble adjacency by appending both directions of each edge in sequence."""
-    adj: list[list[int]] = [[] for _ in labels]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
+def _check_adjacency(g: Graph) -> None:
+    """Empty rows, ids, self-loops, live duplicates and symmetry, over the CSR arrays.
+
+    A valid adjacency is accepted from its sorted row*V+target keys alone:
+    repeated keys must touch a sink, and the keys must equal their mirror
+    images target*V+row as a multiset.  Anything else goes to
+    _raise_first_fault for the message.
+    """
+    n = g.num_vertices
+    flat = g.adj_flat
+    row = np.repeat(np.arange(n), g.degrees)
+    if g.degrees.all() and flat.min() >= 0 and flat.max() < n and not (flat == row).any():
+        keys = row * n
+        keys += flat
+        keys.sort()
+        repeated = keys[1:][keys[1:] == keys[:-1]]
+        mirror = flat * n
+        mirror += row
+        mirror.sort()
+        sink = g.is_sink
+        if (sink[repeated // n] | sink[repeated % n]).all() and np.array_equal(keys, mirror):
+            return
+    _raise_first_fault(g, row)
+
+
+def _raise_first_fault(g: Graph, row: np.ndarray) -> None:
+    """Raise for the lowest failing vertex, as a scan of each row's distinct neighbours would.
+
+    Empty rows, out-of-range ids, self-loops and duplicate live pairs come
+    first, then symmetry with multiplicity.  The entries with one (x, y) pair
+    all fail alike, so the first failing entry of a row is the first
+    appearance of its neighbour.  Called only for an adjacency that
+    _check_adjacency rejected, so some entry fails.
+    """
+    n = g.num_vertices
+    deg = g.degrees
+    flat = g.adj_flat
+    sink = g.is_sink
+    in_range = (flat >= 0) & (flat < n)
+    # out-of-range entries get a key no valid entry has, so they cannot pose
+    # as a duplicate in a neighbouring row
+    keys = np.where(in_range, row * n + flat, -1)
+    sorted_keys = np.sort(keys)
+    mult = _count_in(sorted_keys, keys)
+    target = np.where(in_range, flat, row)
+    bad = ~in_range | (flat == row) | ((mult > 1) & ~sink[row] & ~sink[target])
+
+    empty = np.flatnonzero(deg == 0)
+    if empty.size and (not bad.any() or empty[0] < row[np.argmax(bad)]):
+        raise GraphInvalid(f"vertex {g.labels[empty[0]]} has no edges")
+    if bad.any():
+        e = int(np.argmax(bad))
+        x, y = int(row[e]), int(flat[e])
+        if not in_range[e]:
+            raise GraphInvalid(f"neighbor id {y} out of range at {g.labels[x]}")
+        if y == x:
+            raise GraphInvalid(f"self-loop at vertex {g.labels[x]}")
+        raise GraphInvalid(
+            f"duplicate edge between non-sink vertices {g.labels[x]} and {g.labels[y]}"
+        )
+
+    e = int(np.argmax(mult != _count_in(sorted_keys, flat * n + row)))
+    raise GraphInvalid(
+        f"asymmetric adjacency between {g.labels[row[e]]} and {g.labels[flat[e]]}"
+    )
+
+
+def _count_in(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Number of occurrences of each of keys in sorted_keys."""
+    return (np.searchsorted(sorted_keys, keys, side="right")
+            - np.searchsorted(sorted_keys, keys, side="left"))
+
+
+def _graph_from_edges(edges: np.ndarray, origin, sinks, labels, name="") -> Graph:
+    """Assemble adjacency from an (E, 2) int array, then validate.
+
+    Each vertex lists its neighbours in edge sequence, both directions of an
+    edge at its place: a stable sort of the interleaved (u, v), (v, u) pairs
+    by source.
+    """
+    n = len(labels)
+    sources = edges.ravel()
+    targets = edges[:, ::-1].ravel()[np.argsort(sources, kind="stable")]
+    bounds = [0] + np.cumsum(np.bincount(sources, minlength=n)).tolist()
+    # one int object per vertex, shared by every adjacency entry naming it
+    vertex = np.arange(n).astype(object)
+    flat = vertex[targets].tolist()
     g = Graph(
-        adjacency=tuple(tuple(a) for a in adj),
+        adjacency=tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])),
         origin=origin,
         sinks=frozenset(sinks),
         labels=tuple(labels),
@@ -189,7 +247,8 @@ def build_path(k: int) -> Graph:
     """Path on k vertices: origin at one end, the single sink at the other."""
     if k < 2:
         raise InvalidParameter(f"build_path needs k >= 2, got {k}")
-    edges = [(i, i + 1) for i in range(k - 1)]
+    ids = np.arange(k)
+    edges = np.stack([ids[:-1], ids[1:]], axis=1)
     return _graph_from_edges(edges, 0, {k - 1}, [str(i) for i in range(k)], name=f"path({k})")
 
 
@@ -199,39 +258,37 @@ def build_lattice_ball(d: int, radius: int) -> Graph:
     All lattice points with L1 norm <= radius are live vertices; each edge
     that would leave the ball becomes an edge to the shared sink, so every
     live vertex keeps its full lattice degree 2d (boundary vertices may hold
-    several parallel sink edges).
+    several parallel sink edges).  Ids follow (L1 norm, coordinates) order,
+    so the origin is 0; each point lists its edges axis by axis, + before -.
     """
     if d < 1:
         raise InvalidParameter(f"build_lattice_ball needs d >= 1, got {d}")
     if radius < 1:
         raise InvalidParameter(f"build_lattice_ball needs radius >= 1, got {radius}")
 
-    points = [p for p in product(range(-radius, radius + 1), repeat=d)
-              if sum(abs(c) for c in p) <= radius]
-    points.sort(key=lambda p: (sum(abs(c) for c in p), p))
-    index = {p: i for i, p in enumerate(points)}
+    # the cube [-r-1, r+1]^d in lexicographic order, so a stable sort by
+    # norm gives (norm, coordinates) order; its margin holds every
+    # neighbour of the ball, and the table maps each cube cell to its
+    # vertex id, or to the sink outside the ball
+    side = 2 * radius + 3
+    cube = np.indices((side,) * d).reshape(d, -1).T - (radius + 1)
+    norm = np.abs(cube).sum(axis=1)
+    in_ball = np.flatnonzero(norm <= radius)
+    in_ball = in_ball[np.argsort(norm[in_ball], kind="stable")]
+    points = cube[in_ball]
     sink = len(points)
+    index = np.full(side**d, sink, dtype=np.int64)
+    index[in_ball] = np.arange(sink)
 
-    directions = []
-    for axis in range(d):
-        for sign in (1, -1):
-            directions.append(tuple(sign if a == axis else 0 for a in range(d)))
+    # cell offsets of the directions axis by axis, + before -
+    offsets = np.kron(side ** np.arange(d - 1, -1, -1), [1, -1])
+    j = index[in_ball[:, None] + offsets]
+    i = np.broadcast_to(np.arange(sink)[:, None], j.shape)
+    keep = (j == sink) | (j > i)
+    edges = np.stack([i[keep], j[keep]], axis=1)
 
-    edges = []
-    for p in points:
-        i = index[p]
-        for dvec in directions:
-            q = tuple(a + b for a, b in zip(p, dvec))
-            j = index.get(q)
-            if j is None:
-                edges.append((i, sink))
-            elif j > i:
-                edges.append((i, j))
-
-    labels = [",".join(str(c) for c in p) for p in points] + ["sink"]
-    return _graph_from_edges(
-        edges, index[tuple([0] * d)], {sink}, labels, name=f"lattice(d={d}, r={radius})"
-    )
+    labels = [",".join(map(str, p)) for p in points.tolist()] + ["sink"]
+    return _graph_from_edges(edges, 0, {sink}, labels, name=f"lattice(d={d}, r={radius})")
 
 
 def build_bary_tree(b: int, depth: int) -> Graph:
@@ -241,23 +298,15 @@ def build_bary_tree(b: int, depth: int) -> Graph:
     if depth < 1:
         raise InvalidParameter(f"build_bary_tree needs depth >= 1, got {depth}")
 
-    # breadth-first ids: level l occupies a contiguous block
-    level_start = [0]
-    for lvl in range(depth + 1):
-        level_start.append(level_start[-1] + b**lvl)
-    n = level_start[-1]
-
-    edges = []
-    for lvl in range(depth):
-        for k in range(b**lvl):
-            parent = level_start[lvl] + k
-            for c in range(b):
-                child = level_start[lvl + 1] + k * b + c
-                edges.append((parent, child))
-
-    sinks = set(range(level_start[depth], n))
+    # breadth-first ids: level l occupies a contiguous block, and the
+    # children of p are p*b + 1 .. p*b + b
+    n = (b ** (depth + 1) - 1) // (b - 1)
+    leaves = b**depth
+    child = np.arange(1, n)
+    edges = np.stack([(child - 1) // b, child], axis=1)
     return _graph_from_edges(
-        edges, 0, sinks, [str(i) for i in range(n)], name=f"tree(b={b}, depth={depth})"
+        edges, 0, range(n - leaves, n), [str(i) for i in range(n)],
+        name=f"tree(b={b}, depth={depth})",
     )
 
 
@@ -308,8 +357,8 @@ def load_edge_list(source: str | IO[str] | Iterable[str], origin, sinks) -> Grap
         raise GraphInvalid(f"sink labels not in the edge list: {sorted(unknown)}")
 
     return _graph_from_edges(
-        edges, label_ids[origin_label], {label_ids[s] for s in sink_labels}, labels,
-        name="edge-list",
+        np.array(edges, dtype=np.int64), label_ids[origin_label],
+        {label_ids[s] for s in sink_labels}, labels, name="edge-list",
     )
 
 

@@ -57,19 +57,20 @@ def _dirichlet_system(g: Graph):
     pos = -np.ones(g.num_vertices, dtype=np.int64)
     pos[live] = np.arange(live.size)
 
-    rows, cols, vals = [], [], []
-    for li, x in enumerate(live):
-        rows.append(li)
-        cols.append(li)
-        vals.append(float(g.degree(int(x))))
-        for y in g.adjacency[x]:
-            if pos[y] >= 0:
-                rows.append(li)
-                cols.append(pos[y])
-                vals.append(-1.0)
-    mat = sp.csc_matrix(
-        (vals, (rows, cols)), shape=(live.size, live.size), dtype=np.float64
-    )
+    row = pos[np.repeat(np.arange(g.num_vertices), g.degrees)]
+    col = pos[g.adj_flat]
+    keep = (row >= 0) & (col >= 0)
+    row, col = row[keep], col[keep]
+    upper = row < col
+    # the entries above the diagonal, the diagonal, then those below, each
+    # in CSR order: every CSC column then receives its rows in ascending
+    # order, so scipy need not sort them
+    diag = np.arange(live.size)
+    rows = np.concatenate((row[upper], diag, row[~upper]))
+    cols = np.concatenate((col[upper], diag, col[~upper]))
+    vals = np.full(rows.size, -1.0)
+    vals[np.count_nonzero(upper) + diag] = g.degrees[live]
+    mat = sp.csc_matrix((vals, (rows, cols)), shape=(live.size, live.size), dtype=np.float64)
     # duplicate (row, col) entries are summed by scipy, which is what parallel
     # edges between two live vertices would need; live pairs are simple anyway
     rhs = np.zeros(live.size)

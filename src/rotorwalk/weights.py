@@ -83,21 +83,29 @@ def edge_weight(g: Graph, mech: RotorMechanism, profile: HarmonicProfile, x: int
 
 
 def weight_table(g: Graph, mech: RotorMechanism, profile: HarmonicProfile) -> WeightTable:
-    """Weights of every directed edge of every non-sink vertex."""
+    """Weights of every directed edge of every non-sink vertex.
+
+    Equal bit for bit to one np.dot(arange(d), rotated target voltages) per
+    edge.  For each degree class d and position i, one np.matmul of the
+    (k, 1, d) rotated rows by the (d, 1) index column gives the k weights;
+    numpy evaluates it as that same dot per row, while a 2-D gemv, einsum
+    or multiply-add sum orders the additions differently and moves the
+    last bits of some weights.
+    """
     if profile.voltage.shape != (g.num_vertices,):
         raise DimensionMismatch("profile does not match the graph")
     v = profile.voltage
-    values = np.zeros(int(mech.indptr[-1]))
-    for x in range(g.num_vertices):
-        order = mech.order[x]
-        d = len(order)
-        if d == 0:
-            continue
-        tv = v[np.fromiter(order, dtype=np.int64, count=d)]
-        base = int(mech.indptr[x])
-        j = np.arange(d)
+    indptr = mech.indptr
+    deg = np.diff(indptr)
+    values = np.zeros(int(indptr[-1]))
+    for d in np.unique(deg[deg > 0]).tolist():
+        slots = indptr[:-1][deg == d, None] + np.arange(d)
+        tv = v[mech.flat[slots]]
+        j = np.arange(d, dtype=np.float64)[:, None]
         for i in range(d):
-            values[base + i] = -float(np.dot(j, tv[(i + 1 + j) % d])) / d
+            # column j holds the target at position (i + 1 + j) mod d
+            rotated = np.roll(tv, -(i + 1), axis=1)
+            values[slots[:, i]] = -np.matmul(rotated[:, None, :], j).ravel() / d
     return WeightTable(values=values, indptr=mech.indptr)
 
 

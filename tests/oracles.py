@@ -9,7 +9,14 @@ plain data containers.
 """
 from __future__ import annotations
 
+from collections import Counter, deque
+from itertools import product
+
 import numpy as np
+import scipy.sparse as sp
+
+from rotorwalk.errors import GraphInvalid
+from rotorwalk.graphs import Graph
 
 
 def dense_green(g):
@@ -113,3 +120,175 @@ def reference_edge_weight(g, mech, voltage, x, i):
     order = mech.order[x]
     d = len(order)
     return -sum(j * voltage[order[(i + j + 1) % d]] for j in range(d)) / d
+
+
+# --- scalar precompute loops ------------------------------------------------
+# The package builds graphs, validates them, assembles the Dirichlet system and
+# fills the weight table with whole-array numpy code over CSR arrays.  These
+# are the per-vertex loops it replaced; the tests require exact equality with
+# them (graphs, labels, messages, CSC arrays and weight bits alike).
+
+
+def reference_check_graph(g):
+    """Raise GraphInvalid on the first structural failure, in the package's check order."""
+    n = g.num_vertices
+    if n < 2:
+        raise GraphInvalid("graph needs at least an origin and a sink")
+    if len(g.labels) != n:
+        raise GraphInvalid("labels length does not match vertex count")
+    if len(set(g.labels)) != n:
+        raise GraphInvalid("vertex labels are not unique")
+    if not (0 <= g.origin < n):
+        raise GraphInvalid(f"origin id {g.origin} out of range")
+    if g.origin in g.sinks:
+        raise GraphInvalid("origin must not be a sink")
+    if not g.sinks:
+        raise GraphInvalid("sink set is empty")
+    for s in g.sinks:
+        if not (0 <= s < n):
+            raise GraphInvalid(f"sink id {s} out of range")
+
+    sink = [x in g.sinks for x in range(n)]
+    for x, adj in enumerate(g.adjacency):
+        if not adj:
+            raise GraphInvalid(f"vertex {g.labels[x]} has no edges")
+        counts = Counter(adj)
+        for y, c in counts.items():
+            if not (0 <= y < n):
+                raise GraphInvalid(f"neighbor id {y} out of range at {g.labels[x]}")
+            if y == x:
+                raise GraphInvalid(f"self-loop at vertex {g.labels[x]}")
+            if c > 1 and not (sink[x] or sink[y]):
+                raise GraphInvalid(
+                    f"duplicate edge between non-sink vertices {g.labels[x]} and {g.labels[y]}"
+                )
+
+    for x, adj in enumerate(g.adjacency):
+        cx = Counter(adj)
+        for y, c in cx.items():
+            if Counter(g.adjacency[y])[x] != c:
+                raise GraphInvalid(
+                    f"asymmetric adjacency between {g.labels[x]} and {g.labels[y]}"
+                )
+
+    seen = [False] * n
+    seen[0] = True
+    queue = deque([0])
+    while queue:
+        x = queue.popleft()
+        for y in g.adjacency[x]:
+            if not seen[y]:
+                seen[y] = True
+                queue.append(y)
+    if not all(seen):
+        missing = next(g.labels[i] for i, s in enumerate(seen) if not s)
+        raise GraphInvalid(f"graph is disconnected (vertex {missing} unreachable)")
+
+
+def reference_graph_from_edges(edges, origin, sinks, labels, name=""):
+    """Append both directions of each (u, v) in sequence, then validate."""
+    adj = [[] for _ in labels]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    g = Graph(
+        adjacency=tuple(tuple(a) for a in adj),
+        origin=origin,
+        sinks=frozenset(sinks),
+        labels=tuple(labels),
+        name=name,
+    )
+    reference_check_graph(g)
+    return g
+
+
+def reference_path(k):
+    edges = [(i, i + 1) for i in range(k - 1)]
+    return reference_graph_from_edges(edges, 0, {k - 1}, [str(i) for i in range(k)],
+                                      name=f"path({k})")
+
+
+def reference_lattice_ball(d, radius):
+    """L1 ball of Z^d, points ordered by (norm, coords), leaving edges sent to one sink."""
+    points = [p for p in product(range(-radius, radius + 1), repeat=d)
+              if sum(abs(c) for c in p) <= radius]
+    points.sort(key=lambda p: (sum(abs(c) for c in p), p))
+    index = {p: i for i, p in enumerate(points)}
+    sink = len(points)
+
+    directions = []
+    for axis in range(d):
+        for sign in (1, -1):
+            directions.append(tuple(sign if a == axis else 0 for a in range(d)))
+
+    edges = []
+    for p in points:
+        i = index[p]
+        for dvec in directions:
+            q = tuple(a + b for a, b in zip(p, dvec))
+            j = index.get(q)
+            if j is None:
+                edges.append((i, sink))
+            elif j > i:
+                edges.append((i, j))
+
+    labels = [",".join(str(c) for c in p) for p in points] + ["sink"]
+    return reference_graph_from_edges(
+        edges, index[tuple([0] * d)], {sink}, labels, name=f"lattice(d={d}, r={radius})"
+    )
+
+
+def reference_bary_tree(b, depth):
+    level_start = [0]
+    for lvl in range(depth + 1):
+        level_start.append(level_start[-1] + b**lvl)
+    n = level_start[-1]
+    edges = []
+    for lvl in range(depth):
+        for k in range(b**lvl):
+            parent = level_start[lvl] + k
+            for c in range(b):
+                edges.append((parent, level_start[lvl + 1] + k * b + c))
+    sinks = set(range(level_start[depth], n))
+    return reference_graph_from_edges(
+        edges, 0, sinks, [str(i) for i in range(n)], name=f"tree(b={b}, depth={depth})"
+    )
+
+
+def reference_dirichlet_system(g):
+    """(live ids, CSC matrix, rhs) of the voltage system, one COO entry per loop step."""
+    live = np.flatnonzero([x not in g.sinks for x in range(g.num_vertices)])
+    pos = -np.ones(g.num_vertices, dtype=np.int64)
+    pos[live] = np.arange(live.size)
+
+    rows, cols, vals = [], [], []
+    for li, x in enumerate(live):
+        rows.append(li)
+        cols.append(li)
+        vals.append(float(len(g.adjacency[int(x)])))
+        for y in g.adjacency[x]:
+            if pos[y] >= 0:
+                rows.append(li)
+                cols.append(pos[y])
+                vals.append(-1.0)
+    mat = sp.csc_matrix(
+        (vals, (rows, cols)), shape=(live.size, live.size), dtype=np.float64
+    )
+    rhs = np.zeros(live.size)
+    rhs[pos[g.origin]] = 1.0
+    return live, mat, rhs
+
+
+def reference_weight_table(mech, voltage):
+    """Flat weights in mechanism-position order, one np.dot per directed edge."""
+    sizes = [len(o) for o in mech.order]
+    values = np.zeros(sum(sizes))
+    base = 0
+    for order, d in zip(mech.order, sizes):
+        if d:
+            tv = voltage[np.fromiter(order, dtype=np.int64, count=d)]
+            j = np.arange(d)
+            for i in range(d):
+                values[base + i] = -float(np.dot(j, tv[(i + 1 + j) % d])) / d
+        base += d
+    return values

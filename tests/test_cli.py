@@ -215,6 +215,20 @@ def test_rho_min_config_matches_golden(capsys, tmp_path):
     assert (tmp_path / "config.csv").read_bytes() == (GOLDEN / "config.csv").read_bytes()
 
 
+@pytest.mark.parametrize("name, argv, files", [
+    ("rho-min-lattice-3-4",
+     ("rho-min", "--lattice", "3", "4", "--mechanism", "shuffled", "--seed-mech", "3"),
+     ("weights.csv", "config.csv")),
+    ("green-tree-3-4", ("green", "--tree", "3", "4"), ("profile.csv",)),
+])
+def test_precompute_outputs_match_golden(capsys, tmp_path, name, argv, files):
+    """Weights and voltages are written with repr, so these pin their last bits."""
+    code, _, _ = run_cli(capsys, *argv, "--out-dir", str(tmp_path))
+    assert code == 0
+    for fname in files:
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes()
+
+
 @pytest.mark.parametrize("name, config_args", [
     ("rho-min", ("--config", "rho-min")),
     ("random-5", ("--config", "random", "--seed-config", "5")),

@@ -1,0 +1,194 @@
+"""The vectorized precompute path equals today's scalar loops exactly.
+
+Graph build, validation, Dirichlet assembly and the weight table are numpy
+code over CSR arrays; `oracles` keeps the per-vertex loops they replaced.
+Every comparison is exact: graphs and labels by ==, sparse arrays and
+weights by np.array_equal (with the sign bit), error messages by string.
+"""
+import random
+
+import numpy as np
+import pytest
+
+from rotorwalk import (
+    Graph,
+    GraphInvalid,
+    build_bary_tree,
+    build_lattice_ball,
+    build_path,
+    check_graph,
+    default_mechanism,
+    load_edge_list,
+    shuffled_mechanism,
+    solve_harmonic,
+    weight_table,
+)
+from rotorwalk.harmonic import _dirichlet_system
+
+from oracles import (
+    reference_bary_tree,
+    reference_check_graph,
+    reference_dirichlet_system,
+    reference_graph_from_edges,
+    reference_lattice_ball,
+    reference_path,
+    reference_weight_table,
+)
+
+# string labels; right-out and left-far are repeated sink edges
+EDGE_LIST = "hub left\nleft right\nright hub\nleft out\nright out\nhub out\nout right\nleft far\nfar left\n"
+EDGE_LIST_SINKS = ("out", "far")
+
+
+def _edge_list_reference():
+    ids: dict[str, int] = {}
+    edges = [tuple(ids.setdefault(tok, len(ids)) for tok in line.split())
+             for line in EDGE_LIST.splitlines()]
+    return reference_graph_from_edges(
+        edges, ids["hub"], {ids[s] for s in EDGE_LIST_SINKS}, list(ids), name="edge-list"
+    )
+
+
+CASES = {
+    "path(2)": (lambda: build_path(2), lambda: reference_path(2)),
+    "path(9)": (lambda: build_path(9), lambda: reference_path(9)),
+    **{
+        f"lattice({d},{r})": (lambda d=d, r=r: build_lattice_ball(d, r),
+                              lambda d=d, r=r: reference_lattice_ball(d, r))
+        for d in (1, 2, 3, 4) for r in (1, 3, 5)
+    },
+    "lattice(2,40)": (lambda: build_lattice_ball(2, 40), lambda: reference_lattice_ball(2, 40)),
+    "tree(2,6)": (lambda: build_bary_tree(2, 6), lambda: reference_bary_tree(2, 6)),
+    "tree(3,8)": (lambda: build_bary_tree(3, 8), lambda: reference_bary_tree(3, 8)),
+    "edge-list": (lambda: load_edge_list(EDGE_LIST, "hub", EDGE_LIST_SINKS), _edge_list_reference),
+}
+
+
+@pytest.fixture(scope="module", params=list(CASES), ids=list(CASES))
+def graph(request):
+    return CASES[request.param][0]()
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_builders_equal_scalar_loops(name):
+    build, reference = CASES[name]
+    g, ref = build(), reference()
+    assert g == ref
+    assert g.labels == ref.labels
+    assert g.name == ref.name
+
+
+def test_dirichlet_system_equals_scalar_loop(graph):
+    live, mat, rhs = _dirichlet_system(graph)
+    ref_live, ref_mat, ref_rhs = reference_dirichlet_system(graph)
+    assert np.array_equal(live, ref_live)
+    assert np.array_equal(rhs, ref_rhs)
+    for attr in ("indptr", "indices", "data"):
+        got, want = getattr(mat, attr), getattr(ref_mat, attr)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), attr
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3, 11], ids=["default", "s0", "s3", "s11"])
+def test_weight_table_equals_per_edge_dot(graph, seed):
+    mech = default_mechanism(graph) if seed is None else shuffled_mechanism(graph, seed)
+    profile = solve_harmonic(graph)
+    got = weight_table(graph, mech, profile).values
+    want = reference_weight_table(mech, profile.voltage)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_adjacency_shares_one_int_per_vertex():
+    g = build_lattice_ball(3, 6)
+    assert len({id(y) for adj in g.adjacency for y in adj}) <= g.num_vertices
+
+
+def _message(check, g):
+    try:
+        check(g)
+    except GraphInvalid as exc:
+        return str(exc)
+    return None
+
+
+def _graph(adjacency, sinks, origin=0):
+    labels = tuple(f"v{x}" for x in range(len(adjacency)))
+    return Graph(adjacency=tuple(map(tuple, adjacency)), origin=origin,
+                 sinks=frozenset(sinks), labels=labels)
+
+
+# every graph holds two or more faults, and the lowest failing vertex (and,
+# within it, the first failing neighbour) decides; 4 is the sink unless noted
+MULTI_FAULT = {
+    "empty row before a self-loop": (
+        [(1, 4), (0, 2), (), (3, 4), (0, 3)], {4}, "vertex v2 has no edges"),
+    "self-loop before an empty row": (
+        [(1, 4), (1, 0, 2), (1,), (), (0,)], {4}, "self-loop at vertex v1"),
+    "negative id before a too-large one": (
+        [(1, 4), (0, -1, 2), (1, 7), (4,), (0, 3)], {4},
+        "neighbor id -1 out of range at v1"),
+    "negative id whose key collides with the row above": (
+        [(1,), (0, 2), (1, 3), (2, 4), (3, -1, 9)], {2},
+        "neighbor id -1 out of range at v4"),
+    "too-large id before a duplicate": (
+        [(1, 4), (0, 5, 2, 2), (1, 1, 4), (4,), (0, 2, 3)], {4},
+        "neighbor id 5 out of range at v1"),
+    "duplicate before a self-loop": (
+        [(1, 1, 4), (0, 0, 2), (1, 2), (4,), (0, 3)], {4},
+        "duplicate edge between non-sink vertices v0 and v1"),
+    "first distinct neighbour decides within a row": (
+        [(4, 1, 9, 1), (0, 0, 2), (1, 4), (4,), (0, 2, 3)], {4},
+        "duplicate edge between non-sink vertices v0 and v1"),
+    "asymmetric sink multiplicity before a one-way edge": (
+        [(1, 4, 4), (0, 2, 3), (1, 4), (4,), (0, 2, 3)], {4},
+        "asymmetric adjacency between v0 and v4"),
+    "one-way edge named at the lower vertex": (
+        [(1, 4), (0, 3), (4,), (2,), (0, 2)], {4},
+        "asymmetric adjacency between v1 and v3"),
+    "disconnected with two unreachable vertices": (
+        [(4,), (4,), (3,), (2,), (0, 1)], {4, 3},
+        "graph is disconnected (vertex v2 unreachable)"),
+}
+
+
+@pytest.mark.parametrize("name", list(MULTI_FAULT), ids=list(MULTI_FAULT))
+def test_check_graph_message_parity(name):
+    adjacency, sinks, message = MULTI_FAULT[name]
+    g = _graph(adjacency, sinks)
+    assert _message(reference_check_graph, g) == message
+    with pytest.raises(GraphInvalid) as exc:
+        check_graph(g)
+    assert str(exc.value) == message
+
+
+def test_check_graph_matches_scalar_loop_on_random_corruptions():
+    """Seeded edits of valid graphs; both checks must raise the same message or both pass."""
+    rng = random.Random(5)
+    bases = [build_path(5), build_lattice_ball(2, 2), build_bary_tree(2, 3),
+             load_edge_list(EDGE_LIST, "hub", EDGE_LIST_SINKS),
+             load_edge_list("s o\no a\na b\nb s\nb o", "o", ["s"])]  # last id live
+    raised = 0
+    for _ in range(1500):
+        base = rng.choice(bases)
+        n = base.num_vertices
+        adj = [list(a) for a in base.adjacency]
+        for _ in range(rng.randint(1, 3)):
+            x = rng.randrange(n)
+            kind = rng.randrange(5)
+            if kind == 0:
+                adj[x] = []
+            elif kind == 1 and adj[x]:
+                del adj[x][rng.randrange(len(adj[x]))]
+            elif kind == 2:
+                adj[x].insert(rng.randint(0, len(adj[x])), rng.randrange(-2, n + 2))
+            elif kind == 3 and adj[x]:
+                adj[x].append(rng.choice(adj[x]))
+            else:
+                rng.shuffle(adj[x])
+        g = Graph(adjacency=tuple(map(tuple, adj)), origin=base.origin, sinks=base.sinks,
+                  labels=base.labels)
+        want = _message(reference_check_graph, g)
+        assert _message(check_graph, g) == want, adj
+        raised += want is not None
+    assert raised > 1000
