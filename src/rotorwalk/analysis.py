@@ -18,9 +18,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import AbortedMaxSteps, InvalidParameter
+from .errors import InvalidParameter
 from .graphs import Graph, RotorMechanism
-from .harmonic import HarmonicProfile, solve_harmonic
+from .harmonic import DEFAULT_WALK_CAP, HarmonicProfile, _walk_steps, solve_harmonic
 from .rng import philox_generator
 from .weights import (
     RotorConfig,
@@ -222,44 +222,26 @@ def srw_escape_mc(
     walks: int,
     seed: int,
     *,
-    max_steps: int = 10**8,
+    max_steps: int = DEFAULT_WALK_CAP,
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the simple-random-walk escape probability.
 
     Fraction of walks from the origin that reach a sink before returning to
-    the origin.  Returns (estimate, standard error).
+    the origin.  Returns (estimate, standard error).  Walk i draws from
+    Philox stream i // 4096.  Walks run on mc_green's step kernel, stopped at
+    sinks and at the origin: AbortedMaxSteps only if one outlives max_steps.
     """
     if walks < 1:
         raise InvalidParameter(f"walks must be >= 1, got {walks}")
-    indptr = graph.adj_indptr
-    flat = graph.adj_flat
-    is_sink = np.asarray(graph.is_sink, dtype=bool)
-    origin = graph.origin
-    deg = np.asarray(graph.degrees, dtype=np.int64)
+    stop = graph.is_sink.copy()
+    stop[graph.origin] = True
 
     escaped = 0
     chunk = 4096
-    done = 0
-    while done < walks:
-        m = min(chunk, walks - done)
-        rng = philox_generator(seed, stream=done // chunk)
-        pos = np.full(m, origin, dtype=np.int64)
-        alive = np.ones(m, dtype=bool)
-        for _ in range(max_steps):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
-                break
-            cur = pos[idx]
-            u = rng.random(idx.size)
-            k = np.minimum((u * deg[cur]).astype(np.int64), deg[cur] - 1)
-            nxt = flat[indptr[cur] + k]
-            pos[idx] = nxt
-            hit_sink = is_sink[nxt]
-            escaped += int(np.count_nonzero(hit_sink))
-            alive[idx[hit_sink | (nxt == origin)]] = False
-        else:
-            raise AbortedMaxSteps(f"walk exceeded {max_steps} steps")
-        done += m
+    for start in range(0, walks, chunk):
+        rng = philox_generator(seed, stream=start // chunk)
+        for nxt, _, _ in _walk_steps(graph, min(chunk, walks - start), rng, stop, max_steps):
+            escaped += int(np.count_nonzero(graph.is_sink[nxt]))
 
     p = escaped / walks
     stderr = float(np.sqrt(p * (1.0 - p) / walks))

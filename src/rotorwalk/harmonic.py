@@ -134,22 +134,42 @@ def solve_harmonic(g: Graph, tol: float = DEFAULT_TOL) -> HarmonicProfile:
     )
 
 
+def _walk_steps(g: Graph, m: int, rng: np.random.Generator, stop: np.ndarray, max_steps: int):
+    """Advance m simple random walks from the origin until each steps onto a `stop` vertex.
+
+    Yields once per step: the target of every walk that moved, then the ids
+    (0..m-1) and positions of the walks still running.  Each step draws one
+    uniform per moving walk, in id order.  Raises AbortedMaxSteps only if a
+    walk is still running after max_steps steps.
+    """
+    deg, indptr, flat = g.degrees, g.adj_indptr, g.adj_flat
+    ids = np.arange(m)
+    pos = np.full(m, g.origin, dtype=np.int64)
+    for _ in range(max_steps):
+        u = rng.random(ids.size)
+        d = deg[pos]
+        nxt = flat[indptr[pos] + np.minimum((u * d).astype(np.int64), d - 1)]
+        running = ~stop[nxt]
+        ids, pos = ids[running], nxt[running]
+        yield nxt, ids, pos
+        if not ids.size:
+            return
+    raise AbortedMaxSteps(f"a walk exceeded {max_steps} steps before absorption")
+
+
 def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP) -> VisitEstimates:
     """Estimate visit counts from independent absorbed walks started at the origin.
 
     Walks run until they step onto a sink; the arrival at the sink is not
     counted as a visit.  Deterministic in (graph, walks, seed): walk i draws
     from Philox stream i // chunk regardless of how chunks are scheduled.
+    Walks run on _walk_steps, shared with analysis.srw_escape_mc, which
+    raises AbortedMaxSteps only if a walk is still running after max_steps.
     """
     if walks < 1:
         raise InvalidParameter(f"walks must be >= 1, got {walks}")
 
     nv = g.num_vertices
-    deg = g.degrees
-    indptr = g.adj_indptr
-    flat = g.adj_flat
-    sink = g.is_sink
-
     total = np.zeros(nv)
     total_sq = np.zeros(nv)
     for start in range(0, walks, _MC_CHUNK):
@@ -157,21 +177,8 @@ def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP)
         rng = philox_generator(seed, stream=start // _MC_CHUNK)
         counts = np.zeros((m, nv), dtype=np.int64)
         counts[:, g.origin] = 1
-        pos = np.full(m, g.origin, dtype=np.int64)
-        rows = np.arange(m)
-        steps = 0
-        while rows.size:
-            if steps >= max_steps:
-                raise AbortedMaxSteps(f"a walk exceeded {max_steps} steps before absorption")
-            u = rng.random(rows.size)
-            d = deg[pos]
-            k = np.minimum((u * d).astype(np.int64), d - 1)
-            nxt = flat[indptr[pos] + k]
-            running = ~sink[nxt]
-            rows = rows[running]
-            pos = nxt[running]
+        for _, rows, pos in _walk_steps(g, m, rng, g.is_sink, max_steps):
             np.add.at(counts, (rows, pos), 1)
-            steps += 1
         total += counts.sum(axis=0)
         total_sq += (counts.astype(np.float64) ** 2).sum(axis=0)
 

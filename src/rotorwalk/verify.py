@@ -1,11 +1,14 @@
 """Self-contained property suite behind the `verify` command.
 
 Runs every identity the construction rests on over a set of built-in
-fixtures: solver residuals, the rotor-advance weight identity, full-orbit
-telescope sums, conserved-quantity constancy, the minimizing configuration's
-escaped-fraction lower bound, and Monte Carlo cross-checks of the harmonic
-quantities.  Each check yields a CheckRecord with its worst deviation; the
-suite passes iff every record does.
+fixtures: solver residuals, the rotor-advance and row-sum identities of the
+weight table the engine reads (see weights.py), conserved-quantity
+constancy, the minimizing configuration's escaped-fraction lower bound, and
+Monte Carlo cross-checks of the harmonic quantities.  Each fixture is solved
+once and its mechanisms built once; every check reads that Fixture.  Each
+check yields a CheckRecord with its worst deviation; the suite passes iff
+every record does.  The row sum stands where a cyclic sum of increments
+would not: that sum is zero for any table, corrupted or not.
 
 With inject_corruption the suite adds negative controls that feed corrupted
 weights and a weight-maximizing configuration through the same checks;
@@ -14,6 +17,7 @@ those records are expected to fail, demonstrating the checks have teeth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,14 +31,8 @@ from .graphs import (
     default_mechanism,
     shuffled_mechanism,
 )
-from .harmonic import mc_green, solve_harmonic
-from .weights import (
-    RotorConfig,
-    WeightTable,
-    random_config,
-    weight_increment,
-    weight_table,
-)
+from .harmonic import HarmonicProfile, mc_green, solve_harmonic
+from .weights import RotorConfig, random_config, weight_table
 
 _MECH_SEEDS = (11, 12)
 _CONFIG_SEEDS = (21, 22, 23)
@@ -48,6 +46,14 @@ class CheckRecord:
     max_dev: float
     tol: float
     detail: str = ""
+
+
+class Fixture(NamedTuple):
+    """A graph with its one solve and the mechanisms every check runs on."""
+
+    graph: Graph
+    profile: HarmonicProfile
+    mechanisms: tuple[RotorMechanism, ...]
 
 
 def quick_fixtures() -> list[Graph]:
@@ -68,64 +74,76 @@ def full_fixtures() -> list[Graph]:
     ]
 
 
-def _mechanisms(g: Graph) -> list[RotorMechanism]:
-    return [default_mechanism(g)] + [shuffled_mechanism(g, s) for s in _MECH_SEEDS]
+def _fixture(g: Graph) -> Fixture:
+    mechs = (default_mechanism(g),) + tuple(shuffled_mechanism(g, s) for s in _MECH_SEEDS)
+    return Fixture(g, solve_harmonic(g), mechs)
 
 
-def check_residual(graphs: list[Graph], tol: float = 1e-12) -> CheckRecord:
+def _weight_identity_devs(profile: HarmonicProfile, mech: RotorMechanism, values: np.ndarray):
+    """Deviations of a flat weight table from the advance and row-sum identities.
+
+    Returns one deviation per table slot (the increment off that position)
+    and one per vertex (0 at sinks, which have no slots).
+    """
+    indptr = mech.indptr
+    deg = np.diff(indptr)
+    live = np.flatnonzero(deg)
+    tv = profile.voltage[mech.flat]
+    nbr_sum = np.zeros(deg.size)
+    nbr_sum[live] = np.add.reduceat(tv, indptr[live])
+
+    nxt = np.arange(1, values.size + 1)
+    nxt[indptr[live + 1] - 1] = indptr[live]  # the last position advances to the first
+    expected = -tv[nxt] + np.repeat(nbr_sum[live] / deg[live], deg[live])
+    inc_dev = np.abs(values[nxt] - values - expected)
+
+    row_dev = np.zeros(deg.size)
+    row_dev[live] = np.abs(
+        np.add.reduceat(values, indptr[live]) + (deg[live] - 1) / 2 * nbr_sum[live]
+    )
+    return inc_dev, row_dev
+
+
+def check_residual(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
     worst, where = 0.0, ""
-    for g in graphs:
-        r = solve_harmonic(g).residual
-        if r > worst:
-            worst, where = r, g.describe()
+    for g, profile, _ in fixtures:
+        if profile.residual > worst:
+            worst, where = profile.residual, g.describe()
     return CheckRecord("harmonic-residual", worst <= tol, worst, tol, where)
 
 
-def check_weight_increment(graphs: list[Graph], tol: float = 1e-12) -> CheckRecord:
-    """weight_increment must equal -v(next target) + neighbor-mean of v."""
+def check_weight_increment(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
+    """Table increment w(x, i+1) - w(x, i) must equal -v(next target) + neighbor-mean of v."""
     worst, where = 0.0, ""
-    for g in graphs:
-        profile = solve_harmonic(g)
-        v = profile.voltage
-        for mech in _mechanisms(g):
-            for x in range(g.num_vertices):
-                if g.is_sink[x]:
-                    continue
-                order = mech.order[x]
-                d = len(order)
-                mean = float(np.mean(v[np.fromiter(order, dtype=np.int64, count=d)]))
-                for i in range(d):
-                    expected = -float(v[order[(i + 1) % d]]) + mean
-                    dev = abs(weight_increment(g, mech, profile, x, i) - expected)
-                    if dev > worst:
-                        worst, where = dev, f"{g.describe()} at {g.labels[x]}[{i}]"
+    for g, profile, mechs in fixtures:
+        for mech in mechs:
+            devs, _ = _weight_identity_devs(profile, mech, weight_table(g, mech, profile).values)
+            e = int(np.argmax(devs))
+            if devs[e] > worst:
+                x = int(np.searchsorted(mech.indptr, e, side="right")) - 1
+                worst = float(devs[e])
+                where = f"{g.describe()} at {g.labels[x]}[{e - int(mech.indptr[x])}]"
     return CheckRecord("weight-increment", worst <= tol, worst, tol, where)
 
 
-def check_telescope(graphs: list[Graph], tol: float = 1e-12) -> CheckRecord:
-    """Summing the increment around a vertex's full orbit must give zero."""
+def check_telescope(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
+    """Row sum of w(x, .) must equal -(deg(x) - 1)/2 * sum of v over the neighbors of x."""
     worst, where = 0.0, ""
-    for g in graphs:
-        profile = solve_harmonic(g)
-        for mech in _mechanisms(g):
-            for x in range(g.num_vertices):
-                if g.is_sink[x]:
-                    continue
-                total = sum(
-                    weight_increment(g, mech, profile, x, i) for i in range(g.degree(x))
-                )
-                if abs(total) > worst:
-                    worst, where = abs(total), f"{g.describe()} at {g.labels[x]}"
-    return CheckRecord("weight-telescope", worst <= tol, worst, tol, where)
+    for g, profile, mechs in fixtures:
+        for mech in mechs:
+            _, devs = _weight_identity_devs(profile, mech, weight_table(g, mech, profile).values)
+            x = int(np.argmax(devs))
+            if devs[x] > worst:
+                worst, where = float(devs[x]), f"{g.describe()} at {g.labels[x]}"
+    return CheckRecord("weight-row-sum", worst <= tol, worst, tol, where)
 
 
-def check_invariant(graphs: list[Graph], n_values, tol: float = 1e-8) -> CheckRecord:
+def check_invariant(fixtures: list[Fixture], n_values, tol: float = 1e-8) -> CheckRecord:
     """Conserved quantity stays at n*v(origin), relatively within tol."""
     worst, where = 0.0, ""
-    for g in graphs:
-        profile = solve_harmonic(g)
+    for g, profile, mechs in fixtures:
         scale = max(1.0, profile.voltage[g.origin])
-        for mech in _mechanisms(g):
+        for mech in mechs:
             # None: the min-weight configuration, built inside escape_sweep
             configs = [None] + [random_config(g, s) for s in _CONFIG_SEEDS]
             for config in configs:
@@ -138,7 +156,7 @@ def check_invariant(graphs: list[Graph], n_values, tol: float = 1e-8) -> CheckRe
     return CheckRecord("invariant-constancy", worst <= tol, worst, tol, where)
 
 
-def check_lower_bound(graphs: list[Graph], n_values, tol: float = 1e-9) -> CheckRecord:
+def check_lower_bound(fixtures: list[Fixture], n_values, tol: float = 1e-9) -> CheckRecord:
     """survivors/n >= alpha - tol at every t >= n under the minimizing config.
 
     Survivors never increase during a run, so the settled rate is the minimum
@@ -147,9 +165,8 @@ def check_lower_bound(graphs: list[Graph], n_values, tol: float = 1e-9) -> Check
     """
     worst, where = 0.0, ""
     ok = True
-    for g in graphs:
-        profile = solve_harmonic(g)
-        for mech in _mechanisms(g):
+    for g, profile, mechs in fixtures:
+        for mech in mechs:
             rep = escape_sweep(g, mech, None, n_values, profile=profile)
             short = [rep.alpha - rate for rate in rep.rates if rate < rep.alpha - tol]
             if short:
@@ -159,11 +176,10 @@ def check_lower_bound(graphs: list[Graph], n_values, tol: float = 1e-9) -> Check
     return CheckRecord("min-config-lower-bound", ok, worst, tol, where)
 
 
-def check_mc_green(graphs: list[Graph], walks: int, z_max: float = 3.0) -> CheckRecord:
+def check_mc_green(fixtures: list[Fixture], walks: int, z_max: float = 3.0) -> CheckRecord:
     """Monte Carlo visit counts within z_max standard errors of solved values."""
     worst, where = 0.0, ""
-    for g in graphs:
-        profile = solve_harmonic(g)
+    for g, profile, _ in fixtures:
         est = mc_green(g, walks, _MC_SEED)
         live = [x for x in range(g.num_vertices) if not g.is_sink[x]]
         probes = sorted({live[0], live[len(live) // 2], live[-1], g.origin})
@@ -180,11 +196,11 @@ def check_mc_green(graphs: list[Graph], walks: int, z_max: float = 3.0) -> Check
     return CheckRecord("mc-green-zscore", worst <= z_max, worst, z_max, where)
 
 
-def check_srw_escape(graphs: list[Graph], walks: int, z_max: float = 3.0) -> CheckRecord:
+def check_srw_escape(fixtures: list[Fixture], walks: int, z_max: float = 3.0) -> CheckRecord:
     """Monte Carlo escape probability within z_max standard errors of 1/G(o)."""
     worst, where = 0.0, ""
-    for g in graphs:
-        alpha = solve_harmonic(g).escape_probability
+    for g, profile, _ in fixtures:
+        alpha = profile.escape_probability
         p, se = srw_escape_mc(g, walks, _MC_SEED)
         if se == 0.0:
             se = np.sqrt(0.25 / walks)  # conservative when p lands on 0 or 1
@@ -204,15 +220,7 @@ def _corruption_controls() -> list[CheckRecord]:
     # corrupt one weight and re-test the advance identity against it
     bad_values = wt.values.copy()
     bad_values[int(wt.indptr[1])] += 0.125
-    bad = WeightTable(values=bad_values, indptr=wt.indptr)
-    dev = 0.0
-    for x in range(g.num_vertices):
-        if g.is_sink[x]:
-            continue
-        d = g.degree(x)
-        for i in range(d):
-            table_inc = bad.at(x, (i + 1) % d) - bad.at(x, i)
-            dev = max(dev, abs(table_inc - weight_increment(g, mech, profile, x, i)))
+    dev = float(_weight_identity_devs(profile, mech, bad_values)[0].max())
     rec_weights = CheckRecord(
         "corrupted-weights-control", dev <= 1e-12, dev, 1e-12,
         "expected failure: one weight perturbed by 0.125",
@@ -247,14 +255,15 @@ def run_verification(
     bound_ns = [2, 8, 32] if quick else [10, 100, 1000]
     walks = 20_000 if quick else 100_000
 
+    fixtures = [_fixture(g) for g in graphs]
     records = [
-        check_residual(graphs),
-        check_weight_increment(graphs),
-        check_telescope(graphs),
-        check_invariant(graphs, n_values),
-        check_lower_bound(graphs, bound_ns),
-        check_mc_green(graphs, walks),
-        check_srw_escape(graphs, walks),
+        check_residual(fixtures),
+        check_weight_increment(fixtures),
+        check_telescope(fixtures),
+        check_invariant(fixtures, n_values),
+        check_lower_bound(fixtures, bound_ns),
+        check_mc_green(fixtures, walks),
+        check_srw_escape(fixtures, walks),
     ]
     if inject_corruption:
         records += _corruption_controls()

@@ -10,8 +10,9 @@ rotor changes the weight by
 
     w(next) - w(current) = -v(target of next) + mean of v over the neighbors of x,
 
-which is the increment the conserved experiment invariant relies on, and the
-cyclic sum of increments around any vertex telescopes to zero.  A rotor
+which is the increment the conserved experiment invariant relies on.  Each j
+weights every neighbor once over the deg(x) positions, so a vertex's weights
+sum to -(deg(x) - 1)/2 times the sum of v over its neighbors.  A rotor
 configuration pointing every vertex at a minimal-weight edge maximizes the
 escape rate of the resulting rotor walk.
 """

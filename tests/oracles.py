@@ -5,7 +5,7 @@ Deliberately naive: the Green function is solved densely in visit-count form
 line-by-line transcription of its defining recurrence with no bookkeeping
 shortcuts.  Agreement between these and the package is the main correctness
 evidence, so nothing here may import from the modules it checks beyond the
-plain data containers.
+plain data containers and the seeded Philox streams.
 """
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from rotorwalk.errors import GraphInvalid
 from rotorwalk.graphs import Graph
+from rotorwalk.rng import philox_generator
 
 
 def dense_green(g):
@@ -292,3 +293,81 @@ def reference_weight_table(mech, voltage):
                 values[base + i] = -float(np.dot(j, tv[(i + 1 + j) % d])) / d
         base += d
     return values
+
+
+def reference_mc_green(g, walks, seed):
+    """(visits, stderr) of absorbed walks from the origin, one dense count row per walk.
+
+    The per-step loop mc_green ran before its walks moved to a shared step
+    kernel: walk i draws from Philox stream i // chunk, one uniform per
+    running walk per step, in walk order.
+    """
+    nv = g.num_vertices
+    deg = np.array([len(a) for a in g.adjacency])
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    flat = np.array([y for a in g.adjacency for y in a], dtype=np.int64)
+    sink = np.array([x in g.sinks for x in range(nv)])
+
+    chunk = 512
+    total = np.zeros(nv)
+    total_sq = np.zeros(nv)
+    for start in range(0, walks, chunk):
+        m = min(chunk, walks - start)
+        rng = philox_generator(seed, stream=start // chunk)
+        counts = np.zeros((m, nv), dtype=np.int64)
+        counts[:, g.origin] = 1
+        pos = np.full(m, g.origin, dtype=np.int64)
+        rows = np.arange(m)
+        while rows.size:
+            u = rng.random(rows.size)
+            d = deg[pos]
+            k = np.minimum((u * d).astype(np.int64), d - 1)
+            nxt = flat[indptr[pos] + k]
+            running = ~sink[nxt]
+            rows = rows[running]
+            pos = nxt[running]
+            np.add.at(counts, (rows, pos), 1)
+        total += counts.sum(axis=0)
+        total_sq += (counts.astype(np.float64) ** 2).sum(axis=0)
+
+    mean = total / walks
+    if walks > 1:
+        var = (total_sq - walks * mean**2) / (walks - 1)
+        stderr = np.sqrt(np.maximum(var, 0.0) / walks)
+    else:
+        stderr = np.zeros(nv)
+    return mean, stderr
+
+
+def reference_srw_escape_mc(g, walks, seed):
+    """(p, stderr) of walks from the origin that reach a sink before returning.
+
+    The per-step loop srw_escape_mc ran before its walks moved to a shared
+    step kernel: a live mask over the chunk, one uniform per live walk per
+    step, in walk order, from Philox stream i // chunk.
+    """
+    deg = np.array([len(a) for a in g.adjacency])
+    indptr = np.concatenate(([0], np.cumsum(deg)))
+    flat = np.array([y for a in g.adjacency for y in a], dtype=np.int64)
+    sink = np.array([x in g.sinks for x in range(g.num_vertices)])
+
+    chunk = 4096
+    escaped = 0
+    for done in range(0, walks, chunk):
+        m = min(chunk, walks - done)
+        rng = philox_generator(seed, stream=done // chunk)
+        pos = np.full(m, g.origin, dtype=np.int64)
+        alive = np.ones(m, dtype=bool)
+        while alive.any():
+            idx = np.flatnonzero(alive)
+            cur = pos[idx]
+            u = rng.random(idx.size)
+            k = np.minimum((u * deg[cur]).astype(np.int64), deg[cur] - 1)
+            nxt = flat[indptr[cur] + k]
+            pos[idx] = nxt
+            hit_sink = sink[nxt]
+            escaped += int(np.count_nonzero(hit_sink))
+            alive[idx[hit_sink | (nxt == g.origin)]] = False
+
+    p = escaped / walks
+    return p, float(np.sqrt(p * (1.0 - p) / walks))

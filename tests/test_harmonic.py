@@ -15,7 +15,7 @@ from rotorwalk import (
     srw_escape_mc,
 )
 
-from oracles import dense_green
+from oracles import dense_green, reference_mc_green, reference_srw_escape_mc
 
 
 def test_p3_exact_values(p3):
@@ -139,3 +139,26 @@ def test_mc_green_input_validation(p3):
         mc_green(p3, 0, seed=0)
     with pytest.raises(AbortedMaxSteps):
         mc_green(build_path(6), 32, seed=0, max_steps=2)
+
+
+MC_GRAPHS = [build_path(5), build_lattice_ball(2, 5), build_lattice_ball(3, 6), build_bary_tree(2, 6)]
+
+
+@pytest.mark.parametrize("g", MC_GRAPHS, ids=[g.describe() for g in MC_GRAPHS])
+@pytest.mark.parametrize("walks", [1, 511, 513, 4097, 20_000])
+def test_walk_kernel_matches_reference_loops(g, walks):
+    """Both estimators on the shared step kernel equal their old per-step loops, bit for bit."""
+    est = mc_green(g, walks, seed=20240801)
+    visits, stderr = reference_mc_green(g, walks, 20240801)
+    assert np.array_equal(est.visits, visits)
+    assert np.array_equal(est.stderr, stderr)
+    assert srw_escape_mc(g, walks, seed=20240801) == reference_srw_escape_mc(g, walks, 20240801)
+
+
+def test_walks_ending_on_the_last_allowed_step_do_not_abort():
+    """The cap aborts only walks still running after max_steps, for both estimators."""
+    g = build_path(2)  # every walk steps onto the sink at once
+    assert srw_escape_mc(g, 10, 0, max_steps=1) == (1.0, 0.0)
+    assert mc_green(g, 10, 0, max_steps=1).visits[g.origin] == 1.0
+    with pytest.raises(AbortedMaxSteps):
+        srw_escape_mc(build_path(6), 32, 0, max_steps=2)

@@ -1,0 +1,61 @@
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import rotorwalk.verify as verify
+from rotorwalk import build_path, default_mechanism, solve_harmonic, weight_table
+from rotorwalk.weights import WeightTable
+
+
+@pytest.fixture
+def corrupted_p3():
+    """The corruption control's table: path(3), one weight perturbed by 0.125."""
+    g = build_path(3)
+    mech = default_mechanism(g)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    bad = wt.values.copy()
+    bad[int(wt.indptr[1])] += 0.125
+    return g, mech, profile, WeightTable(values=bad, indptr=wt.indptr)
+
+
+def test_row_sum_fails_on_corrupted_table_where_cyclic_sum_passes(corrupted_p3):
+    g, mech, profile, bad = corrupted_p3
+    inc_dev, row_dev = verify._weight_identity_devs(profile, mech, bad.values)
+    assert inc_dev.max() == pytest.approx(0.125, abs=1e-12)
+    assert row_dev.max() == pytest.approx(0.125, abs=1e-12)
+    # the quantity weight-telescope used to check: zero for any table
+    for x in np.flatnonzero(~g.is_sink):
+        row = bad.vertex_slice(x)
+        assert abs(np.sum(np.roll(row, -1) - row)) <= 1e-12
+
+
+def test_weight_checks_read_the_engine_table(monkeypatch, corrupted_p3):
+    g, mech, profile, bad = corrupted_p3
+    monkeypatch.setattr(verify, "weight_table", lambda *args: bad)
+    fixture = verify.Fixture(g, profile, (mech,))
+    for check in (verify.check_weight_increment, verify.check_telescope):
+        rec = check([fixture])
+        assert not rec.ok
+        assert rec.max_dev == pytest.approx(0.125, abs=1e-12)
+
+
+def test_weight_identities_hold_on_every_full_fixture():
+    fixtures = [verify._fixture(g) for g in verify.full_fixtures()]
+    for check in (verify.check_weight_increment, verify.check_telescope):
+        assert check(fixtures).ok
+
+
+def test_each_fixture_solved_once(monkeypatch):
+    solved = Counter()
+
+    def counting_solve(g, *args, **kwargs):
+        solved[g.describe()] += 1
+        return solve_harmonic(g, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "solve_harmonic", counting_solve)
+    verify.run_verification(quick=True, inject_corruption=True)
+    expected = Counter(g.describe() for g in verify.quick_fixtures())
+    expected[build_path(3).describe()] += 1  # the corruption controls' own path(3)
+    assert solved == expected
