@@ -48,13 +48,16 @@ for x in range(g.num_vertices):
         worst = max(worst, abs(lhs - rhs))
 print("max increment-identity defect:", worst)
 
-# Identity 2: one full turn of any rotor returns the weight to its start,
-# so the increments around each vertex telescope to zero.
+# Identity 2: the weights around each vertex sum to a fixed multiple of its
+# neighbours' voltages, sum_i w(x, i) = -(deg(x) - 1)/2 * sum_{y~x} v(y).
+# (The increments around a vertex sum to zero for any table, so that sum
+# would check nothing.)
 for x in range(g.num_vertices):
     if g.is_sink[x]:
         continue
-    total = sum(weight_increment(g, mech, profile, x, i) for i in range(g.degree(x)))
-    print(f"full-orbit increment sum at {g.labels[x]}: {total}")
+    row_sum = sum(wt.vertex_slice(x))
+    expected = -(g.degree(x) - 1) / 2 * sum(profile.voltage[y] for y in g.adjacency[x])
+    print(f"weight row sum at {g.labels[x]}: {row_sum} (identity gives {expected})")
 
 # The minimizing configuration picks, at each vertex, the smallest-weight
 # edge (lowest rotor index on ties). On the path that means the middle

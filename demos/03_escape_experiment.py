@@ -37,12 +37,12 @@ cfg = min_weight_config(g, wt)
 
 st = init_experiment(g, mech, cfg, n=2)
 print("two particles on the three-vertex path")
-print(f"  t={st.t}  positions={st.positions}  survivors={st.survivors}"
+print(f"  t={st.t}  positions={st.positions.tolist()}  survivors={st.survivors}"
       f"  M={compute_invariant(st, profile, wt)}")
 while not st.settled:
     step(st)
     mover = "-" if st.last_event is None else st.last_event[0]
-    print(f"  t={st.t}  mover={mover}  positions={st.positions}"
+    print(f"  t={st.t}  mover={mover}  positions={st.positions.tolist()}"
           f"  survivors={st.survivors}  M={compute_invariant(st, profile, wt)}")
 print("  statuses:", [s.name for s in st.statuses])
 print("  visited vertices:", sorted(g.labels[x] for x in st.range))

@@ -296,6 +296,7 @@ def theorem_check(
     n_values: Sequence[int],
     *,
     config: Optional[RotorConfig] = None,
+    profile: Optional[HarmonicProfile] = None,
     invariant_tol: float = 1e-8,
     bound_slack: float = 1e-9,
 ) -> TheoremCheckResult:
@@ -311,8 +312,9 @@ def theorem_check(
     with t = -1.  Across n: final gaps are nonnegative and non-increasing.  A
     custom config exercises the same checks without the guarantees;
     violations are then expected and are recorded rather than raised.
+    profile, if given, is the graph's solve, reused instead of solving again.
     """
-    profile = solve_harmonic(graph)
+    profile = solve_harmonic(graph) if profile is None else profile
     rep = escape_sweep(
         graph, mechanism, config, n_values, profile=profile, check_invariant=True
     )

@@ -251,7 +251,7 @@ class _TraceWriter:
             self._fh = open(_trace_path(self._base, st.n, self._multiple), "w")
             self._w = trace_writer(self._fh)
         mover, x, y = st.last_event
-        status = st.status[mover]
+        status = st.status.item(mover)
         if status == ParticleStatus.RETURNED:
             change = "returned"
         elif status == ParticleStatus.ABSORBED:

@@ -22,6 +22,12 @@ changes only when a particle leaves its vertex, and every live particle
 moves exactly once per round.  So the particles leaving x in a round are the
 ones at x when the round starts, in turn order, and the k-th of them
 (k = 0, 1, ...) takes mechanism position (rho(x) + k + 1) mod deg(x).
+
+The state is held in numpy arrays, which step() and the round kernel both
+write in place.  compute_invariant recomputes the quantity in whole arrays
+with the scalar definition's floating-point operations: the rotor-weight
+terms are added one at a time in first-visit order (np.add.accumulate), not
+pairwise as np.sum adds, so each value is bit for bit the scalar sum's.
 """
 from __future__ import annotations
 
@@ -57,10 +63,13 @@ _ABSORBED = int(ParticleStatus.ABSORBED)
 
 
 class ExperimentState:
-    """Mutable state of one experiment run.
+    """Mutable state of one experiment run, held in numpy arrays.
 
-    step() advances this object in place.  Graph, mechanism and the initial
-    configuration are shared read-only; everything mutable lives here.
+    positions, status and rho (the current rotor positions, -1 at sinks) are
+    arrays that step() and the round kernel read and write in place; rho0 is
+    the initial configuration.  The range is a boolean mask plus the visited
+    vertices in first-visit order (range_order).  Graph and mechanism are
+    shared read-only.
     """
 
     def __init__(self, graph: Graph, mechanism: RotorMechanism, config: RotorConfig, n: int):
@@ -73,20 +82,25 @@ class ExperimentState:
         self.mechanism = mechanism
         self.n = n
         self.t = 0
-        self.positions: list[int] = [graph.origin] * n
-        self.status: list[int] = [_AT_ORIGIN] * n
-        self.rho: list[int] = list(config.pos)
-        self.rho0: tuple[int, ...] = config.pos
+        num_vertices = graph.num_vertices
+        # the smallest vertex type: with V <= 65536 it is uint16, which the
+        # round kernel's stable argsort sorts by radix
+        self.positions = np.full(n, graph.origin, dtype=np.min_scalar_type(num_vertices - 1))
+        self.status = np.full(n, _AT_ORIGIN, dtype=np.int8)
+        self.rho = np.array(config.pos, dtype=np.int64)
+        self.rho0 = self.rho.copy()
         self.survivors = n
         self.remaining = n          # particles not yet RETURNED or ABSORBED
         self.last_event: Optional[tuple[int, int, int]] = None  # (mover, from, to)
 
-        self._range_mask = bytearray(graph.num_vertices)
-        self._range_mask[graph.origin] = 1
-        self._range_list: list[int] = [graph.origin]
+        self._range_mask = np.zeros(num_vertices, dtype=bool)
+        self._range_mask[graph.origin] = True
+        self._visits = np.empty(num_vertices, dtype=np.intp)  # first _num_visited are the range
+        self._visits[0] = graph.origin
+        self._num_visited = 1
         self._origin = graph.origin
 
-    # flat Python lookups for step() and compute_invariant, built on first use
+    # flat Python lookups of the graph and mechanism for step(), built on first use
     @cached_property
     def _deg(self) -> list[int]:
         return [len(o) for o in self.mechanism.order]
@@ -109,15 +123,19 @@ class ExperimentState:
 
     @property
     def statuses(self) -> list[ParticleStatus]:
-        return [ParticleStatus(s) for s in self.status]
+        return [ParticleStatus(s) for s in self.status.tolist()]
+
+    @property
+    def range_order(self) -> np.ndarray:
+        """The visited vertices in first-visit order (a view)."""
+        return self._visits[: self._num_visited]
 
     @property
     def range(self) -> set[int]:
-        return set(self._range_list)
+        return set(self.range_order.tolist())
 
     def rotor_config(self) -> RotorConfig:
-        pos = tuple(-1 if self._sink[x] else p for x, p in enumerate(self.rho))
-        return RotorConfig(pos=pos)
+        return RotorConfig(pos=tuple(np.where(self.graph.is_sink, -1, self.rho).tolist()))
 
 
 def init_experiment(graph: Graph, mechanism: RotorMechanism, config: RotorConfig, n: int) -> ExperimentState:
@@ -129,27 +147,22 @@ def step(state: ExperimentState) -> ExperimentState:
     """Process one step for particle (t+1) mod n and advance t."""
     t = state.t
     i = (t + 1) % state.n
-    st = state.status[i]
+    st = state.status.item(i)
     if st >= _RETURNED:
         state.last_event = None
         state.t = t + 1
         return state
-    x = state.positions[i]
-    if state._sink[x]:
-        # unreachable once status tracking marks arrivals, kept as a guard
-        state.last_event = None
-        state.t = t + 1
-        return state
-
-    r = state.rho[x] + 1
+    x = state.positions.item(i)  # never a sink: arrival there marks ABSORBED
+    r = state.rho.item(x) + 1
     if r == state._deg[x]:
         r = 0
     state.rho[x] = r
     y = state._mt[state._mi[x] + r]
     state.positions[i] = y
     if not state._range_mask[y]:
-        state._range_mask[y] = 1
-        state._range_list.append(y)
+        state._range_mask[y] = True
+        state._visits[state._num_visited] = y
+        state._num_visited += 1
 
     if y == state._origin:
         state.status[i] = _RETURNED
@@ -195,11 +208,8 @@ def run_until_settled(
         return _settle_rounds(state, max_steps)
 
     # round order: particle i moves at t = round_start + (i-1) mod n
-    live = sorted(
-        (i for i in range(n) if state.status[i] < _RETURNED),
-        key=lambda i: (i - 1) % n,
-    )
     status = state.status
+    live = sorted(np.flatnonzero(status < _RETURNED).tolist(), key=lambda i: (i - 1) % n)
     while live:
         round_start = state.t
         nxt = []
@@ -210,7 +220,7 @@ def run_until_settled(
             state.t = turn
             step(state)
             observer(state)
-            if status[i] < _RETURNED:
+            if status.item(i) < _RETURNED:
                 nxt.append(i)
         if nxt:
             state.t = round_start + n
@@ -221,33 +231,20 @@ def run_until_settled(
 def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
     """Run whole rounds from a round start, each round's moves at once in numpy.
 
-    Reaches the state step() would reach: t, positions, rotors, statuses and
-    the range in first-visit order.  This is exact because a rotor changes
-    only when a particle leaves its vertex, and every live particle moves
-    exactly once per round.  So the particles leaving x in a round are the
-    ones at x when it starts, in turn order, and the k-th of them
-    (k = 0, 1, ...) takes mechanism position (rho(x) + k + 1) mod deg(x).
-
-    max_steps is checked before each round against the round's last turn;
-    on abort the state is written back consistent and can be resumed.
+    Reaches the state step() would reach (t, positions, rotors, statuses and
+    the range in first-visit order; the module docstring says why), writing
+    the state's own arrays in place.  max_steps is checked before each round
+    against the round's last turn; on abort the state is consistent and can
+    be resumed.
     """
-    n = state.n
-    graph = state.graph
-    num_vertices = graph.num_vertices
-    mech = state.mechanism
+    n, mech, num_vertices = state.n, state.mechanism, state.graph.num_vertices
     deg = np.diff(mech.indptr)
     # status of a particle that has just arrived at each vertex
     arrival = np.full(num_vertices, _ACTIVE, dtype=np.int8)
-    arrival[graph.is_sink] = _ABSORBED
+    arrival[state.graph.is_sink] = _ABSORBED
     arrival[state._origin] = _RETURNED
-
-    # positions in the smallest vertex type: with V <= 65536 it is uint16,
-    # which the stable argsort sorts by radix
-    positions = np.array(state.positions, dtype=np.min_scalar_type(num_vertices - 1))
-    status = np.array(state.status, dtype=np.int8)
-    rho = np.array(state.rho, dtype=np.int64)
-    range_mask = np.frombuffer(state._range_mask, dtype=np.uint8)  # writes through
-    range_list = state._range_list
+    positions, status, rho, range_mask = (
+        state.positions, state.status, state.rho, state._range_mask)
 
     # turn order 1, 2, ..., n-1, 0; particle i moves at round_start + (i-1) mod n
     live = np.roll(np.arange(n), -1)
@@ -262,13 +259,15 @@ def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
             y = _leave_together(positions[live], rho, deg, mech)
             positions[live] = y
 
-            if len(range_list) < num_vertices:
-                fresh = y[range_mask[y] == 0]
+            seen = state._num_visited
+            if seen < num_vertices:
+                fresh = y[~range_mask[y]]
                 if fresh.size:
                     _, first = np.unique(fresh, return_index=True)
                     fresh = fresh[np.sort(first)]
-                    range_mask[fresh] = 1
-                    range_list.extend(fresh.tolist())
+                    range_mask[fresh] = True
+                    state._visits[seen : seen + fresh.size] = fresh
+                    state._num_visited = seen + fresh.size
 
             arrived = arrival[y]
             status[live] = arrived
@@ -276,12 +275,6 @@ def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
             # t after the round: its end, or one past the last mover if all finished
             t = round_start + n if live.size else last_turn + 1
     finally:
-        # every position is in the range: share its int objects, not one per particle
-        vertex = np.empty(num_vertices, dtype=object)
-        vertex[range_list] = range_list
-        state.positions[:] = vertex[positions].tolist()
-        state.status[:] = status.tolist()
-        state.rho[:] = rho.tolist()
         state.t = t
         state.survivors = n - int(np.count_nonzero(status == _RETURNED))
         state.remaining = int(np.count_nonzero(status < _RETURNED))
@@ -320,28 +313,30 @@ def _leave_together(x: np.ndarray, rho: np.ndarray, deg: np.ndarray, mech: Rotor
 
 
 def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> float:
-    """Recompute the conserved quantity from the current state.
+    """Recompute the conserved quantity from the current state, in whole arrays.
 
     Independent of any bookkeeping done while stepping: sums are taken fresh
-    over particle positions and the visited range.
+    over particle positions and the visited range.  The rotor-weight terms
+    w(rho(x)) - w(rho0(x)) of the live range are added one at a time, in
+    first-visit order, onto the running total: np.add.accumulate is that
+    sequential sum, while np.sum adds pairwise and would change the last bits
+    (and with them the trace's invariant column).
     """
     g = state.graph
     v = profile.voltage
+    indptr = state.mechanism.indptr
     if v.shape != (g.num_vertices,):
         raise DimensionMismatch("profile does not match the experiment's graph")
-    if len(wt.indptr) != g.num_vertices + 1 or wt.indptr[-1] != state._mi[-1]:
+    if len(wt.indptr) != g.num_vertices + 1 or wt.indptr[-1] != indptr[-1]:
         raise DimensionMismatch("weight table does not match the experiment's mechanism")
 
+    o = state._origin
     total = float(np.sum(v[state.positions]))
-    total += min(state.t, state.n) / state._deg[state._origin]
+    total += min(state.t, state.n) / int(indptr[o + 1] - indptr[o])
 
-    values = wt.values
-    mi = state._mi
-    rho = state.rho
-    rho0 = state.rho0
-    sink = state._sink
-    for x in state._range_list:
-        if not sink[x]:
-            base = mi[x]
-            total += float(values[base + rho[x]]) - float(values[base + rho0[x]])
-    return total
+    xs = state.range_order[~g.is_sink[state.range_order]]
+    base = indptr[xs]
+    terms = np.empty(xs.size + 1)
+    terms[0] = total
+    np.subtract(wt.values[base + state.rho[xs]], wt.values[base + state.rho0[xs]], out=terms[1:])
+    return float(np.add.accumulate(terms)[-1])

@@ -231,7 +231,7 @@ def _corruption_controls() -> list[CheckRecord]:
         -1 if g.is_sink[x] else int(np.argmax(wt.vertex_slice(x)))
         for x in range(g.num_vertices)
     )
-    res = theorem_check(g, mech, [1, 2], config=RotorConfig(pos=pos))
+    res = theorem_check(g, mech, [1, 2], config=RotorConfig(pos=pos), profile=profile)
     shortfall = max(
         (res.alpha - v.value for v in res.violations if v.kind == "lower-bound"),
         default=0.0,

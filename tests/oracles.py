@@ -116,6 +116,28 @@ def reference_invariant(g, voltage, weight_of, positions, rho, rho0, visited, t,
     return total
 
 
+def reference_compute_invariant(state, profile, wt):
+    """compute_invariant as a scalar loop, one vertex at a time.
+
+    Same sums in the same order: particle voltages by np.sum, the origin
+    term, then w(rho(x)) - w(rho0(x)) added onto the total for each live x
+    of the range in first-visit order.  The package must equal it exactly.
+    """
+    total = float(np.sum(profile.voltage[state.positions]))
+    total += min(state.t, state.n) / state._deg[state._origin]
+
+    values = wt.values
+    mi = state._mi
+    rho = state.rho
+    rho0 = state.rho0
+    sink = state._sink
+    for x in state.range_order.tolist():
+        if not sink[x]:
+            base = mi[x]
+            total += float(values[base + rho[x]]) - float(values[base + rho0[x]])
+    return total
+
+
 def reference_edge_weight(g, mech, voltage, x, i):
     """Definition of the edge weight, written as the plain modular sum."""
     order = mech.order[x]

@@ -198,32 +198,34 @@ def test_5_harmonic_solver_and_monte_carlo(capsys):
 
 
 def test_6_weight_identities(capsys):
-    """Advance increment identity and full-orbit telescoping on every edge."""
+    """Advance increment identity on every edge, row-sum identity of every table row."""
     from rotorwalk import weight_increment
 
     tol = 1e-12
     worst_inc = 0.0
-    worst_tel = 0.0
+    worst_row = 0.0
     for g in all_fixtures():
         profile = solve_harmonic(g)
         v = profile.voltage
         for mech in (default_mechanism(g), shuffled_mechanism(g, 0), shuffled_mechanism(g, 1)):
+            wt = weight_table(g, mech, profile)
             for x in range(g.num_vertices):
                 if g.is_sink[x]:
                     continue
                 order = mech.order[x]
                 d = len(order)
-                mean = sum(float(v[y]) for y in order) / d
-                orbit = 0.0
+                nbr_sum = sum(float(v[y]) for y in order)
+                mean = nbr_sum / d
                 for i in range(d):
                     inc = weight_increment(g, mech, profile, x, i)
                     expected = -float(v[order[(i + 1) % d]]) + mean
                     worst_inc = max(worst_inc, abs(inc - expected))
-                    orbit += inc
-                worst_tel = max(worst_tel, abs(orbit))
-    ok = worst_inc <= tol and worst_tel <= tol
+                # sum_i w(x, i) = -(deg(x) - 1)/2 * sum_{y~x} v(y)
+                row = float(sum(wt.vertex_slice(x)))
+                worst_row = max(worst_row, abs(row + (d - 1) / 2 * nbr_sum))
+    ok = worst_inc <= tol and worst_row <= tol
     _emit(capsys, 6, "edge-weight identities hold on every edge", ok,
-          f"max increment dev {worst_inc:.2e}, max orbit sum {worst_tel:.2e}")
+          f"max increment dev {worst_inc:.2e}, max row-sum dev {worst_row:.2e}")
 
 
 def test_7_random_configs_stay_near_alpha(capsys):

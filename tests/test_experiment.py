@@ -21,7 +21,7 @@ from rotorwalk import (
     weight_table,
 )
 
-from oracles import reference_invariant, reference_run
+from oracles import reference_compute_invariant, reference_invariant, reference_run
 
 
 def test_p3_two_particle_trace(p3_solved):
@@ -92,8 +92,8 @@ def test_engine_matches_reference(small_graph, n, mech_seed, config_kind):
     run_until_settled(state)
 
     assert state.t == ref.t
-    assert state.positions == ref.positions
-    assert state.rho == ref.rho
+    assert state.positions.tolist() == ref.positions
+    assert state.rho.tolist() == ref.rho
     assert state.survivors == ref.survivors
     assert state.range == ref.visited
     for i in range(n):
@@ -160,9 +160,9 @@ def test_resume_after_manual_steps(small_graph):
     run_until_settled(resumed)
 
     assert resumed.t == full.t
-    assert resumed.positions == full.positions
-    assert resumed.rho == full.rho
-    assert resumed.status == full.status
+    assert resumed.positions.tolist() == full.positions.tolist()
+    assert resumed.rho.tolist() == full.rho.tolist()
+    assert resumed.status.tolist() == full.status.tolist()
 
 
 def test_observer_sees_every_move(small_graph):
@@ -198,10 +198,10 @@ def test_settled_run_is_idempotent(p3_solved):
     cfg = min_weight_config(g, wt)
     state = init_experiment(g, mech, cfg, 2)
     run_until_settled(state)
-    t, positions = state.t, list(state.positions)
+    t, positions = state.t, state.positions.tolist()
     run_until_settled(state)
     step(state)  # terminal mover: a no-op that still advances the clock
-    assert state.positions == positions
+    assert state.positions.tolist() == positions
     assert state.t == t + 1
 
 
@@ -226,8 +226,9 @@ CROSS_GRAPHS = {
 
 
 def settled_fields(state):
-    return (state.t, state.positions, state.rho, state.status, state.survivors,
-            state.remaining, state._range_list, bytes(state._range_mask))
+    return (state.t, state.positions.tolist(), state.rho.tolist(), state.status.tolist(),
+            state.survivors, state.remaining, state.range_order.tolist(),
+            bytes(state._range_mask))
 
 
 @pytest.mark.parametrize("graph_name", CROSS_GRAPHS)
@@ -267,3 +268,44 @@ def test_abort_then_resume_equals_uninterrupted(graph_name):
 
     run_until_settled(state)
     assert settled_fields(state) == settled_fields(full)
+
+
+EXACT_GRAPHS = {
+    "path(5)": build_path(5),
+    "lattice(2,6)": build_lattice_ball(2, 6),
+    "tree(3,4)": build_bary_tree(3, 4),
+    "lattice(3,4)": build_lattice_ball(3, 4),
+}
+
+
+@pytest.mark.parametrize("graph_name", EXACT_GRAPHS)
+@pytest.mark.parametrize("mech_seed", [None, 11])
+@pytest.mark.parametrize("config_kind", ["min", "random"])
+def test_invariant_equals_scalar_loop_after_every_move(graph_name, mech_seed, config_kind):
+    """The vectorized conserved quantity is the scalar loop's value, bit for bit.
+
+    Checked after every move of an observed run, and on a state the round
+    kernel wrote before aborting on max_steps and that step() then resumes.
+    """
+    g = EXACT_GRAPHS[graph_name]
+    mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    config = min_weight_config(g, wt) if config_kind == "min" else random_config(g, 21)
+    n = 200
+
+    def check(st):
+        assert compute_invariant(st, profile, wt) == reference_compute_invariant(st, profile, wt)
+
+    state = init_experiment(g, mech, config, n)
+    check(state)
+    run_until_settled(state, observer=check)
+    assert state.t > 0
+
+    resumed = init_experiment(g, mech, config, n)
+    with pytest.raises(AbortedMaxSteps):
+        run_until_settled(resumed, max_steps=state.t // 2)
+    assert 0 < resumed.t < state.t
+    check(resumed)
+    run_until_settled(resumed, observer=check)
+    assert settled_fields(resumed) == settled_fields(state)

@@ -23,6 +23,7 @@ from rotorwalk import (
 )
 
 from rotorwalk.rng import philox_generator
+from rotorwalk.weights import WeightTable
 
 from oracles import dense_green, reference_edge_weight
 
@@ -97,17 +98,31 @@ def test_increment_identity(small_graph):
             )
 
 
+def row_sum_devs(g, profile, wt):
+    """|sum_i w(x, i) + (deg(x) - 1)/2 * sum of v over the neighbours of x| per live x."""
+    v = profile.voltage
+    return [
+        abs(sum(wt.vertex_slice(x)) + (g.degree(x) - 1) / 2 * sum(v[y] for y in g.adjacency[x]))
+        for x in range(g.num_vertices)
+        if not g.is_sink[x]
+    ]
+
+
 def test_full_orbit_telescopes_to_zero(small_graph):
+    """Row sums of weight_table: sum_i w(x, i) = -(deg(x) - 1)/2 * sum_{y~x} v(y).
+
+    Not the cyclic sum of weight_increment around x, which telescopes to zero
+    for any table; the row sum catches one weight moved by 0.125.
+    """
     profile = solve_harmonic(small_graph)
-    mech = default_mechanism(small_graph)
-    for x in range(small_graph.num_vertices):
-        if small_graph.is_sink[x]:
-            continue
-        total = sum(
-            weight_increment(small_graph, mech, profile, x, i)
-            for i in range(small_graph.degree(x))
-        )
-        assert total == pytest.approx(0.0, abs=1e-12)
+    for mech in (default_mechanism(small_graph), shuffled_mechanism(small_graph, 3)):
+        wt = weight_table(small_graph, mech, profile)
+        assert max(row_sum_devs(small_graph, profile, wt)) <= 1e-12
+
+        bad = wt.values.copy()
+        bad[int(wt.indptr[small_graph.origin])] += 0.125
+        corrupted = WeightTable(values=bad, indptr=wt.indptr)
+        assert max(row_sum_devs(small_graph, profile, corrupted)) == pytest.approx(0.125)
 
 
 def test_star_all_ties_resolve_to_index_zero():
