@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-import yaml
+import numpy as np
 
 from .analysis import escape_sweep
 from .errors import (
@@ -102,8 +102,13 @@ def _merge_config_file(ns: argparse.Namespace) -> None:
     """File values fill options the command line left unset."""
     if not getattr(ns, "config_file", None):
         return
+    import yaml  # only config files need it, so other runs skip its import
+
     text = Path(ns.config_file).read_text()
-    data = yaml.safe_load(text)
+    try:
+        data = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise InvalidParameter(str(exc))
     if data is None:
         return
     if not isinstance(data, dict):
@@ -235,7 +240,10 @@ def _trace_path(base: Path, n: int, multiple: bool) -> Path:
 
 
 class _TraceWriter:
-    """escape_sweep observer writing one CSV row per move, one file per n."""
+    """escape_sweep observer writing one CSV row per move, a round at a time, one file per n."""
+
+    # status_change column: returned, absorbed, left the origin, or none of these
+    _CHANGES = np.array(["", "returned", "absorbed", "left-origin"], dtype=object)
 
     def __init__(self, base: Path, multiple: bool):
         self._base = base
@@ -243,27 +251,25 @@ class _TraceWriter:
         self._n = None
         self._fh = None
         self._w = None
+        self._labels = None
 
-    def __call__(self, st, invariant: float) -> None:
+    def __call__(self, st, moves) -> None:
         if st.n != self._n:
             self.close()
             self._n = st.n
             self._fh = open(_trace_path(self._base, st.n, self._multiple), "w")
             self._w = trace_writer(self._fh)
-        mover, x, y = st.last_event
-        status = st.status.item(mover)
-        if status == ParticleStatus.RETURNED:
-            change = "returned"
-        elif status == ParticleStatus.ABSORBED:
-            change = "absorbed"
-        elif x == st.graph.origin:
-            change = "left-origin"
-        else:
-            change = ""
-        labels = st.graph.labels
-        self._w.writerow([
-            st.t - 1, mover, labels[x], labels[y], change, st.survivors, repr(invariant),
-        ])
+            self._labels = np.array(st.graph.labels, dtype=object)
+        change = np.where(moves.source == st.graph.origin, 3, 0)
+        change[moves.status == ParticleStatus.ABSORBED] = 2
+        change[moves.status == ParticleStatus.RETURNED] = 1
+        labels = self._labels
+        # Python ints and floats, so each float is written as its repr
+        self._w.writerows(zip(
+            moves.t.tolist(), moves.mover.tolist(), labels[moves.source].tolist(),
+            labels[moves.target].tolist(), self._CHANGES[change].tolist(),
+            moves.survivors.tolist(), moves.invariant.tolist(),
+        ))
 
     def close(self) -> None:
         if self._fh is not None:
@@ -399,7 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse --help (0) or usage error (2)
         code = exc.code
         return code if isinstance(code, int) else 2
-    except (GraphInvalid, InvalidParameter, DimensionMismatch, OSError, yaml.YAMLError) as exc:
+    except (GraphInvalid, InvalidParameter, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergence, AbortedMaxSteps) as exc:

@@ -28,6 +28,13 @@ write in place.  compute_invariant recomputes the quantity in whole arrays
 with the scalar definition's floating-point operations: the rotor-weight
 terms are added one at a time in first-visit order (np.add.accumulate), not
 pairwise as np.sum adds, so each value is bit for bit the scalar sum's.
+
+step() is the observed engine and the reference the kernel is tested
+against.  The kernel reports each round through an optional hook (its
+movers, turns, from and to vertices, mechanism positions taken and arrival
+statuses), from which RoundInvariants gives the conserved quantity after
+each of the round's moves, bit for bit what compute_invariant gives after
+the same move of step().
 """
 from __future__ import annotations
 
@@ -43,6 +50,12 @@ from .harmonic import HarmonicProfile
 from .weights import RotorConfig, WeightTable, check_config
 
 DEFAULT_MAX_STEPS = 10**9
+
+# elements in each block matrix of RoundInvariants; larger rounds are split
+_BLOCK_ELEMENTS = 1 << 15
+
+# the round kernel's per-round hook: movers, turns, from, to, positions taken, arrival statuses
+RoundHook = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
 
 
 class ParticleStatus(IntEnum):
@@ -183,6 +196,7 @@ def run_until_settled(
     state: ExperimentState,
     max_steps: int = DEFAULT_MAX_STEPS,
     observer: Optional[Callable[[ExperimentState], None]] = None,
+    on_round: Optional[RoundHook] = None,
 ) -> ExperimentState:
     """Step until every particle has returned or been absorbed.
 
@@ -190,7 +204,10 @@ def run_until_settled(
     AbortedMaxSteps.  The observer, if given, is called after every actual
     move (steps where a terminal particle does nothing change no state
     besides t, and for t >= n they provably cannot change the invariant, so
-    they are skipped wholesale).
+    they are skipped wholesale); it runs the stepwise engine, step().
+    Without an observer whole rounds go through the round kernel, which
+    calls on_round, if given, once per round (see _settle_rounds); the moves
+    of a partial first round, made by step(), are not reported to it.
     """
     if max_steps < 1:
         raise InvalidParameter(f"max_steps must be >= 1, got {max_steps}")
@@ -205,7 +222,7 @@ def run_until_settled(
             observer(state)
 
     if observer is None:
-        return _settle_rounds(state, max_steps)
+        return _settle_rounds(state, max_steps, on_round)
 
     # round order: particle i moves at t = round_start + (i-1) mod n
     status = state.status
@@ -228,7 +245,9 @@ def run_until_settled(
     return state
 
 
-def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
+def _settle_rounds(
+    state: ExperimentState, max_steps: int, on_round: Optional[RoundHook] = None
+) -> ExperimentState:
     """Run whole rounds from a round start, each round's moves at once in numpy.
 
     Reaches the state step() would reach (t, positions, rotors, statuses and
@@ -236,6 +255,12 @@ def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
     the state's own arrays in place.  max_steps is checked before each round
     against the round's last turn; on abort the state is consistent and can
     be resumed.
+
+    on_round, if given, is called after each round has been written to the
+    state's arrays (t, survivors and remaining are written when the settle
+    ends) with the round's movers in turn order, their turns, the vertices
+    they left and reached, the mechanism positions they took and their
+    statuses on arrival.
     """
     n, mech, num_vertices = state.n, state.mechanism, state.graph.num_vertices
     deg = np.diff(mech.indptr)
@@ -256,7 +281,9 @@ def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
             last_turn = round_start + (int(live[-1]) - 1) % n
             if last_turn >= max_steps:
                 raise AbortedMaxSteps(f"experiment not settled after {max_steps} steps")
-            y = _leave_together(positions[live], rho, deg, mech)
+            x = positions[live]
+            taken = None if on_round is None else np.empty(live.size, dtype=np.intp)
+            y = _leave_together(x, rho, deg, mech, taken)
             positions[live] = y
 
             seen = state._num_visited
@@ -271,6 +298,8 @@ def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
 
             arrived = arrival[y]
             status[live] = arrived
+            if on_round is not None:
+                on_round(live, round_start + (live - 1) % n, x, y, taken, arrived)
             live = live[arrived == _ACTIVE]
             # t after the round: its end, or one past the last mover if all finished
             t = round_start + n if live.size else last_turn + 1
@@ -282,12 +311,16 @@ def _settle_rounds(state: ExperimentState, max_steps: int) -> ExperimentState:
     return state
 
 
-def _leave_together(x: np.ndarray, rho: np.ndarray, deg: np.ndarray, mech: RotorMechanism) -> np.ndarray:
+def _leave_together(
+    x: np.ndarray, rho: np.ndarray, deg: np.ndarray, mech: RotorMechanism,
+    taken: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Move one round's particles, at vertices x in turn order; return their targets.
 
     A stable sort of x groups each vertex's leavers in turn order; the k-th
     of them takes position (rho(v) + k + 1) mod deg(v), and the last one's
-    position is v's new rotor (rho is updated in place).
+    position is v's new rotor (rho is updated in place).  If taken is given,
+    the positions taken are written to it in turn order.
     """
     order = np.argsort(x, kind="stable")
     xs = x[order].astype(np.intp)
@@ -306,10 +339,20 @@ def _leave_together(x: np.ndarray, rho: np.ndarray, deg: np.ndarray, mech: Rotor
     r %= deg[xs]
     last = np.flatnonzero(run_edge[1:])  # the last leaver sets the rotor
     rho[xs[last]] = r[last]
+    if taken is not None:
+        taken[order] = r
     r += mech.indptr[xs]
     y = np.empty(m, dtype=np.intp)
     y[order] = mech.flat[r]
     return y
+
+
+def _check_dimensions(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> None:
+    g = state.graph
+    if profile.voltage.shape != (g.num_vertices,):
+        raise DimensionMismatch("profile does not match the experiment's graph")
+    if len(wt.indptr) != g.num_vertices + 1 or wt.indptr[-1] != state.mechanism.indptr[-1]:
+        raise DimensionMismatch("weight table does not match the experiment's mechanism")
 
 
 def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> float:
@@ -322,14 +365,10 @@ def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: Weig
     sequential sum, while np.sum adds pairwise and would change the last bits
     (and with them the trace's invariant column).
     """
+    _check_dimensions(state, profile, wt)
     g = state.graph
     v = profile.voltage
     indptr = state.mechanism.indptr
-    if v.shape != (g.num_vertices,):
-        raise DimensionMismatch("profile does not match the experiment's graph")
-    if len(wt.indptr) != g.num_vertices + 1 or wt.indptr[-1] != indptr[-1]:
-        raise DimensionMismatch("weight table does not match the experiment's mechanism")
-
     o = state._origin
     total = float(np.sum(v[state.positions]))
     total += min(state.t, state.n) / int(indptr[o + 1] - indptr[o])
@@ -340,3 +379,122 @@ def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: Weig
     terms[0] = total
     np.subtract(wt.values[base + state.rho[xs]], wt.values[base + state.rho0[xs]], out=terms[1:])
     return float(np.add.accumulate(terms)[-1])
+
+
+class RoundInvariants:
+    """The conserved quantity after moves of the round kernel, bit for bit compute_invariant.
+
+    Call it once for every round the kernel moves, in order, with the
+    arguments of the run_until_settled on_round hook: it carries the
+    rotor-weight terms of the live range, in first-visit order, from round
+    to round (read from the state's rotors after each round).  For moves
+    first..stop-1 of the round it builds, per block of moves, two matrices
+    with one row per move:
+
+    - v at every particle's position after that move, summed with
+      np.sum(axis=1), which on contiguous rows is the pairwise sum np.sum
+      takes of each row alone;
+    - that sum plus min(t, n)/deg(origin), then the live range's
+      rotor-weight terms, folded left to right with np.add.accumulate.
+
+    A vertex first visited during the round had no particle at the round's
+    start, so none leaves it in that round: its term is +0.0, which leaves
+    the running total's bits unchanged, so every row may use the range at
+    the round's end.  Each block matrix holds at most _BLOCK_ELEMENTS
+    elements.
+    """
+
+    def __init__(self, state: ExperimentState, profile: HarmonicProfile, wt: WeightTable):
+        _check_dimensions(state, profile, wt)
+        self._state = state
+        self._v = profile.voltage
+        self._values = wt.values
+        self._indptr = state.mechanism.indptr
+        o = state._origin
+        self._deg_origin = int(self._indptr[o + 1] - self._indptr[o])
+        num_vertices = state.graph.num_vertices
+        self._col = np.full(num_vertices, -1, dtype=np.intp)  # column of each live range vertex
+        self._terms = np.empty(num_vertices)  # rotor-weight term of each column
+        self._cols = 0
+        self._seen = 0  # entries of range_order given their column
+        self._slot = np.empty(num_vertices, dtype=np.intp)  # scratch: a block's move per column
+        self._tri = np.ones((0, 0), dtype=bool)
+        self._add_range()
+
+    def _add_range(self) -> None:
+        """Give the live vertices visited since the last call their columns and terms."""
+        st = self._state
+        if st._num_visited == self._seen:
+            return
+        fresh = st.range_order[self._seen :]
+        fresh = fresh[~st.graph.is_sink[fresh]]
+        self._seen = st._num_visited
+        cols = np.arange(self._cols, self._cols + fresh.size)
+        self._col[fresh] = cols
+        base = self._indptr[fresh]
+        self._terms[cols] = self._values[base + st.rho[fresh]] - self._values[base + st.rho0[fresh]]
+        self._cols += fresh.size
+
+    def __call__(
+        self, movers: np.ndarray, turns: np.ndarray, source: np.ndarray, target: np.ndarray,
+        taken: np.ndarray, first: int = 0, stop: Optional[int] = None,
+    ) -> np.ndarray:
+        """Values after moves first..stop-1 of the round just moved (default: every move)."""
+        st = self._state
+        values = self._values
+        stop = movers.size if stop is None else stop
+        self._add_range()  # vertices first visited in this round: none of them was left
+
+        cols = self._col[source]
+        base = self._indptr[source]
+        w0 = values[base + st.rho0[source]]
+        out = np.empty(stop - first)
+        if out.size:
+            self._evaluate(movers, turns, source, target, values[base + taken] - w0, cols,
+                           first, stop, out)
+        # the rotors the round left behind, as compute_invariant reads them
+        self._terms[cols] = values[base + st.rho[source]] - w0
+        return out
+
+    def _evaluate(self, movers, turns, source, target, moved_terms, cols, first, stop, out):
+        v, n = self._v, self._state.n
+        # the live range's terms and the particle voltages before move `first`
+        terms = self._terms[: self._cols].copy()
+        if first:
+            done = cols[:first][::-1]
+            _, last = np.unique(done, return_index=True)  # each column's last move
+            terms[done[last]] = moved_terms[first - 1 - last]
+        vpos = v[self._state.positions]
+        vpos[movers[first:]] = v[source[first:]]
+        vtarget = v[target]
+
+        rows = max(1, _BLOCK_ELEMENTS // max(n, self._cols + 1))
+        if self._tri.shape[0] < min(rows, stop - first):
+            self._tri = np.tri(min(rows, stop - first), dtype=bool)
+        for a in range(first, stop, rows):
+            b = min(a + rows, stop)
+            k = b - a
+            moved = self._tri[:k, :k]  # row r is after moves a..a+r: moved[r, j] is j <= r
+            m = movers[a:b]
+            pv = np.empty((k, n))
+            pv[:] = vpos
+            pv[:, m] = np.where(moved, vtarget[a:b], vpos[m])
+            total = np.empty((k, self._cols + 1))
+            np.add(pv.sum(axis=1), np.minimum(turns[a:b] + 1, n) / self._deg_origin,
+                   out=total[:, 0])
+            total[:, 1:] = terms
+            # a column's term in row r is its latest move's up to r; the moves
+            # of one column share one slot j, and latest[r, j] is that move
+            c = cols[a:b]
+            ks = np.arange(k)
+            self._slot[c] = ks
+            slot = self._slot[c]
+            latest = np.empty((k, k), dtype=np.intp)
+            latest.fill(-1)
+            latest[ks, slot] = ks
+            np.maximum.accumulate(latest, axis=0, out=latest)
+            now = np.where(latest >= 0, moved_terms[a:b][latest], terms[c])[:, slot]
+            total[:, 1 + c] = now
+            out[a - first : b - first] = np.add.accumulate(total, axis=1)[:, -1]
+            vpos[m] = vtarget[a:b]
+            terms[c] = now[-1]

@@ -26,6 +26,7 @@ from .rng import philox_generator
 DEFAULT_TOL = 1e-12
 DEFAULT_WALK_CAP = 10**8
 _MC_CHUNK = 512
+_DRAW_BLOCK = 1 << 13  # uniforms drawn at once by the walk kernel
 
 
 @dataclass(frozen=True)
@@ -138,18 +139,31 @@ def _walk_steps(g: Graph, m: int, rng: np.random.Generator, stop: np.ndarray, ma
     """Advance m simple random walks from the origin until each steps onto a `stop` vertex.
 
     Yields once per step: the target of every walk that moved, then the ids
-    (0..m-1) and positions of the walks still running.  Each step draws one
-    uniform per moving walk, in id order.  Raises AbortedMaxSteps only if a
-    walk is still running after max_steps steps.
+    (0..m-1) and positions of the walks still running.  Each step takes one
+    uniform per moving walk, in id order, from blocks of rng.random: one
+    random(a + b) gives the doubles of random(a) then random(b), so the
+    draws are those of one random call per step.  Raises AbortedMaxSteps
+    only if a walk is still running after max_steps steps.
     """
-    deg, indptr, flat = g.degrees, g.adj_indptr, g.adj_flat
+    indptr, flat = g.adj_indptr, g.adj_flat
+    # u * deg as the int degrees give it, without a cast.  u <= 1 - 2**-53, so
+    # the rounded u * d stays below d for every degree d < 2**53: the floor
+    # is always an edge index, with no clamp to d - 1
+    deg = g.degrees.astype(np.float64)
+    go = ~stop
     ids = np.arange(m)
     pos = np.full(m, g.origin, dtype=np.int64)
+    block = max(m, _DRAW_BLOCK)
+    draws, used = np.empty(0), 0
     for _ in range(max_steps):
-        u = rng.random(ids.size)
-        d = deg[pos]
-        nxt = flat[indptr[pos] + np.minimum((u * d).astype(np.int64), d - 1)]
-        running = ~stop[nxt]
+        if used + ids.size > draws.size:
+            draws, used = np.concatenate((draws[used:], rng.random(block))), 0
+        u = draws[used : used + ids.size]
+        used += ids.size
+        k = (u * deg[pos]).astype(np.int64)
+        k += indptr[pos]
+        nxt = flat[k]
+        running = go[nxt]
         ids, pos = ids[running], nxt[running]
         yield nxt, ids, pos
         if not ids.size:
@@ -175,10 +189,13 @@ def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP)
     for start in range(0, walks, _MC_CHUNK):
         m = min(_MC_CHUNK, walks - start)
         rng = philox_generator(seed, stream=start // _MC_CHUNK)
-        counts = np.zeros((m, nv), dtype=np.int64)
-        counts[:, g.origin] = 1
+        # visits of walk i to x at flat index i * nv + x; a step moves each
+        # walk once, so its indices are distinct and += counts each of them
+        counts = np.zeros(m * nv, dtype=np.int64)
+        counts[g.origin :: nv] = 1
         for _, rows, pos in _walk_steps(g, m, rng, g.is_sink, max_steps):
-            np.add.at(counts, (rows, pos), 1)
+            counts[rows * nv + pos] += 1
+        counts = counts.reshape(m, nv)
         total += counts.sum(axis=0)
         total_sq += (counts.astype(np.float64) ** 2).sum(axis=0)
 

@@ -138,6 +138,29 @@ def reference_compute_invariant(state, profile, wt):
     return total
 
 
+def reference_sampled_invariants(state, profile, wt, run_observed):
+    """(t, conserved quantity) at the samples of the once-per-round rule.
+
+    The rule the stepwise tracker followed above its per-move budget: sample
+    at the start, then at the first move whose t (after the move) reaches
+    the next check, which then becomes that t + n, and once more after the
+    run.  run_observed(state, observer) steps the state to settle, calling
+    observer after every move.
+    """
+    samples = [(state.t, reference_compute_invariant(state, profile, wt))]
+    next_check = state.t + state.n
+
+    def observe(st):
+        nonlocal next_check
+        if st.t >= next_check:
+            next_check = st.t + st.n
+            samples.append((st.t, reference_compute_invariant(st, profile, wt)))
+
+    run_observed(state, observe)
+    samples.append((state.t, reference_compute_invariant(state, profile, wt)))
+    return samples
+
+
 def reference_edge_weight(g, mech, voltage, x, i):
     """Definition of the edge weight, written as the plain modular sum."""
     order = mech.order[x]

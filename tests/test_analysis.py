@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rotorwalk import analysis, experiment
 from rotorwalk import (
     InvalidParameter,
     RotorConfig,
@@ -20,6 +21,8 @@ from rotorwalk import (
     theorem_check,
     weight_table,
 )
+
+from oracles import reference_sampled_invariants
 
 
 def test_escape_sweep_p3(p3_solved):
@@ -225,3 +228,61 @@ def test_ensemble_input_validation(p3):
         random_ensemble(p3, default_mechanism(p3), n=10, trials=0, seed=0)
     with pytest.raises(InvalidParameter):
         srw_escape_mc(p3, 0, seed=0)
+
+
+@pytest.mark.parametrize("g", [build_lattice_ball(2, 5), build_bary_tree(3, 4),
+                               build_lattice_ball(3, 4), build_path(5)],
+                         ids=lambda g: g.describe())
+@pytest.mark.parametrize("mech_seed", [None, 11])
+@pytest.mark.parametrize("config_kind", ["min", "random"])
+def test_sampled_invariant_follows_the_stepwise_rule(monkeypatch, g, mech_seed, config_kind):
+    """Above the per-move budget the kernel checks the moves the stepwise tracker sampled."""
+    monkeypatch.setattr(analysis, "_EVENT_CHECK_BUDGET", 0)
+    checked = []
+
+    class Recorded(experiment.RoundInvariants):
+        def __call__(self, movers, turns, source, target, taken, first=0, stop=None):
+            values = super().__call__(movers, turns, source, target, taken, first, stop)
+            checked.extend(zip((turns[first:stop] + 1).tolist(), values.tolist()))
+            return values
+
+    monkeypatch.setattr(analysis, "RoundInvariants", Recorded)
+    mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    config = min_weight_config(g, wt) if config_kind == "min" else random_config(g, 21)
+
+    for n in [1, 7, 50, 500]:
+        checked.clear()
+        rep = escape_sweep(g, mech, config, [n], profile=profile, check_invariant=True)
+        samples = reference_sampled_invariants(
+            init_experiment(g, mech, config, n), profile, wt,
+            lambda st, observe: run_until_settled(st, observer=observe),
+        )
+        assert checked == samples[1:-1]
+        target = float(n * profile.voltage[g.origin])
+        assert rep.max_invariant_dev == max(abs(value - target) for _, value in samples)
+
+
+@pytest.mark.parametrize("observed, check_invariant", [(False, True), (True, False), (True, True)])
+def test_checked_sweeps_settle_on_the_round_kernel(monkeypatch, observed, check_invariant):
+    """No move goes through step(); compute_invariant runs only at t=0 and at the end of each run."""
+    calls = {"compute_invariant": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(analysis, "compute_invariant", counted("compute_invariant", analysis.compute_invariant))
+    monkeypatch.setattr(experiment, "step", counted("step", experiment.step))
+    g = build_lattice_ball(2, 5)
+    rounds = []
+    n_values = [1, 7, 50]
+    rep = escape_sweep(g, shuffled_mechanism(g, 11), None, n_values, check_invariant=check_invariant,
+                       observer=(lambda st, moves: rounds.append(moves)) if observed else None)
+    assert calls["step"] == 0
+    assert calls["compute_invariant"] <= 2 * len(n_values)
+    assert bool(rounds) == observed
+    assert (rep.max_invariant_dev is not None) == check_invariant

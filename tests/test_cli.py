@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from rotorwalk import experiment
 from rotorwalk.cli import main
 
 
@@ -126,6 +127,17 @@ def test_run_trace(capsys, tmp_path):
     assert [r["survivors"] for r in rows] == ["2", "2", "2", "1"]
 
 
+def test_trace_marks_absorption_from_the_origin(capsys, tmp_path):
+    """A move from the origin straight onto a sink is an absorption, not a departure."""
+    trace = tmp_path / "trace.csv"
+    code, _, _ = run_cli(capsys, "run", "--path", "2", "--n", "3", "--trace", str(trace),
+                         "--out-dir", str(tmp_path))
+    assert code == 0
+    rows = list(csv.DictReader(trace.open()))
+    assert [r["status_change"] for r in rows] == ["absorbed"] * 3
+    assert [r["survivors"] for r in rows] == ["3"] * 3
+
+
 def test_run_trace_multiple_n(capsys, tmp_path):
     trace = tmp_path / "trace.csv"
     code, _, _ = run_cli(
@@ -152,6 +164,32 @@ def test_config_file_supplies_options_flags_win(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out[out.index("{"):])
     assert [r["n"] for r in doc["runs"]] == [8]
+
+
+def test_config_file_yaml_error_is_an_input_error(capsys, tmp_path):
+    import yaml
+
+    text = "n: [2, 4\n"
+    with pytest.raises(yaml.YAMLError) as exc:
+        yaml.safe_load(text)
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    code, _, err = run_cli(capsys, "run", "--path", "3", "--config-file", str(cfg))
+    assert code == 2
+    assert err == f"error: {exc.value}\n"
+
+
+def test_importing_the_cli_leaves_yaml_unloaded():
+    """Only --config-file needs PyYAML, so a run without one does not pay for its import."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, rotorwalk.cli; print('yaml' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_config_file_rejects_unknown_keys(capsys, tmp_path):
@@ -263,6 +301,21 @@ def test_run_trace_matches_golden(capsys, tmp_path):
     assert code == 0
     for fname in ("trace-n2.csv", "trace-n7.csv"):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes()
+
+
+def test_trace_in_blocks_matches_golden(monkeypatch, capsys, tmp_path):
+    """Rounds of up to 60 moves, evaluated four moves to a block, some visiting new vertices
+    mid-round: the trace and report recorded from the stepwise engine, byte for byte."""
+    monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 256)
+    code, _, _ = run_cli(
+        capsys, "run", "--lattice", "2", "4", "--n", "60", "--mechanism", "shuffled",
+        "--seed-mech", "7", "--check-invariant", "--trace", str(tmp_path / "trace.csv"),
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    for fname in ("trace.csv", "report.json"):
+        golden = GOLDEN / "trace-lattice-2-4-n60" / fname
+        assert (tmp_path / fname).read_bytes() == golden.read_bytes()
 
 
 def test_traced_report_equals_untraced(capsys, tmp_path):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from rotorwalk import experiment
 from rotorwalk import (
     AbortedMaxSteps,
     DimensionMismatch,
@@ -11,6 +13,7 @@ from rotorwalk import (
     build_path,
     compute_invariant,
     default_mechanism,
+    escape_sweep,
     init_experiment,
     min_weight_config,
     random_config,
@@ -309,3 +312,145 @@ def test_invariant_equals_scalar_loop_after_every_move(graph_name, mech_seed, co
     check(resumed)
     run_until_settled(resumed, observer=check)
     assert settled_fields(resumed) == settled_fields(state)
+
+
+def _round_kernel_moves(g, mech, config, n, profile):
+    """Every move of an escape_sweep observer's rounds, as stacked columns."""
+    rounds = []
+    escape_sweep(g, mech, config, [n], profile=profile, observer=lambda st, moves: rounds.append(moves))
+    return [np.concatenate(column) for column in zip(*rounds)]
+
+
+def _stepwise_moves(g, mech, config, n, profile, wt):
+    """The same columns from the stepwise engine, with compute_invariant after every move."""
+    rows = []
+
+    def record(st):
+        mover, x, y = st.last_event
+        rows.append((st.t - 1, mover, x, y, st.status.item(mover), st.survivors,
+                     compute_invariant(st, profile, wt)))
+
+    run_until_settled(init_experiment(g, mech, config, n), observer=record)
+    return [np.array(column) for column in zip(*rows)]
+
+
+EVALUATOR_GRAPHS = {
+    "lattice(3,8)": build_lattice_ball(3, 8),
+    "lattice(2,5)": build_lattice_ball(2, 5),
+    "lattice(2,6)": build_lattice_ball(2, 6),
+    "tree(3,4)": build_bary_tree(3, 4),
+    "lattice(3,4)": build_lattice_ball(3, 4),
+    "path(5)": build_path(5),
+}
+
+
+@pytest.mark.parametrize("graph_name", EVALUATOR_GRAPHS)
+@pytest.mark.parametrize("mech_seed", [None, 11])
+@pytest.mark.parametrize("config_kind", ["min", "random"])
+@pytest.mark.parametrize("n", [1, 2, 7, 50, 500])
+def test_round_invariants_equal_compute_invariant_after_every_move(
+    monkeypatch, graph_name, mech_seed, config_kind, n
+):
+    """The round kernel's per-move values are compute_invariant's, bit for bit.
+
+    At the default block size and in smaller blocks: with 64 elements a
+    block is one move or a few, with 4096 up to a few dozen, so rounds split
+    into many blocks, and blocks hold moves both before and after first
+    visits to new vertices.
+    """
+    g = EVALUATOR_GRAPHS[graph_name]
+    mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    config = min_weight_config(g, wt) if config_kind == "min" else random_config(g, 21)
+
+    *expected_moves, expected = _stepwise_moves(g, mech, config, n, profile, wt)
+    for budget in (experiment._BLOCK_ELEMENTS, 64, 4096):
+        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", budget)
+        t, mover, source, target, status, survivors, invariant = _round_kernel_moves(
+            g, mech, config, n, profile)
+        for got, want in zip((t, mover, source, target, status, survivors), expected_moves):
+            assert np.array_equal(got, want)
+        assert invariant.dtype == expected.dtype
+        assert invariant.tobytes() == expected.tobytes()
+
+
+def test_round_invariants_resume_after_abort():
+    """An evaluator built on a state the kernel left at an abort starts from that state's rotors."""
+    g = build_lattice_ball(2, 6)
+    mech = shuffled_mechanism(g, 11)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    config = random_config(g, 21)
+    n = 200
+    t, *_, expected = _stepwise_moves(g, mech, config, n, profile, wt)
+
+    state = init_experiment(g, mech, config, n)
+    with pytest.raises(AbortedMaxSteps):
+        run_until_settled(state, max_steps=int(t[-1]) // 2)
+    resumed_at = state.t
+    assert 0 < resumed_at and resumed_at % n == 0
+    evaluator = experiment.RoundInvariants(state, profile, wt)
+    got = []
+    run_until_settled(state, on_round=lambda *moves: got.append(evaluator(*moves[:5])))
+    assert np.concatenate(got).tobytes() == expected[t >= resumed_at].tobytes()
+
+
+def _mutant_leave_together(kind):
+    """_leave_together with one seeded fault; the stepwise engine must disagree with it."""
+
+    def leave(x, rho, deg, mech, taken=None):
+        order = np.argsort(x, kind="stable")
+        xs = x[order].astype(np.intp)
+        m = xs.size
+        run_edge = np.ones(m + 1, dtype=bool)
+        run_edge[1:m] = xs[1:] != xs[:-1]
+        k = np.arange(m)
+        start = np.maximum.accumulate(np.where(run_edge[:m], k, 0))
+        rank = k - start
+        if kind == "rank-dropped":         # every leaver takes the first position
+            rank[:] = 0
+        elif kind == "rank-reversed":      # leavers take the positions in reverse turn order
+            end = np.flatnonzero(run_edge[1:])[np.cumsum(run_edge[:m]) - 1]
+            rank = end - k
+        r = (rho[xs] + rank + 1) % deg[xs]
+        # the leaver of the highest rank sets the rotor, or the first one
+        first = kind in ("first-sets-rotor", "rank-reversed")
+        setter = np.flatnonzero(run_edge[:m] if first else run_edge[1:])
+        rho[xs[setter]] = r[setter]
+        if kind == "rotor-overshoots":     # the rotor ends one position past the last leaver's
+            rho[xs[setter]] = (r[setter] + 1) % deg[xs[setter]]
+        if taken is not None:
+            taken[order] = r
+        y = np.empty(m, dtype=np.intp)
+        y[order] = mech.flat[r + mech.indptr[xs]]
+        return y
+
+    return leave
+
+
+@pytest.mark.parametrize("kind", ["rank-dropped", "rank-reversed", "first-sets-rotor",
+                                  "rotor-overshoots"])
+def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
+    """Each seeded kernel fault differs from the stepwise engine and breaks the checked invariant.
+
+    rank-reversed leaves every round's end state conserved; only the
+    per-move values inside the round show it.
+    """
+    monkeypatch.setattr(experiment, "_leave_together", _mutant_leave_together(kind))
+    for g in CROSS_GRAPHS.values():
+        for mech in (default_mechanism(g), shuffled_mechanism(g, 11)):
+            profile = solve_harmonic(g)
+            for config in (None, random_config(g, 21)):
+                if config is None:
+                    config = min_weight_config(g, weight_table(g, mech, profile))
+                n = 100
+                batched = run_until_settled(init_experiment(g, mech, config, n), max_steps=10**7)
+                stepwise = run_until_settled(init_experiment(g, mech, config, n),
+                                             observer=lambda st: None)
+                assert settled_fields(batched) != settled_fields(stepwise)
+
+                rep = escape_sweep(g, mech, config, [n], profile=profile, check_invariant=True,
+                                   max_steps=10**7)
+                target = n * profile.voltage[g.origin]
+                assert rep.max_invariant_dev > 1e-8 * target

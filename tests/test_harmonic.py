@@ -162,3 +162,11 @@ def test_walks_ending_on_the_last_allowed_step_do_not_abort():
     assert mc_green(g, 10, 0, max_steps=1).visits[g.origin] == 1.0
     with pytest.raises(AbortedMaxSteps):
         srw_escape_mc(build_path(6), 32, 0, max_steps=2)
+
+
+def test_largest_uniform_never_picks_past_the_last_edge():
+    """Why the walk kernel needs no clamp: u <= 1 - 2**-53 keeps floor(u * d) <= d - 1."""
+    u = np.nextafter(1.0, 0.0)
+    d = np.concatenate((np.arange(1, 1 << 20), (1 << 52) - np.arange(1, 1 << 10)))
+    assert u == 1 - 2.0**-53
+    assert np.all((u * d.astype(np.float64)).astype(np.int64) <= d - 1)
