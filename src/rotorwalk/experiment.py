@@ -252,9 +252,9 @@ def _settle_rounds(
 
     Reaches the state step() would reach (t, positions, rotors, statuses and
     the range in first-visit order; the module docstring says why), writing
-    the state's own arrays in place.  max_steps is checked before each round
-    against the round's last turn; on abort the state is consistent and can
-    be resumed.
+    the state's own arrays in place.  A round whose turns reach max_steps
+    moves only the particles whose turns come before it, then aborts, so an
+    aborted state is the one step() leaves (t included); it can be resumed.
 
     on_round, if given, is called after each round has been written to the
     state's arrays (t, survivors and remaining are written when the settle
@@ -279,8 +279,15 @@ def _settle_rounds(
         while live.size:
             round_start = t
             last_turn = round_start + (int(live[-1]) - 1) % n
+            over = None  # the first turn at or past max_steps, if this round reaches it
             if last_turn >= max_steps:
-                raise AbortedMaxSteps(f"experiment not settled after {max_steps} steps")
+                # as step() does, move the particles whose turns come first
+                turns = round_start + (live - 1) % n
+                k = int(np.searchsorted(turns, max_steps))
+                over = int(turns[k])
+                if k == 0:
+                    raise AbortedMaxSteps(f"experiment not settled after {over} steps")
+                live, last_turn = live[:k], int(turns[k - 1])
             x = positions[live]
             taken = None if on_round is None else np.empty(live.size, dtype=np.intp)
             y = _leave_together(x, rho, deg, mech, taken)
@@ -301,8 +308,11 @@ def _settle_rounds(
             if on_round is not None:
                 on_round(live, round_start + (live - 1) % n, x, y, taken, arrived)
             live = live[arrived == _ACTIVE]
-            # t after the round: its end, or one past the last mover if all finished
-            t = round_start + n if live.size else last_turn + 1
+            # t after the round: its end, or one past the last mover if all
+            # finished or the round stops short of max_steps
+            t = round_start + n if live.size and over is None else last_turn + 1
+            if over is not None:
+                raise AbortedMaxSteps(f"experiment not settled after {over} steps")
     finally:
         state.t = t
         state.survivors = n - int(np.count_nonzero(status == _RETURNED))

@@ -318,6 +318,20 @@ def test_trace_in_blocks_matches_golden(monkeypatch, capsys, tmp_path):
         assert (tmp_path / fname).read_bytes() == golden.read_bytes()
 
 
+def test_aborted_trace_matches_golden(capsys, tmp_path):
+    """A cap inside a round: the trace keeps the moves before it, and the error names
+    the first turn past it, as recorded from the stepwise engine."""
+    code, _, err = run_cli(
+        capsys, "run", "--lattice", "2", "3", "--n", "5,9", "--mechanism", "shuffled",
+        "--seed-mech", "2", "--config", "random", "--seed-config", "3", "--max-steps", "40",
+        "--check-invariant", "--trace", str(tmp_path / "trace.csv"),
+    )
+    assert code == 3
+    assert err == "error: experiment not settled after 44 steps\n"
+    for fname in ("trace-n5.csv", "trace-n9.csv"):
+        assert (tmp_path / fname).read_bytes() == (GOLDEN / "trace-abort" / fname).read_bytes()
+
+
 def test_traced_report_equals_untraced(capsys, tmp_path):
     """The trace observer must not change the report, max_invariant_dev included."""
     args = ("run", *LATTICE_2_4, "--n", "20,100", "--check-invariant")

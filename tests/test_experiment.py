@@ -255,6 +255,24 @@ def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
 
 
 @pytest.mark.parametrize("graph_name", ["lattice(2,6)", "tree(3,4)"])
+def test_abort_leaves_the_stepwise_state(graph_name):
+    """A cap inside a round: the kernel moves the particles whose turns come first, as step() does."""
+    g = CROSS_GRAPHS[graph_name]
+    mech = shuffled_mechanism(g, 11)
+    config = random_config(g, 21)
+    n = 100
+    full = run_until_settled(init_experiment(g, mech, config, n))
+    for cap in (1, n - 1, n, n + 37, full.t // 3, full.t // 2 + 1, full.t - 1):
+        aborted = []
+        for observer in (None, lambda st: None):
+            state = init_experiment(g, mech, config, n)
+            with pytest.raises(AbortedMaxSteps) as exc:
+                run_until_settled(state, max_steps=cap, observer=observer)
+            aborted.append((str(exc.value), settled_fields(state)))
+        assert aborted[0] == aborted[1]
+
+
+@pytest.mark.parametrize("graph_name", ["lattice(2,6)", "tree(3,4)"])
 def test_abort_then_resume_equals_uninterrupted(graph_name):
     g = CROSS_GRAPHS[graph_name]
     mech = shuffled_mechanism(g, 11)
@@ -385,11 +403,13 @@ def test_round_invariants_resume_after_abort():
     n = 200
     t, *_, expected = _stepwise_moves(g, mech, config, n, profile, wt)
 
+    # a cap at a round's start stops the kernel between rounds
+    cap = int(t[-1]) // 2 // n * n
     state = init_experiment(g, mech, config, n)
     with pytest.raises(AbortedMaxSteps):
-        run_until_settled(state, max_steps=int(t[-1]) // 2)
+        run_until_settled(state, max_steps=cap)
     resumed_at = state.t
-    assert 0 < resumed_at and resumed_at % n == 0
+    assert resumed_at == cap > 0
     evaluator = experiment.RoundInvariants(state, profile, wt)
     got = []
     run_until_settled(state, on_round=lambda *moves: got.append(evaluator(*moves[:5])))
