@@ -178,14 +178,14 @@ def _build_mechanism(g: Graph, ns: argparse.Namespace):
     raise InvalidParameter(f"unknown mechanism {ns.mechanism!r}")
 
 
-def _build_config(g: Graph, mech, ns: argparse.Namespace):
+def _build_config(g: Graph, ns: argparse.Namespace):
     """The --config choice; None stands for the min-weight configuration."""
     choice = ns.config
     if choice == "rho-min":
         return None
     if choice == "random":
         return random_config(g, _int_token(ns.seed_config))
-    return load_config_csv(g, mech, Path(choice).read_text())
+    return load_config_csv(g, Path(choice).read_text())
 
 
 def _parse_n(ns: argparse.Namespace) -> list[int]:
@@ -279,7 +279,7 @@ class _TraceWriter:
 def cmd_run(ns: argparse.Namespace) -> int:
     g = _build_graph(ns)
     mech = _build_mechanism(g, ns)
-    config = _build_config(g, mech, ns)
+    config = _build_config(g, ns)
     n_values = _parse_n(ns)
 
     trace = _TraceWriter(Path(ns.trace), len(n_values) > 1) if ns.trace else None

@@ -116,7 +116,7 @@ class ExperimentState:
     # flat Python lookups of the graph and mechanism for step(), built on first use
     @cached_property
     def _deg(self) -> list[int]:
-        return [len(o) for o in self.mechanism.order]
+        return np.diff(self.mechanism.indptr).tolist()
 
     @cached_property
     def _sink(self) -> list[bool]:
@@ -146,9 +146,6 @@ class ExperimentState:
     @property
     def range(self) -> set[int]:
         return set(self.range_order.tolist())
-
-    def rotor_config(self) -> RotorConfig:
-        return RotorConfig(pos=tuple(np.where(self.graph.is_sink, -1, self.rho).tolist()))
 
 
 def init_experiment(graph: Graph, mechanism: RotorMechanism, config: RotorConfig, n: int) -> ExperimentState:

@@ -9,12 +9,13 @@ edges of a lattice ball into a single shared sink necessarily produces them.
 The live (non-sink) part of the graph is always strictly simple.
 
 Vertices are dense integer ids 0..n-1; every graph carries a parallel tuple
-of unique string labels for file IO and reporting.
+of unique string labels for file IO and reporting.  Adjacency lists and rotor
+orders are stored once, as read-only CSR arrays; tuple views are derived.
 """
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
 
@@ -24,23 +25,35 @@ from .errors import GraphInvalid, InvalidParameter
 from .rng import philox_generator
 
 
-@dataclass(frozen=True)
+def _rows(indptr: np.ndarray, flat: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The CSR rows as a tuple of tuples of ints."""
+    entries, bounds = flat.tolist(), indptr.tolist()
+    return tuple(tuple(entries[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph with ordered adjacency lists.
 
-    adjacency[x] is the ordered tuple of neighbors of x; the order is the
-    construction order and is what the default rotor mechanism follows.
+    Row x of the CSR arrays (adj_indptr, adj_flat), adjacency[x] as a tuple, lists
+    the neighbours of x in construction order, the order the default rotor
+    mechanism follows.  Both arrays are made read-only; == is identity.
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
+    adj_indptr: np.ndarray
+    adj_flat: np.ndarray
     origin: int
     sinks: frozenset[int]
     labels: tuple[str, ...]
-    name: str = field(default="", compare=False)
+    name: str = ""
+
+    def __post_init__(self):
+        self.adj_indptr.setflags(write=False)
+        self.adj_flat.setflags(write=False)
 
     @property
     def num_vertices(self) -> int:
-        return len(self.adjacency)
+        return self.adj_indptr.size - 1
 
     def describe(self) -> str:
         if self.name:
@@ -49,7 +62,7 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.array([len(a) for a in self.adjacency], dtype=np.int64)
+        return np.diff(self.adj_indptr)
 
     @cached_property
     def is_sink(self) -> np.ndarray:
@@ -58,59 +71,62 @@ class Graph:
         return mask
 
     @cached_property
-    def adj_indptr(self) -> np.ndarray:
-        """CSR row pointer over the flattened adjacency (sinks included)."""
-        return np.concatenate(([0], np.cumsum(self.degrees)))
-
-    @cached_property
-    def adj_flat(self) -> np.ndarray:
-        return np.array([y for adj in self.adjacency for y in adj], dtype=np.int64)
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        return _rows(self.adj_indptr, self.adj_flat)
 
     @cached_property
     def label_to_id(self) -> dict[str, int]:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def degree(self, x: int) -> int:
-        return len(self.adjacency[x])
+        return int(self.adj_indptr[x + 1] - self.adj_indptr[x])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotorMechanism:
     """Cyclic ordering of each non-sink vertex's incident edges.
 
-    order[x] is a permutation of adjacency[x] (as a multiset); the rotor at x
-    steps through it cyclically, so advancing deg(x) times is the identity.
-    Sinks have empty orders.
+    Row x of the CSR arrays (indptr, flat), order[x] as a tuple, is a permutation
+    of adjacency[x] (as a multiset); the rotor at x steps through it cyclically,
+    so advancing deg(x) times is the identity.  Sinks have empty rows.  Both
+    arrays are made read-only; == is identity.
     """
 
-    order: tuple[tuple[int, ...], ...]
-    name: str = field(default="custom", compare=False)
+    indptr: np.ndarray
+    flat: np.ndarray
+    name: str = "custom"
+
+    def __post_init__(self):
+        self.indptr.setflags(write=False)
+        self.flat.setflags(write=False)
 
     def describe(self) -> str:
         return self.name
 
     @cached_property
-    def indptr(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum([len(o) for o in self.order])))
+    def order(self) -> tuple[tuple[int, ...], ...]:
+        return _rows(self.indptr, self.flat)
 
-    @cached_property
-    def flat(self) -> np.ndarray:
-        return np.array([y for o in self.order for y in o], dtype=np.int64)
 
-    def target(self, x: int, i: int) -> int:
-        """Target vertex of the edge at mechanism position i of vertex x."""
-        return self.order[x][i]
+def _check_rows(indptr: np.ndarray, flat: np.ndarray, what: str) -> None:
+    """Raise GraphInvalid unless (indptr, flat) are 1-D integer arrays forming CSR rows."""
+    if any(a.ndim != 1 or not np.issubdtype(a.dtype, np.integer) for a in (indptr, flat)):
+        raise GraphInvalid(f"{what} arrays must be 1-D integer arrays")
+    if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != flat.size or (indptr[1:] < indptr[:-1]).any():
+        raise GraphInvalid(f"{what} row pointer must rise from 0 to the entry count")
 
 
 def check_graph(g: Graph) -> None:
     """Validate every structural invariant; raise GraphInvalid on the first failure.
 
-    Checks: dense ids, labels unique, origin/sink sanity, no self-loops,
-    live-pair simplicity, symmetric adjacency (with multiplicity), and
-    connectivity.  Connectivity already implies that every vertex reaches a
-    sink without passing another sink first (truncate any sink-bound path at
-    its first sink), which is what experiment termination rests on.
+    Checks: CSR row arrays, dense ids, labels unique, origin/sink sanity,
+    no self-loops, live-pair simplicity, symmetric adjacency (with
+    multiplicity), and connectivity.  Connectivity already implies that every
+    vertex reaches a sink without passing another sink first (truncate any
+    sink-bound path at its first sink), which is what experiment termination
+    rests on.
     """
+    _check_rows(g.adj_indptr, g.adj_flat, "adjacency")
     n = g.num_vertices
     if n < 2:
         raise GraphInvalid("graph needs at least an origin and a sink")
@@ -131,12 +147,13 @@ def check_graph(g: Graph) -> None:
     _check_adjacency(g)
 
     # connectivity of the whole graph
+    indptr, flat = g.adj_indptr.tolist(), g.adj_flat.tolist()
     seen = [False] * n
     seen[0] = True
     queue = deque([0])
     while queue:
         x = queue.popleft()
-        for y in g.adjacency[x]:
+        for y in flat[indptr[x]:indptr[x + 1]]:
             if not seen[y]:
                 seen[y] = True
                 queue.append(y)
@@ -225,15 +242,11 @@ def _graph_from_edges(edges: np.ndarray, origin, sinks, labels, name="") -> Grap
     edge at its place: a stable sort of the interleaved (u, v), (v, u) pairs
     by source.
     """
-    n = len(labels)
     sources = edges.ravel()
     targets = edges[:, ::-1].ravel()[np.argsort(sources, kind="stable")]
-    bounds = [0] + np.cumsum(np.bincount(sources, minlength=n)).tolist()
-    # one int object per vertex, shared by every adjacency entry naming it
-    vertex = np.arange(n).astype(object)
-    flat = vertex[targets].tolist()
     g = Graph(
-        adjacency=tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])),
+        adj_indptr=np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=len(labels))))),
+        adj_flat=targets,
         origin=origin,
         sinks=frozenset(sinks),
         labels=tuple(labels),
@@ -392,33 +405,34 @@ def save_edge_list(g: Graph) -> str:
 
 def default_mechanism(g: Graph) -> RotorMechanism:
     """Mechanism whose cyclic order is each vertex's adjacency order."""
-    order = tuple(() if x in g.sinks else tuple(adj) for x, adj in enumerate(g.adjacency))
-    return RotorMechanism(order=order, name="default")
+    live = ~g.is_sink
+    indptr = np.concatenate(([0], np.cumsum(np.where(live, g.degrees, 0))))
+    return RotorMechanism(indptr, g.adj_flat[np.repeat(live, g.degrees)], name="default")
 
 
 def shuffled_mechanism(g: Graph, seed: int) -> RotorMechanism:
     """Mechanism with a seeded uniform permutation of each vertex's edges."""
     rng = philox_generator(seed)
-    order = []
-    for x, adj in enumerate(g.adjacency):
-        if x in g.sinks:
-            order.append(())
-        else:
-            perm = rng.permutation(len(adj))
-            order.append(tuple(adj[i] for i in perm))
-    return RotorMechanism(order=tuple(order), name=f"shuffled(seed={seed})")
+    live = ~g.is_sink
+    deg = g.degrees[live]
+    # one rng.permutation per non-sink vertex, in id order: the goldens rest on these draws
+    entry = np.concatenate([rng.permutation(d) for d in deg.tolist()])
+    entry += np.repeat(g.adj_indptr[:-1][live], deg)
+    indptr = np.concatenate(([0], np.cumsum(np.where(live, g.degrees, 0))))
+    return RotorMechanism(indptr, g.adj_flat[entry], name=f"shuffled(seed={seed})")
 
 
 def check_mechanism(g: Graph, mech: RotorMechanism) -> None:
     """Validate that mech matches g: sinks empty, others permute their adjacency.
 
-    Raises GraphInvalid naming the lowest failing vertex.  Rows are compared
-    over the CSR arrays: a non-sink row of matching degree and in-range
-    targets is a permutation when its sorted (row, target) keys equal the
-    adjacency's.
+    Malformed row arrays raise GraphInvalid first; otherwise it names the
+    lowest failing vertex.  Rows are compared over the CSR arrays: a non-sink
+    row of matching degree and in-range targets is a permutation when its
+    sorted (row, target) keys equal the adjacency's.
     """
+    _check_rows(mech.indptr, mech.flat, "mechanism")
     n = g.num_vertices
-    if len(mech.order) != n:
+    if mech.indptr.size - 1 != n:
         raise GraphInvalid("mechanism length does not match vertex count")
     sink = g.is_sink
     deg = np.diff(mech.indptr)

@@ -38,7 +38,7 @@ def weights_csv(g: Graph, mech: RotorMechanism, wt: WeightTable) -> str:
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vertex_label", "mechanism_index", "target_label", "weight"])
     for x in range(g.num_vertices):
-        for i, y in enumerate(mech.order[x]):
+        for i, y in enumerate(mech.flat[mech.indptr[x]:mech.indptr[x + 1]].tolist()):
             w.writerow([g.labels[x], i, g.labels[y], _fmt(wt.at(x, i))])
     return buf.getvalue()
 
@@ -54,7 +54,7 @@ def config_csv(g: Graph, config: RotorConfig) -> str:
     return buf.getvalue()
 
 
-def load_config_csv(g: Graph, mech: RotorMechanism, source: str | IO[str]) -> RotorConfig:
+def load_config_csv(g: Graph, source: str | IO[str]) -> RotorConfig:
     """Parse a config_csv document back into a validated RotorConfig."""
     text = source if isinstance(source, str) else source.read()
     rows = list(csv.reader(io.StringIO(text)))
@@ -86,8 +86,6 @@ def load_config_csv(g: Graph, mech: RotorMechanism, source: str | IO[str]) -> Ro
         check_config(g, config)
     except Exception as exc:
         raise GraphInvalid(f"config file invalid: {exc}") from exc
-    if len(mech.order) != g.num_vertices:
-        raise GraphInvalid("mechanism does not match graph")
     return config
 
 

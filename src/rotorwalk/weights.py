@@ -75,7 +75,7 @@ def edge_weight(g: Graph, mech: RotorMechanism, profile: HarmonicProfile, x: int
     """Weight of the edge at mechanism position i of non-sink vertex x."""
     _check_edge(g, x, i)
     v = profile.voltage
-    order = mech.order[x]
+    order = mech.flat[mech.indptr[x]:mech.indptr[x + 1]].tolist()
     d = len(order)
     acc = 0.0
     for j in range(1, d):
@@ -124,23 +124,21 @@ def _near_min_scan(g: Graph, wt: WeightTable) -> tuple[np.ndarray, int]:
     non-sink vertex with several near-minimal edges is a tie.
     """
     values = wt.values
-    indptr = np.asarray(wt.indptr, dtype=np.int64)
-    deg = np.diff(indptr)
+    deg = np.diff(wt.indptr)
     owner = np.repeat(np.arange(deg.size), deg)
     has_edges = deg > 0
-    starts = indptr[:-1][has_edges]
+    starts = wt.indptr[:-1][has_edges]
 
     mins = np.full(deg.size, np.inf)
     mins[has_edges] = np.minimum.reduceat(values, starts)
     near = values <= mins[owner] + TIE_TOL
     # mechanism index of each near-minimal edge; the others are past every index
-    index = np.where(near, np.arange(values.size) - indptr[owner], values.size)
+    index = np.where(near, np.arange(values.size) - wt.indptr[owner], values.size)
     first = np.full(deg.size, -1, dtype=np.int64)
     first[has_edges] = np.minimum.reduceat(index, starts)
 
-    sink = np.asarray(g.is_sink, dtype=bool)
-    first[sink] = -1
-    tied = ~sink & (np.bincount(owner[near], minlength=deg.size) > 1)
+    first[g.is_sink] = -1
+    tied = ~g.is_sink & (np.bincount(owner[near], minlength=deg.size) > 1)
     return first, int(np.count_nonzero(tied))
 
 

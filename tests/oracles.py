@@ -16,8 +16,29 @@ import numpy as np
 import scipy.sparse as sp
 
 from rotorwalk.errors import GraphInvalid
-from rotorwalk.graphs import Graph
+from rotorwalk.graphs import Graph, RotorMechanism
 from rotorwalk.rng import philox_generator
+
+
+def _csr(rows):
+    """(indptr, flat) int64 arrays of a sequence of rows."""
+    rows = [tuple(r) for r in rows]
+    indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows], dtype=np.int64)))
+    flat = np.array([y for r in rows for y in r], dtype=np.int64)
+    return indptr, flat
+
+
+def graph_from_rows(rows, origin, sinks, labels, name=""):
+    """Graph whose adjacency row x is rows[x]; not validated."""
+    indptr, flat = _csr(rows)
+    return Graph(adj_indptr=indptr, adj_flat=flat, origin=origin,
+                 sinks=frozenset(sinks), labels=tuple(labels), name=name)
+
+
+def mechanism_from_rows(rows, name="custom"):
+    """RotorMechanism whose cyclic order at x is rows[x]; not validated."""
+    indptr, flat = _csr(rows)
+    return RotorMechanism(indptr=indptr, flat=flat, name=name)
 
 
 def dense_green(g):
@@ -237,13 +258,7 @@ def reference_graph_from_edges(edges, origin, sinks, labels, name=""):
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    g = Graph(
-        adjacency=tuple(tuple(a) for a in adj),
-        origin=origin,
-        sinks=frozenset(sinks),
-        labels=tuple(labels),
-        name=name,
-    )
+    g = graph_from_rows(adj, origin, sinks, labels, name=name)
     reference_check_graph(g)
     return g
 
@@ -299,6 +314,25 @@ def reference_bary_tree(b, depth):
     return reference_graph_from_edges(
         edges, 0, sinks, [str(i) for i in range(n)], name=f"tree(b={b}, depth={depth})"
     )
+
+
+def reference_default_mechanism(g):
+    """Each non-sink vertex's adjacency tuple, sinks empty."""
+    order = tuple(() if x in g.sinks else tuple(adj) for x, adj in enumerate(g.adjacency))
+    return mechanism_from_rows(order, name="default")
+
+
+def reference_shuffled_mechanism(g, seed):
+    """One rng.permutation(deg) per non-sink vertex in id order, applied to its adjacency tuple."""
+    rng = philox_generator(seed)
+    order = []
+    for x, adj in enumerate(g.adjacency):
+        if x in g.sinks:
+            order.append(())
+        else:
+            perm = rng.permutation(len(adj))
+            order.append(tuple(adj[i] for i in perm))
+    return mechanism_from_rows(order, name=f"shuffled(seed={seed})")
 
 
 def reference_dirichlet_system(g):

@@ -152,7 +152,7 @@ def test_4_three_vertex_path_exact(capsys):
 
     ok = profile.escape_probability == 0.5
     ok = ok and [wt.at(0, 0), wt.at(1, 0), wt.at(1, 1)] == [0.0, -1.0, 0.0]
-    ok = ok and mech.target(1, cfg.pos[1]) == 0
+    ok = ok and mech.order[1][cfg.pos[1]] == 0
 
     for k in range(1, 9):
         state = init_experiment(g, mech, cfg, 2 * k)

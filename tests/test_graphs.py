@@ -1,5 +1,6 @@
 import io
 
+import numpy as np
 import pytest
 
 from rotorwalk import (
@@ -17,6 +18,8 @@ from rotorwalk import (
     save_edge_list,
     shuffled_mechanism,
 )
+
+from oracles import graph_from_rows, mechanism_from_rows
 
 
 def test_path_shape():
@@ -90,14 +93,14 @@ def test_bary_tree_sinks_are_leaves():
 
 def test_check_graph_rejects_origin_sink():
     g = build_path(3)
-    bad = Graph(adjacency=g.adjacency, origin=2, sinks=g.sinks, labels=g.labels)
+    bad = Graph(g.adj_indptr, g.adj_flat, origin=2, sinks=g.sinks, labels=g.labels)
     with pytest.raises(GraphInvalid):
         check_graph(bad)
 
 
 def test_check_graph_rejects_self_loop():
-    bad = Graph(
-        adjacency=((1, 0, 0), (0,)),
+    bad = graph_from_rows(
+        ((1, 0, 0), (0,)),
         origin=0,
         sinks=frozenset({1}),
         labels=("a", "b"),
@@ -107,8 +110,8 @@ def test_check_graph_rejects_self_loop():
 
 
 def test_check_graph_rejects_live_parallel_edges():
-    bad = Graph(
-        adjacency=((1, 1, 2), (0, 0), (0,)),
+    bad = graph_from_rows(
+        ((1, 1, 2), (0, 0), (0,)),
         origin=0,
         sinks=frozenset({2}),
         labels=("a", "b", "s"),
@@ -118,8 +121,8 @@ def test_check_graph_rejects_live_parallel_edges():
 
 
 def test_check_graph_rejects_asymmetry():
-    bad = Graph(
-        adjacency=((1, 2), (0,), (0, 1)),
+    bad = graph_from_rows(
+        ((1, 2), (0,), (0, 1)),
         origin=0,
         sinks=frozenset({2}),
         labels=("a", "b", "s"),
@@ -129,8 +132,8 @@ def test_check_graph_rejects_asymmetry():
 
 
 def test_check_graph_rejects_disconnected():
-    bad = Graph(
-        adjacency=((1,), (0,), (3,), (2,)),
+    bad = graph_from_rows(
+        ((1,), (0,), (3,), (2,)),
         origin=0,
         sinks=frozenset({1, 3}),
         labels=("a", "s1", "b", "s2"),
@@ -142,8 +145,8 @@ def test_check_graph_rejects_disconnected():
 def test_check_graph_accepts_vertices_behind_sinks():
     # c attaches to the rest of the graph only through a sink; a particle
     # there is absorbed on its first move, so the graph is legal
-    behind = Graph(
-        adjacency=((1,), (0, 2), (1, 3), (2,)),
+    behind = graph_from_rows(
+        ((1,), (0, 2), (1, 3), (2,)),
         origin=1,
         sinks=frozenset({0, 2}),
         labels=("s1", "a", "s2", "c"),
@@ -215,7 +218,7 @@ def test_shuffled_mechanism_is_valid_and_seeded(small_graph):
     c = shuffled_mechanism(small_graph, 8)
     check_mechanism(small_graph, a)
     assert a.order == b.order
-    assert a == b
+    assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.flat, b.flat)
     # a different seed should move something on any graph with a degree-3+ vertex
     if max(small_graph.degrees) >= 3:
         assert a.order != c.order
@@ -224,27 +227,74 @@ def test_shuffled_mechanism_is_valid_and_seeded(small_graph):
 def test_check_mechanism_rejects_bad_orders():
     g = build_path(3)
     with pytest.raises(GraphInvalid, match="not a permutation"):
-        check_mechanism(g, RotorMechanism(order=((1,), (2, 2), ())))
+        check_mechanism(g, mechanism_from_rows(((1,), (2, 2), ())))
     with pytest.raises(GraphInvalid, match="empty mechanism"):
-        check_mechanism(g, RotorMechanism(order=((1,), (0, 2), (1,))))
+        check_mechanism(g, mechanism_from_rows(((1,), (0, 2), (1,))))
     with pytest.raises(GraphInvalid, match="length"):
-        check_mechanism(g, RotorMechanism(order=((1,), (0, 2))))
+        check_mechanism(g, mechanism_from_rows(((1,), (0, 2))))
 
     # several failing vertices: the lowest id is named, with its own message
     with pytest.raises(GraphInvalid, match="^mechanism at 0 is not a permutation"):
-        check_mechanism(g, RotorMechanism(order=((2,), (2, 2), (1,))))
+        check_mechanism(g, mechanism_from_rows(((2,), (2, 2), (1,))))
     with pytest.raises(GraphInvalid, match="^mechanism at 1 is not a permutation"):
-        check_mechanism(g, RotorMechanism(order=((1,), (0, 0), (1,))))
+        check_mechanism(g, mechanism_from_rows(((1,), (0, 0), (1,))))
     # ids s=0, o=1, a=2, t=3: a sink below a failing non-sink
     h = load_edge_list("s o\no a\na t", "o", ["s", "t"])
     with pytest.raises(GraphInvalid, match="^sink s must have an empty mechanism"):
-        check_mechanism(h, RotorMechanism(order=((1,), (2,), (1, 3), ())))
+        check_mechanism(h, mechanism_from_rows(((1,), (2,), (1, 3), ())))
     # wrong degree, out-of-range targets (which must not implicate a lower
     # vertex whose keys they collide with) and wrong multiplicity
     for order_a in ((1,), (1, 3, 3), (1, 5), (-3, 3), (1, 1)):
         with pytest.raises(GraphInvalid, match="^mechanism at a is not a permutation"):
-            check_mechanism(h, RotorMechanism(order=((), (0, 2), order_a, ())))
-    check_mechanism(h, RotorMechanism(order=((), (2, 0), (3, 1), ())))
+            check_mechanism(h, mechanism_from_rows(((), (0, 2), order_a, ())))
+    check_mechanism(h, mechanism_from_rows(((), (2, 0), (3, 1), ())))
+
+
+# path(3) as CSR rows, each malformed in one way: only the named check can
+# catch it, and the numpy code behind it would raise or read the wrong entries
+ADJ = ([0, 1, 3, 4], [1, 0, 2, 1])
+MECH = ([0, 1, 3, 3], [1, 0, 2])
+MALFORMED_ROWS = {
+    "2-D row pointer": (lambda p, f: (p[None, :], f), "1-D integer"),
+    "2-D entries": (lambda p, f: (p, f[None, :]), "1-D integer"),
+    "float row pointer": (lambda p, f: (p.astype(float), f), "1-D integer"),
+    "bool entries": (lambda p, f: (p, f.astype(bool)), "1-D integer"),
+    "empty row pointer": (lambda p, f: (p[:0], f), "rise from 0"),
+    "offset row pointer": (lambda p, f: (p + 1, np.concatenate(([9], f))), "rise from 0"),
+    "decreasing row pointer": (lambda p, f: (np.array([0, 2, 1, p[-1]]), f), "rise from 0"),
+    "trailing entry": (lambda p, f: (p, np.concatenate((f, [1]))), "rise from 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED_ROWS), ids=list(MALFORMED_ROWS))
+def test_malformed_rows_are_graph_invalid(name):
+    malform, message = MALFORMED_ROWS[name]
+    g = build_path(3)
+    indptr, flat = malform(*(np.array(a) for a in ADJ))
+    bad = Graph(indptr, flat, origin=0, sinks=g.sinks, labels=g.labels)
+    with pytest.raises(GraphInvalid, match=f"^adjacency .*{message}"):
+        check_graph(bad)
+    indptr, flat = malform(*(np.array(a) for a in MECH))
+    with pytest.raises(GraphInvalid, match=f"^mechanism .*{message}"):
+        check_mechanism(g, RotorMechanism(indptr, flat))
+
+
+def test_graph_and_mechanism_arrays_are_read_only():
+    g = build_lattice_ball(2, 2)
+    for mech in (default_mechanism(g), shuffled_mechanism(g, 3), mechanism_from_rows([(1,), ()])):
+        for a in (mech.indptr, mech.flat):
+            with pytest.raises(ValueError):
+                a[0] = 1
+    for graph in (g, graph_from_rows([(1,), (0,)], 0, {1}, ("o", "s"))):
+        for a in (graph.adj_indptr, graph.adj_flat):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+
+def test_equality_is_identity():
+    g = build_path(3)
+    assert g == g and g != build_path(3)
+    assert default_mechanism(g) != default_mechanism(g)
 
 
 def test_describe_names():

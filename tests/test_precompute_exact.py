@@ -2,8 +2,9 @@
 
 Graph build, validation, Dirichlet assembly and the weight table are numpy
 code over CSR arrays; `oracles` keeps the per-vertex loops they replaced.
-Every comparison is exact: graphs and labels by ==, sparse arrays and
-weights by np.array_equal (with the sign bit), error messages by string.
+Every comparison is exact: CSR arrays, sparse arrays and weights by
+np.array_equal (weights with the sign bit), labels and derived tuple views
+by ==, error messages by string.
 """
 import random
 
@@ -11,7 +12,6 @@ import numpy as np
 import pytest
 
 from rotorwalk import (
-    Graph,
     GraphInvalid,
     build_bary_tree,
     build_lattice_ball,
@@ -26,12 +26,15 @@ from rotorwalk import (
 from rotorwalk.harmonic import _dirichlet_system
 
 from oracles import (
+    graph_from_rows,
     reference_bary_tree,
     reference_check_graph,
+    reference_default_mechanism,
     reference_dirichlet_system,
     reference_graph_from_edges,
     reference_lattice_ball,
     reference_path,
+    reference_shuffled_mechanism,
     reference_weight_table,
 )
 
@@ -73,9 +76,29 @@ def graph(request):
 def test_builders_equal_scalar_loops(name):
     build, reference = CASES[name]
     g, ref = build(), reference()
-    assert g == ref
-    assert g.labels == ref.labels
-    assert g.name == ref.name
+    for attr in ("adj_indptr", "adj_flat"):
+        got, want = getattr(g, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), attr
+    assert (g.origin, g.sinks, g.labels, g.name) == (ref.origin, ref.sinks, ref.labels, ref.name)
+    # the derived view holds the reference's rows, entry for entry
+    rows = [g.adj_flat[a:b].tolist() for a, b in zip(g.adj_indptr[:-1], g.adj_indptr[1:])]
+    assert g.adjacency == tuple(map(tuple, rows)) == ref.adjacency
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3, 11, 2**64 + 5],
+                         ids=["default", "s0", "s3", "s11", "s2^64+5"])
+def test_mechanisms_equal_scalar_loops(graph, seed):
+    if seed is None:
+        mech, ref = default_mechanism(graph), reference_default_mechanism(graph)
+    else:
+        mech, ref = shuffled_mechanism(graph, seed), reference_shuffled_mechanism(graph, seed)
+    for attr in ("indptr", "flat"):
+        got, want = getattr(mech, attr), getattr(ref, attr)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want), attr
+    assert mech.order == ref.order
+    assert mech.name == ref.name
 
 
 def test_dirichlet_system_equals_scalar_loop(graph):
@@ -99,11 +122,6 @@ def test_weight_table_equals_per_edge_dot(graph, seed):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-def test_adjacency_shares_one_int_per_vertex():
-    g = build_lattice_ball(3, 6)
-    assert len({id(y) for adj in g.adjacency for y in adj}) <= g.num_vertices
-
-
 def _message(check, g):
     try:
         check(g)
@@ -113,9 +131,7 @@ def _message(check, g):
 
 
 def _graph(adjacency, sinks, origin=0):
-    labels = tuple(f"v{x}" for x in range(len(adjacency)))
-    return Graph(adjacency=tuple(map(tuple, adjacency)), origin=origin,
-                 sinks=frozenset(sinks), labels=labels)
+    return graph_from_rows(adjacency, origin, sinks, [f"v{x}" for x in range(len(adjacency))])
 
 
 # every graph holds two or more faults, and the lowest failing vertex (and,
@@ -186,8 +202,7 @@ def test_check_graph_matches_scalar_loop_on_random_corruptions():
                 adj[x].append(rng.choice(adj[x]))
             else:
                 rng.shuffle(adj[x])
-        g = Graph(adjacency=tuple(map(tuple, adj)), origin=base.origin, sinks=base.sinks,
-                  labels=base.labels)
+        g = graph_from_rows(adj, base.origin, base.sinks, base.labels)
         want = _message(reference_check_graph, g)
         assert _message(check_graph, g) == want, adj
         raised += want is not None

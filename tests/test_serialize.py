@@ -36,30 +36,27 @@ def test_weights_csv_content(p3_solved):
 
 def test_config_round_trip(small_graph):
     g = small_graph
-    from rotorwalk import default_mechanism
-
-    mech = default_mechanism(g)
     cfg = random_config(g, 4)
     text = config_csv(g, cfg)
-    back = load_config_csv(g, mech, text)
+    back = load_config_csv(g, text)
     assert back == cfg
 
 
-def test_load_config_rejects_garbage(p3_solved):
-    g, mech, _, _ = p3_solved
+def test_load_config_rejects_garbage(p3):
+    g = p3
     with pytest.raises(GraphInvalid, match="header"):
-        load_config_csv(g, mech, "nope\n")
+        load_config_csv(g, "nope\n")
     head = "vertex_label,rotor_index\n"
     with pytest.raises(GraphInvalid, match="unknown vertex"):
-        load_config_csv(g, mech, head + "zz,0\n")
+        load_config_csv(g, head + "zz,0\n")
     with pytest.raises(GraphInvalid, match="duplicate"):
-        load_config_csv(g, mech, head + "0,0\n1,0\n0,0\n")
+        load_config_csv(g, head + "0,0\n1,0\n0,0\n")
     with pytest.raises(GraphInvalid, match="not an integer"):
-        load_config_csv(g, mech, head + "0,x\n")
+        load_config_csv(g, head + "0,x\n")
     with pytest.raises(GraphInvalid, match="invalid"):
-        load_config_csv(g, mech, head + "0,0\n1,5\n")
+        load_config_csv(g, head + "0,0\n1,5\n")
     with pytest.raises(GraphInvalid, match="invalid"):
-        load_config_csv(g, mech, head + "0,0\n")  # vertex 1 missing
+        load_config_csv(g, head + "0,0\n")  # vertex 1 missing
 
 
 def test_report_documents(p3_solved):

@@ -41,7 +41,7 @@ def test_p3_frozen_weights(p3_solved):
     assert wt.at(1, 1) == 0.0          # a -> sink
     cfg = min_weight_config(g, wt)
     assert cfg.pos == (0, 0, -1)
-    assert mech.target(1, cfg.pos[1]) == 0  # rotor at a points home
+    assert mech.order[1][cfg.pos[1]] == 0  # rotor at a points home
     assert count_min_weight_ties(g, wt) == 0
 
 
