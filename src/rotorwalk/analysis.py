@@ -32,6 +32,7 @@ from .weights import (
     weight_table,
 )
 from .experiment import (
+    DEFAULT_MAX_STEPS,
     ExperimentState,
     ParticleStatus,
     RoundInvariants,
@@ -118,6 +119,8 @@ class InvariantTracker:
     in between, on_round takes each round the kernel moves (the arguments
     of the run_until_settled on_round hook) and evaluates its moves with
     experiment.RoundInvariants, bit for bit compute_invariant's values.
+    Built at any t, on a resumed state too, it sees every later move, so
+    RoundInvariants' precondition holds (see there).
     It evaluates every move when every_move is set or the problem is within
     _EVENT_CHECK_BUDGET (particles x vertices); above it, about once per
     round: the first move whose t reaches the next check, which is then that
@@ -202,7 +205,7 @@ def escape_sweep(
     *,
     profile: Optional[HarmonicProfile] = None,
     check_invariant: bool = False,
-    max_steps: int = 10**9,
+    max_steps: int = DEFAULT_MAX_STEPS,
     observer: Optional[Callable[[ExperimentState, RoundMoves], None]] = None,
 ) -> EscapeReport:
     """Run the experiment for each n and report escape rates and gaps.

@@ -33,7 +33,7 @@ from .errors import (
     InvalidParameter,
     NonConvergence,
 )
-from .experiment import ParticleStatus
+from .experiment import DEFAULT_MAX_STEPS, ParticleStatus
 from .graphs import (
     Graph,
     build_bary_tree,
@@ -63,7 +63,7 @@ _DEFAULTS = {
     "seed_config": 0,
     "n": [1],
     "check_invariant": False,
-    "max_steps": 10**9,
+    "max_steps": DEFAULT_MAX_STEPS,
     "quick": False,
     "inject_corruption": False,
 }
@@ -130,6 +130,19 @@ def _fill_defaults(ns: argparse.Namespace) -> None:
             setattr(ns, key, value)
 
 
+# the graph families of --path/--lattice/--tree and of --graph specs: kind -> (builder, arity)
+_FAMILIES = {"path": (build_path, 1), "lattice": (build_lattice_ball, 2), "tree": (build_bary_tree, 2)}
+
+
+def _family_graph(kind: str, value, error: str) -> Graph:
+    """The family's graph on the integers in value; InvalidParameter(error) on a bad kind or count."""
+    builder, arity = _FAMILIES.get(kind, (None, None))
+    params = _int_list(value)
+    if len(params) != arity:
+        raise InvalidParameter(error)
+    return builder(*params)
+
+
 def _build_graph(ns: argparse.Namespace) -> Graph:
     given = [k for k in ("path", "lattice", "tree", "edges") if getattr(ns, k, None) is not None]
     if hasattr(ns, "graph") and ns.graph is not None:
@@ -141,14 +154,10 @@ def _build_graph(ns: argparse.Namespace) -> Graph:
             "exactly one of --path, --lattice, --tree, --edges is required"
         )
     kind = given[0]
-    if kind == "path":
-        return build_path(_int_token(ns.path))
-    if kind == "lattice":
-        d, r = _int_list(ns.lattice)
-        return build_lattice_ball(d, r)
-    if kind == "tree":
-        b, depth = _int_list(ns.tree)
-        return build_bary_tree(b, depth)
+    if kind != "edges":
+        value, arity = getattr(ns, kind), _FAMILIES[kind][1]
+        plural = "s" if arity > 1 else ""
+        return _family_graph(kind, value, f"--{kind} takes {arity} integer{plural}, got {value!r}")
     if ns.origin is None or ns.sinks is None:
         raise InvalidParameter("--edges needs --origin and --sinks")
     text = Path(ns.edges).read_text()
@@ -158,15 +167,8 @@ def _build_graph(ns: argparse.Namespace) -> Graph:
 def _parse_graph_spec(spec: str) -> Graph:
     """Compact graph spec: path:3, lattice:2,5, tree:2,6."""
     kind, _, rest = spec.partition(":")
-    params = _int_list(rest) if rest else []
-    if kind == "path" and len(params) == 1:
-        return build_path(params[0])
-    if kind == "lattice" and len(params) == 2:
-        return build_lattice_ball(*params)
-    if kind == "tree" and len(params) == 2:
-        return build_bary_tree(*params)
-    raise InvalidParameter(
-        f"bad graph spec {spec!r}; use path:K, lattice:D,R or tree:B,DEPTH"
+    return _family_graph(
+        kind, rest, f"bad graph spec {spec!r}; use path:K, lattice:D,R or tree:B,DEPTH"
     )
 
 

@@ -16,12 +16,12 @@ which stays exactly equal to its t=0 value n * v(origin) for every initial
 configuration.  Survivors are the particles that have not returned; on a
 sink truncation the settled survivor count is the experiment's escape count.
 
-An unobserved settle moves whole rounds at once (_settle_rounds), with the
-same steps, rotors and range order as step().  That is exact because a rotor
-changes only when a particle leaves its vertex, and every live particle
-moves exactly once per round.  So the particles leaving x in a round are the
-ones at x when the round starts, in turn order, and the k-th of them
-(k = 0, 1, ...) takes mechanism position (rho(x) + k + 1) mod deg(x).
+A settle moves whole rounds at once (_settle_rounds), with the same steps,
+rotors and range order as step().  That is exact because a rotor changes
+only when a particle leaves its vertex, and every live particle moves
+exactly once per round.  So the particles leaving x in a round are the ones
+at x when the round starts, in turn order, and the k-th of them (k = 0, 1,
+...) takes mechanism position (rho(x) + k + 1) mod deg(x).
 
 The state is held in numpy arrays, which step() and the round kernel both
 write in place.  compute_invariant recomputes the quantity in whole arrays
@@ -29,9 +29,10 @@ with the scalar definition's floating-point operations: the rotor-weight
 terms are added one at a time in first-visit order (np.add.accumulate), not
 pairwise as np.sum adds, so each value is bit for bit the scalar sum's.
 
-step() is the observed engine and the reference the kernel is tested
-against.  The kernel reports each round through an optional hook (its
-movers, turns, from and to vertices, mechanism positions taken and arrival
+step() is the single-move engine and the reference the kernel is tested
+against; run_until_settled never calls it.  The kernel reports each round,
+a partial first round included, through an optional hook (its movers,
+turns, from and to vertices, mechanism positions taken and arrival
 statuses), from which RoundInvariants gives the conserved quantity after
 each of the round's moves, bit for bit what compute_invariant gives after
 the same move of step().
@@ -192,66 +193,31 @@ def step(state: ExperimentState) -> ExperimentState:
 def run_until_settled(
     state: ExperimentState,
     max_steps: int = DEFAULT_MAX_STEPS,
-    observer: Optional[Callable[[ExperimentState], None]] = None,
     on_round: Optional[RoundHook] = None,
 ) -> ExperimentState:
-    """Step until every particle has returned or been absorbed.
+    """Run the round kernel, from any t, until every particle has returned or been absorbed.
 
-    max_steps caps the total step counter t; exceeding it raises
-    AbortedMaxSteps.  The observer, if given, is called after every actual
-    move (steps where a terminal particle does nothing change no state
-    besides t, and for t >= n they provably cannot change the invariant, so
-    they are skipped wholesale); it runs the stepwise engine, step().
-    Without an observer whole rounds go through the round kernel, which
-    calls on_round, if given, once per round (see _settle_rounds); the moves
-    of a partial first round, made by step(), are not reported to it.
+    A live turn at or past max_steps raises AbortedMaxSteps.  on_round, if
+    given, sees every move made after this call, once per round, a partial
+    first round included (see _settle_rounds).
     """
     if max_steps < 1:
         raise InvalidParameter(f"max_steps must be >= 1, got {max_steps}")
-    n = state.n
-
-    # finish any partial round step by step
-    while not state.settled and state.t % n != 0:
-        if state.t >= max_steps:
-            raise AbortedMaxSteps(f"experiment not settled after {state.t} steps")
-        step(state)
-        if observer is not None and state.last_event is not None:
-            observer(state)
-
-    if observer is None:
-        return _settle_rounds(state, max_steps, on_round)
-
-    # round order: particle i moves at t = round_start + (i-1) mod n
-    status = state.status
-    live = sorted(np.flatnonzero(status < _RETURNED).tolist(), key=lambda i: (i - 1) % n)
-    while live:
-        round_start = state.t
-        nxt = []
-        for i in live:
-            turn = round_start + (i - 1) % n
-            if turn >= max_steps:
-                raise AbortedMaxSteps(f"experiment not settled after {turn} steps")
-            state.t = turn
-            step(state)
-            observer(state)
-            if status.item(i) < _RETURNED:
-                nxt.append(i)
-        if nxt:
-            state.t = round_start + n
-        live = nxt
-    return state
+    return _settle_rounds(state, max_steps, on_round)
 
 
 def _settle_rounds(
     state: ExperimentState, max_steps: int, on_round: Optional[RoundHook] = None
 ) -> ExperimentState:
-    """Run whole rounds from a round start, each round's moves at once in numpy.
+    """Run rounds from any t, each round's moves at once in numpy.
 
     Reaches the state step() would reach (t, positions, rotors, statuses and
     the range in first-visit order; the module docstring says why), writing
-    the state's own arrays in place.  A round whose turns reach max_steps
-    moves only the particles whose turns come before it, then aborts, so an
-    aborted state is the one step() leaves (t included); it can be resumed.
+    the state's own arrays in place.  From part-way through a round, the
+    live particles whose turns in it have passed wait and lead the next
+    round.  A round whose turns reach max_steps moves only the particles
+    whose turns come first, then aborts, naming the first live turn at or
+    past max_steps, with t one past its last move; it can be resumed.
 
     on_round, if given, is called after each round has been written to the
     state's arrays (t, survivors and remaining are written when the settle
@@ -272,9 +238,13 @@ def _settle_rounds(
     live = np.roll(np.arange(n), -1)
     live = live[status[live] < _RETURNED]
     t = state.t
+    wait = live[: np.searchsorted((live - 1) % n, t % n)]  # turns passed in this round
+    live = live[wait.size :]
+    if wait.size and not live.size:  # nobody left to move in this round
+        live, wait, t = wait, live, t - t % n + n
     try:
         while live.size:
-            round_start = t
+            round_start = t - t % n
             last_turn = round_start + (int(live[-1]) - 1) % n
             over = None  # the first turn at or past max_steps, if this round reaches it
             if last_turn >= max_steps:
@@ -305,6 +275,8 @@ def _settle_rounds(
             if on_round is not None:
                 on_round(live, round_start + (live - 1) % n, x, y, taken, arrived)
             live = live[arrived == _ACTIVE]
+            if wait.size:  # the waiting particles' turns come first in the next round
+                live, wait = np.concatenate((wait, live)), wait[:0]
             # t after the round: its end, or one past the last mover if all
             # finished or the round stops short of max_steps
             t = round_start + n if live.size and over is None else last_turn + 1
@@ -391,12 +363,13 @@ def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: Weig
 class RoundInvariants:
     """The conserved quantity after moves of the round kernel, bit for bit compute_invariant.
 
-    Call it once for every round the kernel moves, in order, with the
-    arguments of the run_until_settled on_round hook: it carries the
-    rotor-weight terms of the live range, in first-visit order, from round
-    to round (read from the state's rotors after each round).  For moves
-    first..stop-1 of the round it builds, per block of moves, two matrices
-    with one row per move:
+    Build it at the state a settle starts from, at any t, and call it for
+    every round the kernel moves, in order, with the arguments of the
+    run_until_settled on_round hook (a partial first round included): it
+    carries the rotor-weight terms of the live range, in first-visit order,
+    from round to round (read from the state's rotors after each round).
+    For moves first..stop-1 of the round it builds, per block of moves, two
+    matrices with one row per move:
 
     - v at every particle's position after that move, summed with
       np.sum(axis=1), which on contiguous rows is the pairwise sum np.sum
@@ -404,11 +377,11 @@ class RoundInvariants:
     - that sum plus min(t, n)/deg(origin), then the live range's
       rotor-weight terms, folded left to right with np.add.accumulate.
 
-    A vertex first visited during the round had no particle at the round's
-    start, so none leaves it in that round: its term is +0.0, which leaves
-    the running total's bits unchanged, so every row may use the range at
-    the round's end.  Each block matrix holds at most _BLOCK_ELEMENTS
-    elements.
+    A vertex first visited during a round had no particle at the round's
+    start (or, in a partial first round, when this was built), so none
+    leaves it in that round: its term is +0.0, which leaves the running
+    total's bits unchanged, so every row may use the range at the round's
+    end.  Each block matrix holds at most _BLOCK_ELEMENTS elements.
     """
 
     def __init__(self, state: ExperimentState, profile: HarmonicProfile, wt: WeightTable):

@@ -14,12 +14,13 @@ orders are stored once, as read-only CSR arrays; tuple views are derived.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphInvalid, InvalidParameter
 from .rng import philox_generator
@@ -146,20 +147,12 @@ def check_graph(g: Graph) -> None:
 
     _check_adjacency(g)
 
-    # connectivity of the whole graph
-    indptr, flat = g.adj_indptr.tolist(), g.adj_flat.tolist()
-    seen = [False] * n
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        x = queue.popleft()
-        for y in flat[indptr[x]:indptr[x + 1]]:
-            if not seen[y]:
-                seen[y] = True
-                queue.append(y)
-    if not all(seen):
-        missing = next(g.labels[i] for i, s in enumerate(seen) if not s)
-        raise GraphInvalid(f"graph is disconnected (vertex {missing} unreachable)")
+    # connectivity of the whole graph (the adjacency is symmetric by now)
+    adj = sp.csr_matrix((np.ones(g.adj_flat.size), g.adj_flat, g.adj_indptr), shape=(n, n))
+    _, component = connected_components(adj, directed=False)
+    missing = np.flatnonzero(component != component[0])
+    if missing.size:
+        raise GraphInvalid(f"graph is disconnected (vertex {g.labels[missing[0]]} unreachable)")
 
 
 def _check_adjacency(g: Graph) -> None:

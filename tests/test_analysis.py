@@ -23,6 +23,7 @@ from rotorwalk import (
 )
 
 from oracles import reference_sampled_invariants
+from stepwise import settle_stepwise
 
 
 def test_escape_sweep_p3(p3_solved):
@@ -185,7 +186,7 @@ def test_survivors_never_increase(g, config_kind):
     for n, settled_rate in zip(n_values, rep.rates):
         state = init_experiment(g, mech, cfg, n)
         history = [(0, n)]  # (t, survivors) after every move
-        run_until_settled(state, observer=lambda st: history.append((st.t, st.survivors)))
+        settle_stepwise(state, observer=lambda st: history.append((st.t, st.survivors)))
         counts = [s for _, s in history]
         assert all(b <= a for a, b in zip(counts, counts[1:]))
         # survivors are constant between moves: the value at t = n is the
@@ -257,7 +258,7 @@ def test_sampled_invariant_follows_the_stepwise_rule(monkeypatch, g, mech_seed, 
         rep = escape_sweep(g, mech, config, [n], profile=profile, check_invariant=True)
         samples = reference_sampled_invariants(
             init_experiment(g, mech, config, n), profile, wt,
-            lambda st, observe: run_until_settled(st, observer=observe),
+            lambda st, observe: settle_stepwise(st, observer=observe),
         )
         assert checked == samples[1:-1]
         target = float(n * profile.voltage[g.origin])

@@ -18,6 +18,11 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 def test_green_path(capsys):
     code, out, _ = run_cli(capsys, "green", "--path", "3")
     assert code == 0
@@ -31,7 +36,7 @@ def test_green_lattice_keyword_tokens(capsys, tmp_path):
     )
     assert code == 0
     assert (tmp_path / "profile.csv").exists()
-    rows = list(csv.DictReader((tmp_path / "profile.csv").open()))
+    rows = read_rows(tmp_path / "profile.csv")
     assert rows[0]["vertex_label"] == "0,0"
 
 
@@ -53,9 +58,9 @@ def test_rho_min_p3(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rho-min", "--path", "3", "--out-dir", str(tmp_path))
     assert code == 0
     assert "tie-break events: 0" in out
-    rows = list(csv.DictReader((tmp_path / "config.csv").open()))
+    rows = read_rows(tmp_path / "config.csv")
     assert {r["vertex_label"]: r["rotor_index"] for r in rows} == {"0": "0", "1": "0"}
-    weights = list(csv.DictReader((tmp_path / "weights.csv").open()))
+    weights = read_rows(tmp_path / "weights.csv")
     assert len(weights) == 3
 
 
@@ -117,7 +122,7 @@ def test_run_trace(capsys, tmp_path):
         "--trace", str(trace), "--out-dir", str(tmp_path),
     )
     assert code == 0
-    rows = list(csv.DictReader(trace.open()))
+    rows = read_rows(trace)
     assert [r["t"] for r in rows] == ["0", "1", "2", "3"]
     assert rows[0]["from_label"] == "0" and rows[0]["to_label"] == "1"
     assert rows[0]["status_change"] == "left-origin"
@@ -133,7 +138,7 @@ def test_trace_marks_absorption_from_the_origin(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "run", "--path", "2", "--n", "3", "--trace", str(trace),
                          "--out-dir", str(tmp_path))
     assert code == 0
-    rows = list(csv.DictReader(trace.open()))
+    rows = read_rows(trace)
     assert [r["status_change"] for r in rows] == ["absorbed"] * 3
     assert [r["survivors"] for r in rows] == ["3"] * 3
 
@@ -231,6 +236,25 @@ def test_verify_corruption_control(capsys):
 def test_verify_bad_graph_spec(capsys):
     code, _, err = run_cli(capsys, "verify", "--graph", "torus:3")
     assert code == 2
+    assert err == "error: bad graph spec 'torus:3'; use path:K, lattice:D,R or tree:B,DEPTH\n"
+    code, _, err = run_cli(capsys, "verify", "--graph", "lattice:2")
+    assert code == 2
+    assert err == "error: bad graph spec 'lattice:2'; use path:K, lattice:D,R or tree:B,DEPTH\n"
+
+
+@pytest.mark.parametrize("text", ["lattice: [2, 3, 4]\n", "tree: 3\n"])
+def test_config_file_family_arity_is_an_input_error(capsys, tmp_path, text):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text)
+    code, _, err = run_cli(capsys, "run", "--config-file", str(cfg))
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_path_takes_one_integer(capsys):
+    code, _, err = run_cli(capsys, "green", "--path", "3,4")
+    assert code == 2
+    assert err == "error: --path takes 1 integer, got '3,4'\n"
 
 
 def test_usage_error_exit_code(capsys):

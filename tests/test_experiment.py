@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotorwalk import experiment
+from rotorwalk import analysis, experiment
 from rotorwalk import (
     AbortedMaxSteps,
     DimensionMismatch,
@@ -25,6 +25,7 @@ from rotorwalk import (
 )
 
 from oracles import reference_compute_invariant, reference_invariant, reference_run
+from stepwise import settle_stepwise
 
 
 def test_p3_two_particle_trace(p3_solved):
@@ -168,21 +169,25 @@ def test_resume_after_manual_steps(small_graph):
     assert resumed.status.tolist() == full.status.tolist()
 
 
-def test_observer_sees_every_move(small_graph):
-    # idle turns of finished particles are skipped; actual moves are not
+def test_on_round_sees_every_move_after_a_mid_round_resume(small_graph):
+    # idle turns of finished particles are skipped; actual moves are not,
+    # those of a partial first round included
     g = small_graph
     mech = shuffled_mechanism(g, 4)
     cfg = random_config(g, 13)
     n = 4
-    moves = []
-    state = init_experiment(g, mech, cfg, n)
-    run_until_settled(state, observer=lambda st: moves.append(st.t - 1))
     ref = reference_run(g, mech, cfg, n)
-    changed = [
+    acting = [
         t for t, (prev, cur) in enumerate(zip(ref.history, ref.history[1:]))
         if prev[1] != cur[1]
     ]
-    assert moves == changed
+    for resume in range(2 * n + 2):
+        state = init_experiment(g, mech, cfg, n)
+        for _ in range(resume):
+            step(state)
+        turns = []
+        run_until_settled(state, on_round=lambda movers, t, *rest: turns.extend(t.tolist()))
+        assert turns == [t for t in acting if t >= resume]
 
 
 def test_max_steps_aborts(p3_solved):
@@ -193,7 +198,7 @@ def test_max_steps_aborts(p3_solved):
         run_until_settled(state, max_steps=3)
     state2 = init_experiment(g, mech, cfg, 8)
     with pytest.raises(AbortedMaxSteps):
-        run_until_settled(state2, max_steps=3, observer=lambda st: None)
+        settle_stepwise(state2, max_steps=3)
 
 
 def test_settled_run_is_idempotent(p3_solved):
@@ -239,7 +244,7 @@ def settled_fields(state):
 @pytest.mark.parametrize("mech_seed", [None, 11])
 @pytest.mark.parametrize("config_kind", ["min", "random"])
 def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
-    """The unobserved settle moves whole rounds at once; an observed one goes through step()."""
+    """The kernel moves whole rounds at once; settle_stepwise goes through step()."""
     g = CROSS_GRAPHS[graph_name]
     mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
     if config_kind == "min":
@@ -248,7 +253,7 @@ def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
         config = random_config(g, 21)
 
     batched = run_until_settled(init_experiment(g, mech, config, n))
-    stepwise = run_until_settled(init_experiment(g, mech, config, n), observer=lambda st: None)
+    stepwise = settle_stepwise(init_experiment(g, mech, config, n))
 
     assert batched.settled
     assert settled_fields(batched) == settled_fields(stepwise)
@@ -264,10 +269,10 @@ def test_abort_leaves_the_stepwise_state(graph_name):
     full = run_until_settled(init_experiment(g, mech, config, n))
     for cap in (1, n - 1, n, n + 37, full.t // 3, full.t // 2 + 1, full.t - 1):
         aborted = []
-        for observer in (None, lambda st: None):
+        for settle in (run_until_settled, settle_stepwise):
             state = init_experiment(g, mech, config, n)
             with pytest.raises(AbortedMaxSteps) as exc:
-                run_until_settled(state, max_steps=cap, observer=observer)
+                settle(state, max_steps=cap)
             aborted.append((str(exc.value), settled_fields(state)))
         assert aborted[0] == aborted[1]
 
@@ -291,6 +296,33 @@ def test_abort_then_resume_equals_uninterrupted(graph_name):
     assert settled_fields(state) == settled_fields(full)
 
 
+def _resumed(g, mech, config, n, k):
+    """A fresh state after k calls of step(), or fewer if it settles first."""
+    state = init_experiment(g, mech, config, n)
+    for _ in range(k):
+        if state.settled:
+            break
+        step(state)
+    return state
+
+
+def test_run_until_settled_never_calls_step(monkeypatch):
+    g = CROSS_GRAPHS["lattice(2,6)"]
+    mech = shuffled_mechanism(g, 11)
+    config = random_config(g, 21)
+    n = 100
+    full = settle_stepwise(init_experiment(g, mech, config, n))
+    states = [_resumed(g, mech, config, n, k) for k in (1, 3, 150)]
+
+    def refuse(state):
+        raise AssertionError("run_until_settled called step()")
+
+    monkeypatch.setattr(experiment, "step", refuse)
+    for state in states:
+        run_until_settled(state)
+        assert settled_fields(state) == settled_fields(full)
+
+
 EXACT_GRAPHS = {
     "path(5)": build_path(5),
     "lattice(2,6)": build_lattice_ball(2, 6),
@@ -305,7 +337,7 @@ EXACT_GRAPHS = {
 def test_invariant_equals_scalar_loop_after_every_move(graph_name, mech_seed, config_kind):
     """The vectorized conserved quantity is the scalar loop's value, bit for bit.
 
-    Checked after every move of an observed run, and on a state the round
+    Checked after every move of a stepwise run, and on a state the round
     kernel wrote before aborting on max_steps and that step() then resumes.
     """
     g = EXACT_GRAPHS[graph_name]
@@ -320,7 +352,7 @@ def test_invariant_equals_scalar_loop_after_every_move(graph_name, mech_seed, co
 
     state = init_experiment(g, mech, config, n)
     check(state)
-    run_until_settled(state, observer=check)
+    settle_stepwise(state, observer=check)
     assert state.t > 0
 
     resumed = init_experiment(g, mech, config, n)
@@ -328,7 +360,7 @@ def test_invariant_equals_scalar_loop_after_every_move(graph_name, mech_seed, co
         run_until_settled(resumed, max_steps=state.t // 2)
     assert 0 < resumed.t < state.t
     check(resumed)
-    run_until_settled(resumed, observer=check)
+    settle_stepwise(resumed, observer=check)
     assert settled_fields(resumed) == settled_fields(state)
 
 
@@ -348,7 +380,7 @@ def _stepwise_moves(g, mech, config, n, profile, wt):
         rows.append((st.t - 1, mover, x, y, st.status.item(mover), st.survivors,
                      compute_invariant(st, profile, wt)))
 
-    run_until_settled(init_experiment(g, mech, config, n), observer=record)
+    settle_stepwise(init_experiment(g, mech, config, n), observer=record)
     return [np.array(column) for column in zip(*rows)]
 
 
@@ -466,11 +498,80 @@ def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
                     config = min_weight_config(g, weight_table(g, mech, profile))
                 n = 100
                 batched = run_until_settled(init_experiment(g, mech, config, n), max_steps=10**7)
-                stepwise = run_until_settled(init_experiment(g, mech, config, n),
-                                             observer=lambda st: None)
+                stepwise = settle_stepwise(init_experiment(g, mech, config, n))
                 assert settled_fields(batched) != settled_fields(stepwise)
 
                 rep = escape_sweep(g, mech, config, [n], profile=profile, check_invariant=True,
                                    max_steps=10**7)
                 target = n * profile.voltage[g.origin]
                 assert rep.max_invariant_dev > 1e-8 * target
+
+
+@pytest.mark.parametrize("graph_name", EXACT_GRAPHS)
+@pytest.mark.parametrize("config_kind", ["min", "random"])
+@pytest.mark.parametrize("n", [1, 2, 7, 100])
+def test_mid_round_resume_matches_stepwise(graph_name, config_kind, n):
+    """From every resume point the kernel settles, aborts and reports moves as settle_stepwise does.
+
+    Caps fall inside the partial round, at its end and past it; every value
+    a tracker built at the resumed state returns is compute_invariant's
+    after the same move of settle_stepwise.
+    """
+    g = EXACT_GRAPHS[graph_name]
+    mech = shuffled_mechanism(g, 11)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    config = min_weight_config(g, wt) if config_kind == "min" else random_config(g, 21)
+    for k in range(2 * n + 4) if n <= 7 else (1, 3, 37, 99, 100, 101, 150, 250):
+        stepwise = _resumed(g, mech, config, n, k)
+        start = stepwise.t
+        expected = []
+        settle_stepwise(stepwise, observer=lambda st: expected.append(
+            (st.t - 1, st.last_event[0], compute_invariant(st, profile, wt))))
+
+        state = _resumed(g, mech, config, n, k)
+        tracker = analysis.InvariantTracker(state, profile, wt, every_move=True)
+        got = []
+
+        def on_round(movers, turns, *rest):
+            values = tracker.on_round(movers, turns, *rest)
+            got.extend(zip(turns.tolist(), movers.tolist(), values.tolist()))
+
+        run_until_settled(state, on_round=on_round)
+        assert settled_fields(state) == settled_fields(stepwise)
+        assert got == expected
+
+        round_end = start - start % n + n
+        for cap in {start + 1, start + n // 2 + 1, round_end - 1, round_end, round_end + 1,
+                    round_end + n // 2 + 1, stepwise.t - 1}:
+            aborted = []
+            for settle in (run_until_settled, settle_stepwise):
+                resumed = _resumed(g, mech, config, n, k)
+                try:
+                    settle(resumed, max_steps=max(cap, 1))
+                    message = None
+                except AbortedMaxSteps as exc:
+                    message = str(exc)
+                aborted.append((message, settled_fields(resumed)))
+            assert aborted[0] == aborted[1]
+
+
+@pytest.mark.parametrize("calls", [1, 3])
+def test_tracker_on_a_resumed_state_equals_compute_invariant(calls):
+    """A tracker built after step() sees the partial round too: no false deviation."""
+    g = build_lattice_ball(2, 6)
+    mech = shuffled_mechanism(g, 11)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    config = random_config(g, 21)
+    n = 100
+    expected = []
+    settle_stepwise(_resumed(g, mech, config, n, calls),
+                    observer=lambda st: expected.append(compute_invariant(st, profile, wt)))
+
+    state = _resumed(g, mech, config, n, calls)
+    tracker = analysis.InvariantTracker(state, profile, wt, every_move=True)
+    got = []
+    run_until_settled(state, on_round=lambda *moves: got.append(tracker.on_round(*moves)))
+    assert np.concatenate(got).tobytes() == np.array(expected).tobytes()
+    assert tracker.finish() <= 1e-8 * tracker.target

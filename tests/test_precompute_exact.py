@@ -165,6 +165,9 @@ MULTI_FAULT = {
     "disconnected with two unreachable vertices": (
         [(4,), (4,), (3,), (2,), (0, 1)], {4, 3},
         "graph is disconnected (vertex v2 unreachable)"),
+    "three components, the lowest unreachable vertex named": (
+        [(3,), (5,), (4,), (0, 6), (2,), (1,), (3,)], {6},
+        "graph is disconnected (vertex v1 unreachable)"),
 }
 
 
