@@ -20,7 +20,6 @@ from rotorwalk import (
     load_edge_list,
     min_weight_config,
     solve_harmonic,
-    weight_increment,
     weight_table,
 )
 from rotorwalk.serialize import config_csv, weights_csv
@@ -34,15 +33,16 @@ print("three-vertex path, default rotor order")
 print(weights_csv(g, mech, wt))
 
 # Identity 1: advancing a rotor changes the weight by the voltage balance
-# that the conservation proof needs. Check it at every edge.
+# that the conservation proof needs. Check it at every edge of the table.
 worst = 0.0
 for x in range(g.num_vertices):
     if g.is_sink[x]:
         continue
     d = g.degree(x)
     nbr_mean = sum(profile.voltage[y] for y in g.adjacency[x]) / d
+    row = wt.vertex_slice(x)
     for i in range(d):
-        lhs = weight_increment(g, mech, profile, x, i)
+        lhs = row[(i + 1) % d] - row[i]
         nxt = mech.order[x][(i + 1) % d]
         rhs = -profile.voltage[nxt] + nbr_mean
         worst = max(worst, abs(lhs - rhs))

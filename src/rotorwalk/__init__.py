@@ -9,11 +9,9 @@ from .errors import (
     AbortedMaxSteps,
     DimensionMismatch,
     GraphInvalid,
-    IndexOutOfRange,
     InvalidParameter,
     NonConvergence,
     RotorWalkError,
-    SinkHasNoRotor,
 )
 from .graphs import (
     Graph,
@@ -40,10 +38,8 @@ from .weights import (
     WeightTable,
     check_config,
     count_min_weight_ties,
-    edge_weight,
     min_weight_config,
     random_config,
-    weight_increment,
     weight_table,
 )
 from .experiment import (
@@ -79,7 +75,6 @@ __all__ = [
     "Graph",
     "GraphInvalid",
     "HarmonicProfile",
-    "IndexOutOfRange",
     "InvalidParameter",
     "InvariantTracker",
     "NonConvergence",
@@ -87,7 +82,6 @@ __all__ = [
     "RotorConfig",
     "RotorMechanism",
     "RotorWalkError",
-    "SinkHasNoRotor",
     "TheoremCheckResult",
     "VisitEstimates",
     "WeightTable",
@@ -100,7 +94,6 @@ __all__ = [
     "compute_invariant",
     "count_min_weight_ties",
     "default_mechanism",
-    "edge_weight",
     "escape_sweep",
     "init_experiment",
     "load_edge_list",
@@ -118,7 +111,6 @@ __all__ = [
     "srw_escape_mc",
     "step",
     "theorem_check",
-    "weight_increment",
     "weight_table",
     "__version__",
 ]

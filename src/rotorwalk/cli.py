@@ -76,20 +76,10 @@ _FILE_KEYS = {
 
 
 def _int_token(tok) -> int:
-    """Accept bare ints and `key=value` tokens such as d=3 or r=8."""
-    s = str(tok)
-    if "=" in s:
-        s = s.split("=", 1)[1]
     try:
-        return int(s)
+        return int(str(tok))
     except ValueError:
         raise InvalidParameter(f"expected an integer, got {tok!r}")
-
-
-def _int_list(value) -> list[int]:
-    if isinstance(value, (list, tuple)):
-        return [_int_token(v) for v in value]
-    return [_int_token(tok) for tok in str(value).split(",") if tok.strip()]
 
 
 def _str_list(value) -> list[str]:
@@ -130,17 +120,36 @@ def _fill_defaults(ns: argparse.Namespace) -> None:
             setattr(ns, key, value)
 
 
-# the graph families of --path/--lattice/--tree and of --graph specs: kind -> (builder, arity)
-_FAMILIES = {"path": (build_path, 1), "lattice": (build_lattice_ball, 2), "tree": (build_bary_tree, 2)}
+# the graph families of --path/--lattice/--tree and of --graph specs: kind -> (builder, parameter names)
+_FAMILIES = {
+    "path": (build_path, ("k",)),
+    "lattice": (build_lattice_ball, ("d", "r")),
+    "tree": (build_bary_tree, ("b", "depth")),
+}
 
 
 def _family_graph(kind: str, value, error: str) -> Graph:
-    """The family's graph on the integers in value; InvalidParameter(error) on a bad kind or count."""
-    builder, arity = _FAMILIES.get(kind, (None, None))
-    params = _int_list(value)
-    if len(params) != arity:
+    """The family's graph on the tokens in value; InvalidParameter(error) on a bad kind or count.
+
+    A key=value token binds the parameter it names; bare integers fill the others in order.
+    """
+    builder, names = _FAMILIES.get(kind, (None, ()))
+    tokens = _str_list(value)
+    if builder is None or len(tokens) != len(names):
         raise InvalidParameter(error)
-    return builder(*params)
+    bound, bare = {}, []
+    for tok in tokens:
+        key, eq, val = tok.partition("=")
+        if not eq:
+            bare.append(_int_token(tok))
+        elif key not in names:
+            raise InvalidParameter(f"{kind} has no parameter {key!r}; use {', '.join(names)}")
+        elif key in bound:
+            raise InvalidParameter(f"{kind} parameter {key!r} given twice")
+        else:
+            bound[key] = _int_token(val)
+    bound.update(zip([name for name in names if name not in bound], bare))
+    return builder(*(bound[name] for name in names))
 
 
 def _build_graph(ns: argparse.Namespace) -> Graph:
@@ -155,7 +164,7 @@ def _build_graph(ns: argparse.Namespace) -> Graph:
         )
     kind = given[0]
     if kind != "edges":
-        value, arity = getattr(ns, kind), _FAMILIES[kind][1]
+        value, arity = getattr(ns, kind), len(_FAMILIES[kind][1])
         plural = "s" if arity > 1 else ""
         return _family_graph(kind, value, f"--{kind} takes {arity} integer{plural}, got {value!r}")
     if ns.origin is None or ns.sinks is None:
@@ -191,7 +200,7 @@ def _build_config(g: Graph, ns: argparse.Namespace):
 
 
 def _parse_n(ns: argparse.Namespace) -> list[int]:
-    values = _int_list(ns.n)
+    values = [_int_token(tok) for tok in _str_list(ns.n)]
     if not values or any(v < 1 for v in values):
         raise InvalidParameter("--n must list positive particle counts")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -334,9 +343,9 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def _add_graph_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--path", metavar="K", help="path graph on K vertices")
     p.add_argument("--lattice", nargs=2, metavar=("D", "R"),
-                   help="lattice ball, e.g. --lattice d=3 r=8")
+                   help="lattice ball, e.g. --lattice d=3 r=8 (keys bind by name)")
     p.add_argument("--tree", nargs=2, metavar=("B", "DEPTH"),
-                   help="complete B-ary tree with sink leaves")
+                   help="complete B-ary tree with sink leaves, e.g. --tree b=2 depth=6")
     p.add_argument("--edges", metavar="FILE", help="edge-list file")
     p.add_argument("--origin", help="origin label (edge-list graphs)")
     p.add_argument("--sinks", help="comma-separated sink labels (edge-list graphs)")

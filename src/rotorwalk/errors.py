@@ -21,13 +21,5 @@ class AbortedMaxSteps(RotorWalkError, RuntimeError):
     """A walk or experiment exhausted its step budget before terminating."""
 
 
-class IndexOutOfRange(RotorWalkError, IndexError):
-    """A vertex id or mechanism index is outside its valid range."""
-
-
-class SinkHasNoRotor(RotorWalkError, ValueError):
-    """A rotor operation was requested at a sink vertex."""
-
-
 class DimensionMismatch(RotorWalkError, ValueError):
     """Arrays or tables built for a different graph/mechanism were supplied."""

@@ -101,7 +101,7 @@ class ExperimentState:
         # round kernel's stable argsort sorts by radix
         self.positions = np.full(n, graph.origin, dtype=np.min_scalar_type(num_vertices - 1))
         self.status = np.full(n, _AT_ORIGIN, dtype=np.int8)
-        self.rho = np.array(config.pos, dtype=np.int64)
+        self.rho = config.pos.astype(np.int64)
         self.rho0 = self.rho.copy()
         self.survivors = n
         self.remaining = n          # particles not yet RETURNED or ABSORBED

@@ -37,9 +37,10 @@ def weights_csv(g: Graph, mech: RotorMechanism, wt: WeightTable) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vertex_label", "mechanism_index", "target_label", "weight"])
+    indptr, targets, values = mech.indptr.tolist(), mech.flat.tolist(), wt.values.tolist()
     for x in range(g.num_vertices):
-        for i, y in enumerate(mech.flat[mech.indptr[x]:mech.indptr[x + 1]].tolist()):
-            w.writerow([g.labels[x], i, g.labels[y], _fmt(wt.at(x, i))])
+        for k in range(indptr[x], indptr[x + 1]):
+            w.writerow([g.labels[x], k - indptr[x], g.labels[targets[k]], _fmt(values[k])])
     return buf.getvalue()
 
 
@@ -48,7 +49,7 @@ def config_csv(g: Graph, config: RotorConfig) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(["vertex_label", "rotor_index"])
-    for x, p in enumerate(config.pos):
+    for x, p in enumerate(config.pos.tolist()):
         if p >= 0:
             w.writerow([g.labels[x], p])
     return buf.getvalue()
@@ -81,7 +82,7 @@ def load_config_csv(g: Graph, source: str | IO[str]) -> RotorConfig:
             raise GraphInvalid(f"config line {lineno}: rotor_index {idx_s!r} is not an integer")
         pos[x] = idx
 
-    config = RotorConfig(pos=tuple(pos))
+    config = RotorConfig(pos=pos)
     try:
         check_config(g, config)
     except Exception as exc:

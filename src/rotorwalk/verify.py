@@ -32,7 +32,7 @@ from .graphs import (
     shuffled_mechanism,
 )
 from .harmonic import HarmonicProfile, mc_green, solve_harmonic
-from .weights import RotorConfig, random_config, weight_table
+from .weights import WeightTable, min_weight_config, random_config, weight_table
 
 _MECH_SEEDS = (11, 12)
 _CONFIG_SEEDS = (21, 22, 23)
@@ -226,12 +226,9 @@ def _corruption_controls() -> list[CheckRecord]:
         "expected failure: one weight perturbed by 0.125",
     )
 
-    # weight-maximizing configuration must break the lower bound
-    pos = tuple(
-        -1 if g.is_sink[x] else int(np.argmax(wt.vertex_slice(x)))
-        for x in range(g.num_vertices)
-    )
-    res = theorem_check(g, mech, [1, 2], config=RotorConfig(pos=pos), profile=profile)
+    # weight-maximizing configuration (min-weight for the negated table) must break the lower bound
+    worst = min_weight_config(g, WeightTable(values=-wt.values, indptr=wt.indptr))
+    res = theorem_check(g, mech, [1, 2], config=worst, profile=profile)
     shortfall = max(
         (res.alpha - v.value for v in res.violations if v.kind == "lower-bound"),
         default=0.0,

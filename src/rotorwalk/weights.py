@@ -15,15 +15,20 @@ weights every neighbor once over the deg(x) positions, so a vertex's weights
 sum to -(deg(x) - 1)/2 times the sum of v over its neighbors.  A rotor
 configuration pointing every vertex at a minimal-weight edge maximizes the
 escape rate of the resulting rotor walk.
+
+weight_table is the one implementation of this definition.  A RotorConfig
+holds its rotor indices in a read-only 1-D numpy array, which passes from its
+producer through check_config to the experiment state without conversion.
 """
 from __future__ import annotations
 
 import logging
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, SinkHasNoRotor
+from .errors import DimensionMismatch
 from .graphs import Graph, RotorMechanism
 from .harmonic import HarmonicProfile
 from .rng import philox_generator
@@ -35,14 +40,26 @@ logger = logging.getLogger(__name__)
 TIE_TOL = 1e-13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RotorConfig:
     """Current rotor of every vertex, as an index into the mechanism order.
 
-    pos has one entry per vertex; sinks carry -1 (they have no rotor).
+    pos has one entry per vertex; sinks carry -1 (they have no rotor).  It is
+    a read-only copy of the sequence given; equal arrays make equal configs.
     """
 
-    pos: tuple[int, ...]
+    pos: np.ndarray
+
+    def __post_init__(self):
+        pos = np.array(self.pos)
+        if pos.dtype.kind in "US":
+            # numpy turns every entry into text when one is; keep the entries as given
+            pos = np.array(self.pos, dtype=object)
+        pos.setflags(write=False)
+        object.__setattr__(self, "pos", pos)
+
+    def __eq__(self, other):
+        return isinstance(other, RotorConfig) and np.array_equal(self.pos, other.pos)
 
 
 @dataclass(frozen=True)
@@ -55,32 +72,8 @@ class WeightTable:
     def __post_init__(self):
         self.values.setflags(write=False)
 
-    def at(self, x: int, i: int) -> float:
-        return float(self.values[self.indptr[x] + i])
-
     def vertex_slice(self, x: int) -> np.ndarray:
         return self.values[self.indptr[x]:self.indptr[x + 1]]
-
-
-def _check_edge(g: Graph, x: int, i: int) -> None:
-    if not (0 <= x < g.num_vertices):
-        raise IndexOutOfRange(f"vertex id {x} out of range")
-    if bool(g.is_sink[x]):
-        raise SinkHasNoRotor(f"vertex {g.labels[x]} is a sink")
-    if not (0 <= i < g.degree(x)):
-        raise IndexOutOfRange(f"mechanism index {i} out of range for degree {g.degree(x)}")
-
-
-def edge_weight(g: Graph, mech: RotorMechanism, profile: HarmonicProfile, x: int, i: int) -> float:
-    """Weight of the edge at mechanism position i of non-sink vertex x."""
-    _check_edge(g, x, i)
-    v = profile.voltage
-    order = mech.flat[mech.indptr[x]:mech.indptr[x + 1]].tolist()
-    d = len(order)
-    acc = 0.0
-    for j in range(1, d):
-        acc += j * v[order[(i + j + 1) % d]]
-    return -acc / d
 
 
 def weight_table(g: Graph, mech: RotorMechanism, profile: HarmonicProfile) -> WeightTable:
@@ -108,13 +101,6 @@ def weight_table(g: Graph, mech: RotorMechanism, profile: HarmonicProfile) -> We
             rotated = np.roll(tv, -(i + 1), axis=1)
             values[slots[:, i]] = -np.matmul(rotated[:, None, :], j).ravel() / d
     return WeightTable(values=values, indptr=mech.indptr)
-
-
-def weight_increment(g: Graph, mech: RotorMechanism, profile: HarmonicProfile, x: int, i: int) -> float:
-    """Weight change when the rotor at x advances off the edge at position i."""
-    _check_edge(g, x, i)
-    d = g.degree(x)
-    return edge_weight(g, mech, profile, x, (i + 1) % d) - edge_weight(g, mech, profile, x, i)
 
 
 def _near_min_scan(g: Graph, wt: WeightTable) -> tuple[np.ndarray, int]:
@@ -151,7 +137,7 @@ def min_weight_config(g: Graph, wt: WeightTable) -> RotorConfig:
     pos, ties = _near_min_scan(g, wt)
     if ties:
         logger.debug("min-weight ties at %d of %d vertices", ties, g.num_vertices)
-    return RotorConfig(pos=tuple(pos.tolist()))
+    return RotorConfig(pos=pos)
 
 
 def count_min_weight_ties(g: Graph, wt: WeightTable) -> int:
@@ -168,18 +154,29 @@ def random_config(g: Graph, seed: int) -> RotorConfig:
     live = ~g.is_sink
     pos = np.full(g.num_vertices, -1, dtype=np.int64)
     pos[live] = philox_generator(seed).integers(0, g.degrees[live])
-    return RotorConfig(pos=tuple(pos.tolist()))
+    return RotorConfig(pos=pos)
 
 
 def check_config(g: Graph, config: RotorConfig) -> None:
-    """Validate bounds: -1 at sinks, 0 <= pos < deg elsewhere; name the lowest failing vertex."""
-    if len(config.pos) != g.num_vertices:
+    """Validate bounds: -1 at sinks, 0 <= pos < deg elsewhere; name the lowest failing vertex.
+
+    An entry that is not a whole number, such as 0.5 or a string, fails as an
+    out-of-range index; integral floats such as 1.0 pass.
+    """
+    pos = config.pos
+    if pos.ndim != 1:
+        raise DimensionMismatch(f"config must be one-dimensional, got shape {pos.shape}")
+    if pos.size != g.num_vertices:
         raise DimensionMismatch("config length does not match vertex count")
-    pos = np.array(config.pos)
+    index = pos
+    if pos.dtype.kind not in "iu":
+        # entries that are not whole numbers become -2, an index at no vertex
+        index = np.array([p if isinstance(p, numbers.Real) and p % 1 == 0 else -2
+                          for p in pos.tolist()], dtype=object)
     sink = g.is_sink
-    bad = np.where(sink, pos != -1, ~((pos >= 0) & (pos < g.degrees)))
+    bad = np.where(sink, index != -1, ~((index >= 0) & (index < g.degrees)))
     if bad.any():
         x = int(np.argmax(bad))
         if sink[x]:
             raise DimensionMismatch(f"sink {g.labels[x]} must carry rotor index -1")
-        raise DimensionMismatch(f"rotor index {config.pos[x]} out of range at {g.labels[x]}")
+        raise DimensionMismatch(f"rotor index {pos[x]} out of range at {g.labels[x]}")

@@ -96,7 +96,7 @@ def reference_run(g, mech, config, n, max_steps=10**7) -> ReferenceRun:
     """
     positions = [g.origin] * n
     returned = [False] * n
-    rho = list(config.pos)
+    rho = config.pos.tolist()
     visited = {g.origin}
     history = [(0, tuple(positions), tuple(rho))]
     t = 0
@@ -187,6 +187,13 @@ def reference_edge_weight(g, mech, voltage, x, i):
     order = mech.order[x]
     d = len(order)
     return -sum(j * voltage[order[(i + j + 1) % d]] for j in range(d)) / d
+
+
+def reference_weight_increment(g, mech, voltage, x, i):
+    """Weight change when the rotor at x advances off the edge at position i."""
+    d = len(mech.order[x])
+    return (reference_edge_weight(g, mech, voltage, x, (i + 1) % d)
+            - reference_edge_weight(g, mech, voltage, x, i))
 
 
 # --- scalar precompute loops ------------------------------------------------

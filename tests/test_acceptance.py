@@ -151,7 +151,7 @@ def test_4_three_vertex_path_exact(capsys):
     cfg = min_weight_config(g, wt)
 
     ok = profile.escape_probability == 0.5
-    ok = ok and [wt.at(0, 0), wt.at(1, 0), wt.at(1, 1)] == [0.0, -1.0, 0.0]
+    ok = ok and wt.values.tolist() == [0.0, -1.0, 0.0]
     ok = ok and mech.order[1][cfg.pos[1]] == 0
 
     for k in range(1, 9):
@@ -199,8 +199,6 @@ def test_5_harmonic_solver_and_monte_carlo(capsys):
 
 def test_6_weight_identities(capsys):
     """Advance increment identity on every edge, row-sum identity of every table row."""
-    from rotorwalk import weight_increment
-
     tol = 1e-12
     worst_inc = 0.0
     worst_row = 0.0
@@ -216,13 +214,13 @@ def test_6_weight_identities(capsys):
                 d = len(order)
                 nbr_sum = sum(float(v[y]) for y in order)
                 mean = nbr_sum / d
+                row = wt.vertex_slice(x)
                 for i in range(d):
-                    inc = weight_increment(g, mech, profile, x, i)
+                    inc = float(row[(i + 1) % d] - row[i])
                     expected = -float(v[order[(i + 1) % d]]) + mean
                     worst_inc = max(worst_inc, abs(inc - expected))
                 # sum_i w(x, i) = -(deg(x) - 1)/2 * sum_{y~x} v(y)
-                row = float(sum(wt.vertex_slice(x)))
-                worst_row = max(worst_row, abs(row + (d - 1) / 2 * nbr_sum))
+                worst_row = max(worst_row, abs(float(sum(row)) + (d - 1) / 2 * nbr_sum))
     ok = worst_inc <= tol and worst_row <= tol
     _emit(capsys, 6, "edge-weight identities hold on every edge", ok,
           f"max increment dev {worst_inc:.2e}, max row-sum dev {worst_row:.2e}")

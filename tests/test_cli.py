@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from rotorwalk import experiment
-from rotorwalk.cli import main
+from rotorwalk import build_bary_tree, experiment
+from rotorwalk.cli import _parse_graph_spec, main
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +38,38 @@ def test_green_lattice_keyword_tokens(capsys, tmp_path):
     assert (tmp_path / "profile.csv").exists()
     rows = read_rows(tmp_path / "profile.csv")
     assert rows[0]["vertex_label"] == "0,0"
+
+
+@pytest.mark.parametrize("tokens", [("d=3", "r=2"), ("r=2", "d=3"), ("3", "r=2"), ("r=2", "3")])
+def test_lattice_keys_bind_by_name(capsys, tokens):
+    code, out, _ = run_cli(capsys, "green", "--lattice", *tokens)
+    assert code == 0
+    assert out.splitlines()[0] == "graph: lattice(d=3, r=2)"
+
+
+def test_graph_spec_keys_bind_by_name():
+    assert _parse_graph_spec("lattice:r=2,d=3").describe() == "lattice(d=3, r=2)"
+    assert _parse_graph_spec("tree:depth=3,b=2").describe() == build_bary_tree(2, 3).describe()
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("--lattice", "d=3", "x=2"), "error: lattice has no parameter 'x'; use d, r\n"),
+    (("--lattice", "d=3", "d=2"), "error: lattice parameter 'd' given twice\n"),
+    (("--tree", "b=2", "d=3"), "error: tree has no parameter 'd'; use b, depth\n"),
+    (("--path", "n=3"), "error: path has no parameter 'n'; use k\n"),
+])
+def test_graph_family_bad_key(capsys, argv, err):
+    code, _, printed = run_cli(capsys, "green", *argv)
+    assert code == 2
+    assert printed == err
+
+
+@pytest.mark.parametrize("flag", ["--n", "--seed-mech", "--seed-config", "--max-steps"])
+def test_integer_options_take_no_keys(capsys, flag):
+    code, _, err = run_cli(capsys, "run", "--path", "3", "--mechanism", "shuffled",
+                           "--config", "random", flag, "x=2")
+    assert code == 2
+    assert err == "error: expected an integer, got 'x=2'\n"
 
 
 def test_green_missing_edges_file(capsys):

@@ -133,7 +133,7 @@ def test_invariant_matches_reference_formula(small_graph):
     state = init_experiment(g, mech, config, n)
 
     def weight_of(x, i):
-        return wt.at(x, i)
+        return wt.vertex_slice(x)[i]
 
     visited = {g.origin}
     while not state.settled:
@@ -142,7 +142,7 @@ def test_invariant_matches_reference_formula(small_graph):
             visited.add(state.last_event[2])
         expected = reference_invariant(
             g, profile.voltage, weight_of,
-            state.positions, state.rho, list(config.pos), visited, state.t, n,
+            state.positions, state.rho, config.pos.tolist(), visited, state.t, n,
         )
         assert compute_invariant(state, profile, wt) == pytest.approx(expected, abs=1e-12)
 

@@ -3,29 +3,31 @@ import pytest
 
 from rotorwalk import (
     DimensionMismatch,
-    IndexOutOfRange,
     RotorConfig,
-    SinkHasNoRotor,
     build_bary_tree,
     build_lattice_ball,
     build_path,
     check_config,
     count_min_weight_ties,
     default_mechanism,
-    edge_weight,
     load_edge_list,
     min_weight_config,
     random_config,
     shuffled_mechanism,
     solve_harmonic,
-    weight_increment,
     weight_table,
 )
 
 from rotorwalk.rng import philox_generator
 from rotorwalk.weights import WeightTable
 
-from oracles import dense_green, reference_edge_weight
+from oracles import dense_green, reference_edge_weight, reference_weight_increment
+
+
+def table_increment(wt, x, i):
+    """Weight change in the table when the rotor at x advances off position i."""
+    row = wt.vertex_slice(x)
+    return row[(i + 1) % row.size] - row[i]
 
 
 def star(leaves: int):
@@ -36,20 +38,22 @@ def star(leaves: int):
 
 def test_p3_frozen_weights(p3_solved):
     g, mech, profile, wt = p3_solved
-    assert wt.at(0, 0) == 0.0          # o -> a
-    assert wt.at(1, 0) == -1.0         # a -> o
-    assert wt.at(1, 1) == 0.0          # a -> sink
+    assert wt.vertex_slice(0)[0] == 0.0    # o -> a
+    assert wt.vertex_slice(1)[0] == -1.0   # a -> o
+    assert wt.vertex_slice(1)[1] == 0.0    # a -> sink
     cfg = min_weight_config(g, wt)
-    assert cfg.pos == (0, 0, -1)
+    assert cfg.pos.tolist() == [0, 0, -1]
     assert mech.order[1][cfg.pos[1]] == 0  # rotor at a points home
     assert count_min_weight_ties(g, wt) == 0
 
 
 def test_p3_frozen_increments(p3_solved):
-    g, mech, profile, _ = p3_solved
-    assert weight_increment(g, mech, profile, 1, 0) == pytest.approx(1.0, abs=1e-14)
-    assert weight_increment(g, mech, profile, 1, 1) == pytest.approx(-1.0, abs=1e-14)
-    assert weight_increment(g, mech, profile, 0, 0) == pytest.approx(0.0, abs=1e-14)
+    g, mech, profile, wt = p3_solved
+    for x, i, expected in ((1, 0, 1.0), (1, 1, -1.0), (0, 0, 0.0)):
+        assert table_increment(wt, x, i) == pytest.approx(expected, abs=1e-14)
+        assert reference_weight_increment(g, mech, profile.voltage, x, i) == pytest.approx(
+            expected, abs=1e-14
+        )
 
 
 def test_table_matches_edge_weight(small_graph):
@@ -60,21 +64,21 @@ def test_table_matches_edge_weight(small_graph):
             if small_graph.is_sink[x]:
                 continue
             for i in range(small_graph.degree(x)):
-                assert wt.at(x, i) == pytest.approx(
-                    edge_weight(small_graph, mech, profile, x, i), abs=1e-13
+                assert wt.vertex_slice(x)[i] == pytest.approx(
+                    reference_edge_weight(small_graph, mech, profile.voltage, x, i), abs=1e-13
                 )
 
 
 def test_edge_weight_matches_reference(small_graph):
     # same numbers out of an independently solved voltage and a plain loop
     _, voltage, _ = dense_green(small_graph)
-    profile = solve_harmonic(small_graph)
     mech = shuffled_mechanism(small_graph, 17)
+    wt = weight_table(small_graph, mech, solve_harmonic(small_graph))
     for x in range(small_graph.num_vertices):
         if small_graph.is_sink[x]:
             continue
         for i in range(small_graph.degree(x)):
-            assert edge_weight(small_graph, mech, profile, x, i) == pytest.approx(
+            assert wt.vertex_slice(x)[i] == pytest.approx(
                 reference_edge_weight(small_graph, mech, voltage, x, i), abs=1e-11
             )
 
@@ -85,6 +89,7 @@ def test_increment_identity(small_graph):
     profile = solve_harmonic(small_graph)
     v = profile.voltage
     mech = shuffled_mechanism(small_graph, 23)
+    wt = weight_table(small_graph, mech, profile)
     for x in range(small_graph.num_vertices):
         if small_graph.is_sink[x]:
             continue
@@ -93,8 +98,9 @@ def test_increment_identity(small_graph):
         mean = sum(v[y] for y in order) / d
         for i in range(d):
             expected = -v[order[(i + 1) % d]] + mean
-            assert weight_increment(small_graph, mech, profile, x, i) == pytest.approx(
-                expected, abs=1e-12
+            assert table_increment(wt, x, i) == pytest.approx(expected, abs=1e-12)
+            assert table_increment(wt, x, i) == pytest.approx(
+                reference_weight_increment(small_graph, mech, v, x, i), abs=1e-12
             )
 
 
@@ -111,7 +117,7 @@ def row_sum_devs(g, profile, wt):
 def test_full_orbit_telescopes_to_zero(small_graph):
     """Row sums of weight_table: sum_i w(x, i) = -(deg(x) - 1)/2 * sum_{y~x} v(y).
 
-    Not the cyclic sum of weight_increment around x, which telescopes to zero
+    Not the cyclic sum of the increments around x, which telescopes to zero
     for any table; the row sum catches one weight moved by 0.125.
     """
     profile = solve_harmonic(small_graph)
@@ -165,9 +171,9 @@ def test_random_config_matches_scalar_draws(g):
     """The one vectorized draw equals one scalar draw per non-sink vertex in id order."""
     for seed in range(20):
         rng = philox_generator(seed)
-        pos = tuple(-1 if g.is_sink[x] else int(rng.integers(0, g.degree(x)))
-                    for x in range(g.num_vertices))
-        assert random_config(g, seed).pos == pos
+        pos = [-1 if g.is_sink[x] else int(rng.integers(0, g.degree(x)))
+               for x in range(g.num_vertices)]
+        assert random_config(g, seed).pos.tolist() == pos
 
 
 def test_random_config_uniform_marginal(p3):
@@ -187,7 +193,7 @@ def test_weights_invariant_under_relabeling():
         x1 = g1.label_to_id[lbl1]
         x2 = g2.label_to_id[lbl2]
         for i in range(g1.degree(x1)):
-            assert wt2.at(x2, i) == pytest.approx(wt1.at(x1, i), abs=1e-12)
+            assert wt2.vertex_slice(x2)[i] == pytest.approx(wt1.vertex_slice(x1)[i], abs=1e-12)
 
 
 def test_check_config_rejections(p3):
@@ -204,20 +210,42 @@ def test_check_config_rejections(p3):
         check_config(p3, RotorConfig(pos=(1.5, 2, 0)))
     with pytest.raises(DimensionMismatch, match=f"^rotor index {2**70} out of range at 1"):
         check_config(p3, RotorConfig(pos=(0, 2**70, 0)))
+    # entries that are not whole numbers fail as out-of-range indices, lowest vertex first
+    with pytest.raises(DimensionMismatch, match=r"^rotor index 0\.5 out of range at 0"):
+        check_config(p3, RotorConfig(pos=(0.5, 1.7, -1)))
+    with pytest.raises(DimensionMismatch, match=r"^rotor index 1\.7 out of range at 1"):
+        check_config(p3, RotorConfig(pos=(0, 1.7, -1)))
+    with pytest.raises(DimensionMismatch, match="^rotor index x out of range at 1"):
+        check_config(p3, RotorConfig(pos=(0, "x", -1)))
+    with pytest.raises(DimensionMismatch, match="^rotor index nan out of range at 1"):
+        check_config(p3, RotorConfig(pos=(0, float("nan"), -1)))
+    with pytest.raises(DimensionMismatch, match="^config must be one-dimensional"):
+        check_config(p3, RotorConfig(pos=[[0], [1], [-1]]))
+    check_config(p3, RotorConfig(pos=(0, 1.0, -1)))
     h = load_edge_list("s o\no a\na t", "o", ["s", "t"])  # ids s=0, o=1, a=2, t=3
     with pytest.raises(DimensionMismatch, match="^sink s must carry rotor index -1"):
         check_config(h, RotorConfig(pos=(0, 0, 5, 0)))
     check_config(h, RotorConfig(pos=(-1, 0, 1, -1)))
 
 
-def test_edge_errors(p3_solved):
-    g, mech, profile, _ = p3_solved
-    with pytest.raises(SinkHasNoRotor):
-        edge_weight(g, mech, profile, 2, 0)
-    with pytest.raises(IndexOutOfRange):
-        edge_weight(g, mech, profile, 1, 2)
-    with pytest.raises(IndexOutOfRange):
-        edge_weight(g, mech, profile, 9, 0)
+def test_config_pos_is_a_read_only_copy():
+    given = [0, 1, -1]
+    cfg = RotorConfig(pos=given)
+    assert isinstance(cfg.pos, np.ndarray) and cfg.pos.ndim == 1
+    with pytest.raises(ValueError):
+        cfg.pos[0] = 1
+    given[0] = 1
+    array = np.array([0, 1, -1])
+    from_array = RotorConfig(pos=array)
+    array[0] = 1
+    assert cfg.pos.tolist() == from_array.pos.tolist() == [0, 1, -1]
+
+
+def test_config_equality():
+    assert RotorConfig(pos=(0, 1, -1)) == RotorConfig(pos=np.array([0, 1, -1]))
+    assert RotorConfig(pos=(0, 1, -1)) != RotorConfig(pos=(0, 0, -1))
+    assert RotorConfig(pos=(0, 1, -1)) != RotorConfig(pos=(0, 1))
+    assert RotorConfig(pos=(0, 1, -1)) != (0, 1, -1)
 
 
 def test_weight_table_rejects_mismatched_profile(p3_solved):
@@ -225,3 +253,14 @@ def test_weight_table_rejects_mismatched_profile(p3_solved):
     other = solve_harmonic(build_path(5))
     with pytest.raises(DimensionMismatch):
         weight_table(g, mech, other)
+
+
+def test_package_exports():
+    """Every exported name resolves; the removed scalar weight path is gone."""
+    import rotorwalk
+
+    for name in rotorwalk.__all__:
+        assert hasattr(rotorwalk, name), name
+    for name in ("edge_weight", "weight_increment", "IndexOutOfRange", "SinkHasNoRotor"):
+        assert not hasattr(rotorwalk, name), name
+    assert not hasattr(WeightTable, "at")
