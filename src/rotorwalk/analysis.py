@@ -39,6 +39,7 @@ from .experiment import (
     compute_invariant,
     init_experiment,
     run_until_settled,
+    settle_trials,
 )
 
 logger = logging.getLogger(__name__)
@@ -204,29 +205,31 @@ def escape_sweep(
     n_values: Sequence[int],
     *,
     profile: Optional[HarmonicProfile] = None,
+    wt: Optional[WeightTable] = None,
     check_invariant: bool = False,
     max_steps: int = DEFAULT_MAX_STEPS,
     observer: Optional[Callable[[ExperimentState, RoundMoves], None]] = None,
 ) -> EscapeReport:
     """Run the experiment for each n and report escape rates and gaps.
 
-    config None means the min-weight configuration, built from the sweep's
-    own weight table.  Every run settles on the round kernel, through
-    run_until_settled.  With check_invariant the conserved quantity is
-    checked throughout the run (see InvariantTracker) and the worst absolute
-    deviation from n*v(origin) is reported.  observer, if given, is called
-    once per round with the state and the round's RoundMoves, whose
-    invariant holds the conserved quantity after every move; those values
-    also feed the reported deviation, which then covers every move.
+    profile and wt, if given, are the graph's solve and the mechanism's
+    weight table, reused instead of built again.  config None means the
+    min-weight configuration of that table.  Every run settles on the round
+    kernel, through run_until_settled.  With check_invariant the conserved
+    quantity is checked throughout the run (see InvariantTracker) and the
+    worst absolute deviation from n*v(origin) is reported.  observer, if
+    given, is called once per round with the state and the round's
+    RoundMoves, whose invariant holds the conserved quantity after every
+    move; those values also feed the reported deviation, which then covers
+    every move.
     """
     if not n_values:
         raise InvalidParameter("n_values must be non-empty")
     if any(n < 1 for n in n_values):
         raise InvalidParameter("all particle counts must be >= 1")
     t0 = time.perf_counter()
-    if profile is None:
-        profile = solve_harmonic(graph)
-    wt = weight_table(graph, mechanism, profile)
+    profile = solve_harmonic(graph) if profile is None else profile
+    wt = weight_table(graph, mechanism, profile) if wt is None else wt
     alpha = profile.escape_probability
     if config is None:
         config = min_weight_config(graph, wt)
@@ -312,35 +315,20 @@ def random_ensemble(
     profile: Optional[HarmonicProfile] = None,
     eps: float = 0.05,
 ) -> EnsembleSummary:
-    """Escape rates of `trials` uniformly random configurations at fixed n."""
+    """Escape rates at fixed n of random_config(graph, seed + k), k < trials, settled together."""
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
-    if profile is None:
-        profile = solve_harmonic(graph)
-    alpha = profile.escape_probability
-
-    rates = []
-    for k in range(trials):
-        cfg = random_config(graph, seed + k)
-        state = init_experiment(graph, mechanism, cfg, n)
-        run_until_settled(state)
-        rates.append(state.survivors / n)
+    alpha = (solve_harmonic(graph) if profile is None else profile).escape_probability
+    configs = (random_config(graph, seed + k) for k in range(trials))
+    rates = [s / n for s in settle_trials(graph, mechanism, configs, n)[0]]
 
     arr = np.asarray(rates)
-    stderr = float(arr.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return EnsembleSummary(
-        graph=graph.describe(),
-        mechanism=mechanism.describe(),
-        n=n,
-        trials=trials,
-        alpha=alpha,
-        rates=rates,
-        min_rate=float(arr.min()),
-        max_rate=float(arr.max()),
+        graph=graph.describe(), mechanism=mechanism.describe(), n=n, trials=trials,
+        alpha=alpha, rates=rates, min_rate=float(arr.min()), max_rate=float(arr.max()),
         mean_rate=float(arr.mean()),
-        stderr=stderr,
-        frac_at_alpha=float(np.mean(np.abs(arr - alpha) <= eps)),
-        eps=eps,
+        stderr=float(arr.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+        frac_at_alpha=float(np.mean(np.abs(arr - alpha) <= eps)), eps=eps,
     )
 
 
@@ -351,6 +339,7 @@ def theorem_check(
     *,
     config: Optional[RotorConfig] = None,
     profile: Optional[HarmonicProfile] = None,
+    wt: Optional[WeightTable] = None,
     invariant_tol: float = 1e-8,
     bound_slack: float = 1e-9,
 ) -> TheoremCheckResult:
@@ -366,11 +355,11 @@ def theorem_check(
     with t = -1.  Across n: final gaps are nonnegative and non-increasing.  A
     custom config exercises the same checks without the guarantees;
     violations are then expected and are recorded rather than raised.
-    profile, if given, is the graph's solve, reused instead of solving again.
+    profile and wt, if given, are passed on to escape_sweep.
     """
     profile = solve_harmonic(graph) if profile is None else profile
     rep = escape_sweep(
-        graph, mechanism, config, n_values, profile=profile, check_invariant=True
+        graph, mechanism, config, n_values, profile=profile, wt=wt, check_invariant=True
     )
     alpha = rep.alpha
     gaps = rep.gaps
@@ -389,16 +378,10 @@ def theorem_check(
 
     gaps_nonneg = all(gp >= -bound_slack for gp in gaps)
     monotone = all(gaps[k + 1] <= gaps[k] + bound_slack for k in range(len(gaps) - 1))
-    if not gaps_nonneg:
-        for n, gp in zip(n_values, gaps):
-            if gp < -bound_slack:
-                violations.append(BoundViolation(n, -1, "gap-negative", gp, 0.0))
-    if not monotone:
-        for k in range(len(gaps) - 1):
-            if gaps[k + 1] > gaps[k] + bound_slack:
-                violations.append(
-                    BoundViolation(n_values[k + 1], -1, "gap-increase", gaps[k + 1], gaps[k])
-                )
+    violations += [BoundViolation(n, -1, "gap-negative", gp, 0.0)
+                   for n, gp in zip(n_values, gaps) if gp < -bound_slack]
+    violations += [BoundViolation(n_values[k + 1], -1, "gap-increase", gaps[k + 1], gaps[k])
+                   for k in range(len(gaps) - 1) if gaps[k + 1] > gaps[k] + bound_slack]
 
     return TheoremCheckResult(
         alpha=alpha,

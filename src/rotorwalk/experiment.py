@@ -21,7 +21,11 @@ rotors and range order as step().  That is exact because a rotor changes
 only when a particle leaves its vertex, and every live particle moves
 exactly once per round.  So the particles leaving x in a round are the ones
 at x when the round starts, in turn order, and the k-th of them (k = 0, 1,
-...) takes mechanism position (rho(x) + k + 1) mod deg(x).
+...) takes mechanism position (rho(x) + k + 1) mod deg(x).  settle_trials
+settles a group of independent runs from t = 0 on the same kernel, exactly:
+a particle at x in trial j sorts under the key j·V + x into one flat rho of
+the group's rotors, so no two trials share a key, and the stable sort keeps
+each trial's turn order among the leavers of its rotor.
 
 The state is held in numpy arrays, which step() and the round kernel both
 write in place.  compute_invariant recomputes the quantity in whole arrays
@@ -41,7 +45,8 @@ from __future__ import annotations
 
 from enum import IntEnum
 from functools import cached_property
-from typing import Callable, Optional
+from itertools import islice
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -54,6 +59,9 @@ DEFAULT_MAX_STEPS = 10**9
 
 # elements in each block matrix of RoundInvariants; larger rounds are split
 _BLOCK_ELEMENTS = 1 << 15
+
+# particles (or rotors, if more) in a settle_trials group of several trials; keys fit in 16 bits
+_TRIAL_ELEMENTS = 1 << 16
 
 # the round kernel's per-round hook: movers, turns, from, to, positions taken, arrival statuses
 RoundHook = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
@@ -257,7 +265,7 @@ def _settle_rounds(
                 live, last_turn = live[:k], int(turns[k - 1])
             x = positions[live]
             taken = None if on_round is None else np.empty(live.size, dtype=np.intp)
-            y = _leave_together(x, rho, deg, mech, taken)
+            y = _leave_together(x, x, rho, deg, mech, taken)
             positions[live] = y
 
             seen = state._num_visited
@@ -291,39 +299,86 @@ def _settle_rounds(
 
 
 def _leave_together(
-    x: np.ndarray, rho: np.ndarray, deg: np.ndarray, mech: RotorMechanism,
+    key: np.ndarray, x: np.ndarray, rho: np.ndarray, deg: np.ndarray, mech: RotorMechanism,
     taken: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Move one round's particles, at vertices x in turn order; return their targets.
 
-    A stable sort of x groups each vertex's leavers in turn order; the k-th
-    of them takes position (rho(v) + k + 1) mod deg(v), and the last one's
-    position is v's new rotor (rho is updated in place).  If taken is given,
+    key is each particle's index into rho: its vertex in a single run, which
+    passes x itself (no extra gather), or trial·V + vertex in settle_trials.
+    A stable sort of key groups each rotor's leavers in turn order; the k-th
+    of them takes position (rho + k + 1) mod deg, and the last one's
+    position is the new rotor (rho is updated in place).  If taken is given,
     the positions taken are written to it in turn order.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order].astype(np.intp)
-    m = xs.size
-    # each vertex's leavers form a run of xs: k minus the run's start is the rank
+    order = np.argsort(key, kind="stable")
+    ks = key[order].astype(np.intp)
+    xs = ks if key is x else x[order]
+    m = ks.size
+    # each rotor's leavers form a run of ks: k minus the run's start is the rank
     run_edge = np.empty(m + 1, dtype=bool)
     run_edge[0] = run_edge[m] = True
-    np.not_equal(xs[1:], xs[:-1], out=run_edge[1:m])
+    np.not_equal(ks[1:], ks[:-1], out=run_edge[1:m])
     k = np.arange(m)
     r = np.where(run_edge[:m], k, 0)
     np.maximum.accumulate(r, out=r)
     np.subtract(k, r, out=r)
     # r: rank, then the mechanism position taken, then its flat index
-    r += rho[xs]
+    r += rho[ks]
     r += 1
     r %= deg[xs]
     last = np.flatnonzero(run_edge[1:])  # the last leaver sets the rotor
-    rho[xs[last]] = r[last]
+    rho[ks[last]] = r[last]
     if taken is not None:
         taken[order] = r
     r += mech.indptr[xs]
     y = np.empty(m, dtype=np.intp)
     y[order] = mech.flat[r]
     return y
+
+
+def settle_trials(
+    graph: Graph, mechanism: RotorMechanism, configs: Iterable[RotorConfig], n: int,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> tuple[list[int], list[int]]:
+    """Settle n particles from each configuration; return every run's survivors and final t.
+
+    Each run, or the error of the first that does not settle within
+    max_steps, is run_until_settled's from t = 0.  configs is read and
+    settled in groups of max(1, _TRIAL_ELEMENTS // max(n, V)).
+    """
+    if n < 1:
+        raise InvalidParameter(f"particle count must be >= 1, got {n}")
+    check_mechanism(graph, mechanism)
+    num_vertices, origin = graph.num_vertices, graph.origin
+    deg = np.diff(mechanism.indptr)
+    stays = ~graph.is_sink & (np.arange(num_vertices) != origin)  # arriving there leaves it live
+    turn_end = np.roll(np.arange(1, n + 1), 1)  # t after particle i's move, less its round's start
+    survivors, steps, configs = [], [], iter(configs)
+    while group := list(islice(configs, max(1, _TRIAL_ELEMENTS // max(n, num_vertices)))):
+        for config in group:
+            check_config(graph, config)
+        rho = np.concatenate([config.pos for config in group]).astype(np.int64, copy=False)
+        positions = np.full(len(group) * n, origin, dtype=np.min_scalar_type(num_vertices - 1))
+        started = np.empty(positions.size, dtype=np.int64)  # start of each particle's last round
+        # particle i of trial j is j*n + i; each trial's particles in turn order, trial after trial
+        live = (np.arange(len(group))[:, None] * n + np.roll(np.arange(n), -1)).ravel()
+        t = 0
+        while live.size and t < max_steps:
+            x = positions[live]
+            key = (live // n * num_vertices + x).astype(np.min_scalar_type(rho.size - 1))
+            y = _leave_together(key, x, rho, deg, mechanism)
+            positions[live] = y
+            started[live] = t
+            live = live[stays[y]]
+            t += n
+        started[live] = t  # still live: its next turn is at or past max_steps
+        ends = (started.reshape(-1, n) + turn_end).max(axis=1)
+        if (late := ends > max_steps).any():  # the first run to move at or past max_steps fails
+            run_until_settled(ExperimentState(graph, mechanism, group[late.argmax()], n), max_steps)
+        survivors += (n - np.count_nonzero(positions.reshape(-1, n) == origin, axis=1)).tolist()
+        steps += ends.tolist()
+    return survivors, steps
 
 
 def _check_dimensions(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> None:

@@ -5,9 +5,9 @@ fixtures: solver residuals, the rotor-advance and row-sum identities of the
 weight table the engine reads (see weights.py), conserved-quantity
 constancy, the minimizing configuration's escaped-fraction lower bound, and
 Monte Carlo cross-checks of the harmonic quantities.  Each fixture is solved
-once and its mechanisms built once; every check reads that Fixture.  Each
-check yields a CheckRecord with its worst deviation; the suite passes iff
-every record does.  The row sum stands where a cyclic sum of increments
+once and its mechanisms and weight tables built once; every check reads
+that Fixture.  Each check yields a CheckRecord with its worst deviation; the
+suite passes iff every record does.  The row sum stands where a cyclic sum of increments
 would not: that sum is zero for any table, corrupted or not.
 
 With inject_corruption the suite adds negative controls that feed corrupted
@@ -49,11 +49,12 @@ class CheckRecord:
 
 
 class Fixture(NamedTuple):
-    """A graph with its one solve and the mechanisms every check runs on."""
+    """A graph with its one solve, the mechanisms every check runs on and their weight tables."""
 
     graph: Graph
     profile: HarmonicProfile
     mechanisms: tuple[RotorMechanism, ...]
+    tables: tuple[WeightTable, ...]
 
 
 def quick_fixtures() -> list[Graph]:
@@ -76,7 +77,8 @@ def full_fixtures() -> list[Graph]:
 
 def _fixture(g: Graph) -> Fixture:
     mechs = (default_mechanism(g),) + tuple(shuffled_mechanism(g, s) for s in _MECH_SEEDS)
-    return Fixture(g, solve_harmonic(g), mechs)
+    profile = solve_harmonic(g)
+    return Fixture(g, profile, mechs, tuple(weight_table(g, m, profile) for m in mechs))
 
 
 def _weight_identity_devs(profile: HarmonicProfile, mech: RotorMechanism, values: np.ndarray):
@@ -106,7 +108,7 @@ def _weight_identity_devs(profile: HarmonicProfile, mech: RotorMechanism, values
 
 def check_residual(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
     worst, where = 0.0, ""
-    for g, profile, _ in fixtures:
+    for g, profile, *_ in fixtures:
         if profile.residual > worst:
             worst, where = profile.residual, g.describe()
     return CheckRecord("harmonic-residual", worst <= tol, worst, tol, where)
@@ -115,9 +117,9 @@ def check_residual(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
 def check_weight_increment(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
     """Table increment w(x, i+1) - w(x, i) must equal -v(next target) + neighbor-mean of v."""
     worst, where = 0.0, ""
-    for g, profile, mechs in fixtures:
-        for mech in mechs:
-            devs, _ = _weight_identity_devs(profile, mech, weight_table(g, mech, profile).values)
+    for g, profile, mechs, tables in fixtures:
+        for mech, wt in zip(mechs, tables):
+            devs, _ = _weight_identity_devs(profile, mech, wt.values)
             e = int(np.argmax(devs))
             if devs[e] > worst:
                 x = int(np.searchsorted(mech.indptr, e, side="right")) - 1
@@ -129,9 +131,9 @@ def check_weight_increment(fixtures: list[Fixture], tol: float = 1e-12) -> Check
 def check_telescope(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
     """Row sum of w(x, .) must equal -(deg(x) - 1)/2 * sum of v over the neighbors of x."""
     worst, where = 0.0, ""
-    for g, profile, mechs in fixtures:
-        for mech in mechs:
-            _, devs = _weight_identity_devs(profile, mech, weight_table(g, mech, profile).values)
+    for g, profile, mechs, tables in fixtures:
+        for mech, wt in zip(mechs, tables):
+            _, devs = _weight_identity_devs(profile, mech, wt.values)
             x = int(np.argmax(devs))
             if devs[x] > worst:
                 worst, where = float(devs[x]), f"{g.describe()} at {g.labels[x]}"
@@ -141,14 +143,14 @@ def check_telescope(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
 def check_invariant(fixtures: list[Fixture], n_values, tol: float = 1e-8) -> CheckRecord:
     """Conserved quantity stays at n*v(origin), relatively within tol."""
     worst, where = 0.0, ""
-    for g, profile, mechs in fixtures:
+    for g, profile, mechs, tables in fixtures:
         scale = max(1.0, profile.voltage[g.origin])
-        for mech in mechs:
+        for mech, wt in zip(mechs, tables):
             # None: the min-weight configuration, built inside escape_sweep
             configs = [None] + [random_config(g, s) for s in _CONFIG_SEEDS]
             for config in configs:
                 rep = escape_sweep(
-                    g, mech, config, n_values, profile=profile, check_invariant=True
+                    g, mech, config, n_values, profile=profile, wt=wt, check_invariant=True
                 )
                 dev = (rep.max_invariant_dev or 0.0) / scale
                 if dev > worst:
@@ -165,9 +167,9 @@ def check_lower_bound(fixtures: list[Fixture], n_values, tol: float = 1e-9) -> C
     """
     worst, where = 0.0, ""
     ok = True
-    for g, profile, mechs in fixtures:
-        for mech in mechs:
-            rep = escape_sweep(g, mech, None, n_values, profile=profile)
+    for g, profile, mechs, tables in fixtures:
+        for mech, wt in zip(mechs, tables):
+            rep = escape_sweep(g, mech, None, n_values, profile=profile, wt=wt)
             short = [rep.alpha - rate for rate in rep.rates if rate < rep.alpha - tol]
             if short:
                 ok = False
@@ -179,7 +181,7 @@ def check_lower_bound(fixtures: list[Fixture], n_values, tol: float = 1e-9) -> C
 def check_mc_green(fixtures: list[Fixture], walks: int, z_max: float = 3.0) -> CheckRecord:
     """Monte Carlo visit counts within z_max standard errors of solved values."""
     worst, where = 0.0, ""
-    for g, profile, _ in fixtures:
+    for g, profile, *_ in fixtures:
         est = mc_green(g, walks, _MC_SEED)
         live = [x for x in range(g.num_vertices) if not g.is_sink[x]]
         probes = sorted({live[0], live[len(live) // 2], live[-1], g.origin})
@@ -199,7 +201,7 @@ def check_mc_green(fixtures: list[Fixture], walks: int, z_max: float = 3.0) -> C
 def check_srw_escape(fixtures: list[Fixture], walks: int, z_max: float = 3.0) -> CheckRecord:
     """Monte Carlo escape probability within z_max standard errors of 1/G(o)."""
     worst, where = 0.0, ""
-    for g, profile, _ in fixtures:
+    for g, profile, *_ in fixtures:
         alpha = profile.escape_probability
         p, se = srw_escape_mc(g, walks, _MC_SEED)
         if se == 0.0:
@@ -228,7 +230,7 @@ def _corruption_controls() -> list[CheckRecord]:
 
     # weight-maximizing configuration (min-weight for the negated table) must break the lower bound
     worst = min_weight_config(g, WeightTable(values=-wt.values, indptr=wt.indptr))
-    res = theorem_check(g, mech, [1, 2], config=worst, profile=profile)
+    res = theorem_check(g, mech, [1, 2], config=worst, profile=profile, wt=wt)
     shortfall = max(
         (res.alpha - v.value for v in res.violations if v.kind == "lower-bound"),
         default=0.0,

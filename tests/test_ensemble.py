@@ -1,0 +1,137 @@
+"""random_ensemble's trials settled together, in groups, on one round kernel.
+
+experiment.settle_trials must give every trial the survivors and t of its
+own run, whatever the group size, and fail as the one-run-at-a-time loop
+fails: reference_ensemble in oracles.py is that loop.
+"""
+import tracemalloc
+
+import pytest
+
+from rotorwalk import (
+    AbortedMaxSteps,
+    GraphInvalid,
+    InvalidParameter,
+    build_bary_tree,
+    build_lattice_ball,
+    build_path,
+    default_mechanism,
+    random_config,
+    random_ensemble,
+    shuffled_mechanism,
+    solve_harmonic,
+)
+from rotorwalk import experiment
+from rotorwalk.experiment import settle_trials
+
+from oracles import mechanism_from_rows, reference_ensemble
+
+GRAPHS = [build_path(7), build_bary_tree(2, 5), build_bary_tree(3, 4),
+          build_lattice_ball(2, 6), build_lattice_ball(3, 4)]
+TRIALS = 23  # a multiple of no group size below
+
+
+def _configs(g, seed, trials=TRIALS):
+    return (random_config(g, seed + k) for k in range(trials))
+
+
+def _group_of(monkeypatch, g, n, size):
+    """Make settle_trials settle `size` trials per group."""
+    monkeypatch.setattr(experiment, "_TRIAL_ELEMENTS", size * max(n, g.num_vertices))
+
+
+@pytest.mark.parametrize("seed", [0, 9])
+@pytest.mark.parametrize("n", [1, 7, 200])
+@pytest.mark.parametrize("mech_seed", [None, 5], ids=["default", "shuffled5"])
+@pytest.mark.parametrize("g", GRAPHS, ids=[g.describe() for g in GRAPHS])
+def test_settle_trials_equals_reference(monkeypatch, g, mech_seed, n, seed):
+    mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
+    survivors, steps = reference_ensemble(g, mech, n, TRIALS, seed)
+    assert settle_trials(g, mech, _configs(g, seed), n) == (survivors, steps)
+    for size in (1, 2, 3):
+        _group_of(monkeypatch, g, n, size)
+        assert settle_trials(g, mech, _configs(g, seed), n) == (survivors, steps)
+    rates = random_ensemble(g, mech, n, TRIALS, seed).rates
+    assert rates == [s / n for s in survivors]
+    assert all(type(r) is float for r in rates)
+
+
+def test_random_ensemble_validates_once(monkeypatch):
+    calls = {"check_mechanism": 0, "check_config": 0}
+
+    def counting(name):
+        fn = getattr(experiment, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(experiment, name, counting(name))
+    g = build_bary_tree(2, 5)
+    _group_of(monkeypatch, g, 7, 3)
+    random_ensemble(g, default_mechanism(g), n=7, trials=TRIALS, seed=1)
+    assert calls == {"check_mechanism": 1, "check_config": TRIALS}
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 100])
+@pytest.mark.parametrize("g", [build_bary_tree(3, 4), build_lattice_ball(2, 6)],
+                         ids=["tree", "lattice"])
+def test_abort_names_the_lowest_unsettled_trial(monkeypatch, g, size):
+    mech = shuffled_mechanism(g, 5)
+    n = 7
+    steps = reference_ensemble(g, mech, n, TRIALS, 4)[1]
+    # a trial settles iff its t is within max_steps; pick bounds that
+    # stop the first trial, a later one only, or one mid-round
+    later = sorted(steps)[TRIALS // 2]
+    bounds = [1, n - 1, n, n + 3, steps[0] - 1, later, later + n // 2]
+    _group_of(monkeypatch, g, n, size)
+    for max_steps in bounds:
+        with pytest.raises(AbortedMaxSteps) as want:
+            reference_ensemble(g, mech, n, TRIALS, 4, max_steps=max_steps)
+        with pytest.raises(AbortedMaxSteps) as got:
+            settle_trials(g, mech, _configs(g, 4), n, max_steps=max_steps)
+        assert str(got.value) == str(want.value)
+    # a bound every trial settles within is not reached
+    assert settle_trials(g, mech, _configs(g, 4), n, max_steps=max(steps))[1] == steps
+
+
+def test_ensemble_rejects_zero_particles():
+    g = build_path(5)
+    with pytest.raises(InvalidParameter, match=r"^particle count must be >= 1, got 0$"):
+        random_ensemble(g, default_mechanism(g), n=0, trials=3, seed=0)
+    with pytest.raises(InvalidParameter, match=r"^max_steps must be >= 1, got 0$"):
+        settle_trials(g, default_mechanism(g), _configs(g, 0), 5, max_steps=0)
+
+
+def test_bad_mechanism_raises_before_any_trial_settles(monkeypatch):
+    g = build_path(5)
+    rows = [tuple(r) for r in default_mechanism(g).order]
+    rows[1] = (rows[1][0],) * 2  # not a permutation of vertex 1's two neighbours
+    bad = mechanism_from_rows(rows)
+    moved = []
+    monkeypatch.setattr(experiment, "_leave_together", lambda *args: moved.append(args))
+    drawn = []
+    configs = (drawn.append(k) or random_config(g, k) for k in range(TRIALS))
+    with pytest.raises(GraphInvalid):
+        settle_trials(g, bad, configs, 3)
+    with pytest.raises(GraphInvalid):
+        random_ensemble(g, bad, n=3, trials=TRIALS, seed=0)
+    assert moved == [] and drawn == []
+
+
+def test_ensemble_memory_does_not_grow_with_trials():
+    g = build_bary_tree(3, 8)
+    mech = default_mechanism(g)
+    profile = solve_harmonic(g)
+    assert experiment._TRIAL_ELEMENTS // g.num_vertices < 10  # both counts span several groups
+    peaks = []
+    for trials in (10, 100):
+        tracemalloc.start()
+        try:
+            random_ensemble(g, mech, n=1000, trials=trials, seed=2, profile=profile)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= 1.25 * min(peaks), peaks

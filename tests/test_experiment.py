@@ -451,12 +451,13 @@ def test_round_invariants_resume_after_abort():
 def _mutant_leave_together(kind):
     """_leave_together with one seeded fault; the stepwise engine must disagree with it."""
 
-    def leave(x, rho, deg, mech, taken=None):
-        order = np.argsort(x, kind="stable")
+    def leave(key, x, rho, deg, mech, taken=None):
+        order = np.argsort(key, kind="stable")
+        ks = key[order].astype(np.intp)
         xs = x[order].astype(np.intp)
         m = xs.size
         run_edge = np.ones(m + 1, dtype=bool)
-        run_edge[1:m] = xs[1:] != xs[:-1]
+        run_edge[1:m] = ks[1:] != ks[:-1]
         k = np.arange(m)
         start = np.maximum.accumulate(np.where(run_edge[:m], k, 0))
         rank = k - start
@@ -465,13 +466,13 @@ def _mutant_leave_together(kind):
         elif kind == "rank-reversed":      # leavers take the positions in reverse turn order
             end = np.flatnonzero(run_edge[1:])[np.cumsum(run_edge[:m]) - 1]
             rank = end - k
-        r = (rho[xs] + rank + 1) % deg[xs]
+        r = (rho[ks] + rank + 1) % deg[xs]
         # the leaver of the highest rank sets the rotor, or the first one
         first = kind in ("first-sets-rotor", "rank-reversed")
         setter = np.flatnonzero(run_edge[:m] if first else run_edge[1:])
-        rho[xs[setter]] = r[setter]
+        rho[ks[setter]] = r[setter]
         if kind == "rotor-overshoots":     # the rotor ends one position past the last leaver's
-            rho[xs[setter]] = (r[setter] + 1) % deg[xs[setter]]
+            rho[ks[setter]] = (r[setter] + 1) % deg[xs[setter]]
         if taken is not None:
             taken[order] = r
         y = np.empty(m, dtype=np.intp)

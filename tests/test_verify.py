@@ -34,8 +34,11 @@ def test_row_sum_fails_on_corrupted_table_where_cyclic_sum_passes(corrupted_p3):
 
 def test_weight_checks_read_the_engine_table(monkeypatch, corrupted_p3):
     g, mech, profile, bad = corrupted_p3
+    monkeypatch.setattr(verify, "default_mechanism", lambda g: mech)
+    monkeypatch.setattr(verify, "_MECH_SEEDS", ())
     monkeypatch.setattr(verify, "weight_table", lambda *args: bad)
-    fixture = verify.Fixture(g, profile, (mech,))
+    fixture = verify._fixture(g)
+    assert fixture.mechanisms == (mech,) and fixture.tables == (bad,)
     for check in (verify.check_weight_increment, verify.check_telescope):
         rec = check([fixture])
         assert not rec.ok
@@ -62,3 +65,24 @@ def test_each_fixture_solved_once(monkeypatch):
     # the corruption controls' own path(3), which theorem_check reuses
     expected[build_path(3).describe()] += 1
     assert solved == expected
+
+
+@pytest.mark.parametrize("quick", [True, False])
+def test_one_weight_table_per_fixture_mechanism(monkeypatch, quick):
+    built = Counter()
+
+    def counting_table(g, mech, profile):
+        built[g.describe(), mech.describe()] += 1
+        return weight_table(g, mech, profile)
+
+    monkeypatch.setattr(verify, "weight_table", counting_table)
+    monkeypatch.setattr(analysis, "weight_table", counting_table)
+    records = verify.run_verification(quick=quick, inject_corruption=True)
+    fixtures = verify.quick_fixtures() if quick else verify.full_fixtures()
+    expected = Counter((g.describe(), name) for g in fixtures
+                       for name in ("default", "shuffled(seed=11)", "shuffled(seed=12)"))
+    # the corruption controls' path(3) table, which theorem_check reuses
+    expected[build_path(3).describe(), "default"] += 1
+    assert built == expected
+    assert sum(built.values()) == (16 if quick else 25)
+    assert [r.ok for r in records[:-2]] == [True] * 7
