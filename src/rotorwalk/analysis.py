@@ -22,8 +22,13 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .graphs import Graph, RotorMechanism
-from .harmonic import DEFAULT_WALK_CAP, HarmonicProfile, _walk_steps, solve_harmonic
-from .rng import philox_generator
+from .harmonic import (
+    DEFAULT_WALK_CAP,
+    HarmonicProfile,
+    _check_walk_args,
+    _walk_steps,
+    solve_harmonic,
+)
 from .weights import (
     RotorConfig,
     WeightTable,
@@ -288,16 +293,15 @@ def srw_escape_mc(
     Philox stream i // 4096.  Walks run on mc_green's step kernel, stopped at
     sinks and at the origin: AbortedMaxSteps only if one outlives max_steps.
     """
-    if walks < 1:
-        raise InvalidParameter(f"walks must be >= 1, got {walks}")
+    _check_walk_args(walks, max_steps)
     stop = graph.is_sink.copy()
     stop[graph.origin] = True
 
     escaped = 0
     chunk = 4096
     for start in range(0, walks, chunk):
-        rng = philox_generator(seed, stream=start // chunk)
-        for nxt, _, _ in _walk_steps(graph, min(chunk, walks - start), rng, stop, max_steps):
+        m = min(chunk, walks - start)
+        for nxt, _, _ in _walk_steps(graph, m, seed, start // chunk, chunk, stop, max_steps):
             escaped += int(np.count_nonzero(graph.is_sink[nxt]))
 
     p = escaped / walks

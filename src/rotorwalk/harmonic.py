@@ -10,6 +10,12 @@ at every non-sink x, with v = 0 on sinks.  Solving for v instead of G keeps
 the system a plain neighbor-averaging one with a single unit source and
 avoids degree bookkeeping; G is reconstructed as v * deg.  The escape
 probability (never returning to the origin) is 1/G(origin).
+
+mc_green estimates G by Monte Carlo, for cross-checks: absorbed walks from
+the origin, in chunks of 512 with one Philox stream each, on the one walk
+kernel _walk_steps, which also runs analysis.srw_escape_mc.  The kernel
+advances several chunks at once, each stream read in its own order, so
+the estimate does not depend on how many chunks advance together.
 """
 from __future__ import annotations
 
@@ -26,7 +32,8 @@ from .rng import philox_generator
 DEFAULT_TOL = 1e-12
 DEFAULT_WALK_CAP = 10**8
 _MC_CHUNK = 512
-_DRAW_BLOCK = 1 << 13  # uniforms drawn at once by the walk kernel
+_DRAW_BLOCK = 1 << 13  # doubles in the walk kernel's draw buffer, over all its streams
+_WALK_CELLS = 1 << 18  # visit counts held at once by mc_green: 2 MiB of int64
 
 
 @dataclass(frozen=True)
@@ -135,14 +142,26 @@ def solve_harmonic(g: Graph, tol: float = DEFAULT_TOL) -> HarmonicProfile:
     )
 
 
-def _walk_steps(g: Graph, m: int, rng: np.random.Generator, stop: np.ndarray, max_steps: int):
+def _check_walk_args(walks: int, max_steps: int) -> None:
+    if walks < 1:
+        raise InvalidParameter(f"walks must be >= 1, got {walks}")
+    if max_steps < 1:
+        raise InvalidParameter(f"max_steps must be >= 1, got {max_steps}")
+
+
+def _walk_steps(
+    g: Graph, m: int, seed: int, first_stream: int, chunk: int, stop: np.ndarray, max_steps: int
+):
     """Advance m simple random walks from the origin until each steps onto a `stop` vertex.
 
     Yields once per step: the target of every walk that moved, then the ids
-    (0..m-1) and positions of the walks still running.  Each step takes one
-    uniform per moving walk, in id order, from blocks of rng.random: one
-    random(a + b) gives the doubles of random(a) then random(b), so the
-    draws are those of one random call per step.  Raises AbortedMaxSteps
+    (0..m-1) and positions of the walks still running.  Walk i draws from
+    Philox stream first_stream + i // chunk, one uniform per step it moves,
+    and the walks of a stream take its doubles in id order: each stream is
+    read exactly as by one random call per step over its own walks, however
+    many streams advance together.  One random(a + b) gives the doubles of
+    random(a) then random(b), so each stream fills its row of one draw
+    buffer in blocks and keeps a cursor into it.  Raises AbortedMaxSteps
     only if a walk is still running after max_steps steps.
     """
     indptr, flat = g.adj_indptr, g.adj_flat
@@ -153,13 +172,29 @@ def _walk_steps(g: Graph, m: int, rng: np.random.Generator, stop: np.ndarray, ma
     go = ~stop
     ids = np.arange(m)
     pos = np.full(m, g.origin, dtype=np.int64)
-    block = max(m, _DRAW_BLOCK)
-    draws, used = np.empty(0), 0
+    streams = -(-m // chunk)
+    rngs = [philox_generator(seed, stream=first_stream + s) for s in range(streams)]
+    # a row holds at least one step of its stream: a stream moves <= chunk walks
+    width = max(chunk, _DRAW_BLOCK // streams)
+    draws = np.empty((streams, width))
+    cursor = [width] * streams
+    ends = np.arange(1, streams + 1) * chunk  # one past the last walk of each stream
     for _ in range(max_steps):
-        if used + ids.size > draws.size:
-            draws, used = np.concatenate((draws[used:], rng.random(block))), 0
-        u = draws[used : used + ids.size]
-        used += ids.size
+        # ids ascend, so the running walks of each stream are one run of ids
+        run_ends = np.searchsorted(ids, ends).tolist() if streams > 1 else [ids.size]
+        parts, run_start = [], 0
+        for s, run_end in enumerate(run_ends):
+            need, c = run_end - run_start, cursor[s]
+            run_start = run_end
+            if not need:
+                continue
+            if c + need > width:  # keep the unread doubles, fill the row behind them
+                draws[s, : width - c] = draws[s, c:]
+                rngs[s].random(out=draws[s, width - c :])
+                c = 0
+            parts.append(draws[s, c : c + need])
+            cursor[s] = c + need
+        u = parts[0] if len(parts) == 1 else np.concatenate(parts)
         k = (u * deg[pos]).astype(np.int64)
         k += indptr[pos]
         nxt = flat[k]
@@ -176,28 +211,34 @@ def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP)
 
     Walks run until they step onto a sink; the arrival at the sink is not
     counted as a visit.  Deterministic in (graph, walks, seed): walk i draws
-    from Philox stream i // chunk regardless of how chunks are scheduled.
-    Walks run on _walk_steps, shared with analysis.srw_escape_mc, which
-    raises AbortedMaxSteps only if a walk is still running after max_steps.
+    from Philox stream i // 512 however chunks are scheduled.  The chunks
+    advance together in groups whose visit counts fill at most _WALK_CELLS
+    cells of one flat array, so the steps at the tail of one chunk's walks
+    move the other chunks' walks too.  Walks run on _walk_steps, shared with
+    analysis.srw_escape_mc, which raises AbortedMaxSteps only if a walk is
+    still running after max_steps.
     """
-    if walks < 1:
-        raise InvalidParameter(f"walks must be >= 1, got {walks}")
+    _check_walk_args(walks, max_steps)
 
     nv = g.num_vertices
     total = np.zeros(nv)
     total_sq = np.zeros(nv)
-    for start in range(0, walks, _MC_CHUNK):
-        m = min(_MC_CHUNK, walks - start)
-        rng = philox_generator(seed, stream=start // _MC_CHUNK)
+    group = max(1, _WALK_CELLS // (_MC_CHUNK * nv)) * _MC_CHUNK
+    cells = np.empty(min(group, walks) * nv, dtype=np.int64)  # reused by every group
+    for start in range(0, walks, group):
+        m = min(group, walks - start)
         # visits of walk i to x at flat index i * nv + x; a step moves each
         # walk once, so its indices are distinct and += counts each of them
-        counts = np.zeros(m * nv, dtype=np.int64)
+        counts = cells[: m * nv]
+        counts.fill(0)
         counts[g.origin :: nv] = 1
-        for _, rows, pos in _walk_steps(g, m, rng, g.is_sink, max_steps):
+        steps = _walk_steps(g, m, seed, start // _MC_CHUNK, _MC_CHUNK, g.is_sink, max_steps)
+        for _, rows, pos in steps:
             counts[rows * nv + pos] += 1
         counts = counts.reshape(m, nv)
+        # integer sums, exact, so they add up to the same floats in any grouping
         total += counts.sum(axis=0)
-        total_sq += (counts.astype(np.float64) ** 2).sum(axis=0)
+        total_sq += np.einsum("ij,ij->j", counts, counts)
 
     mean = total / walks
     if walks > 1:

@@ -1,6 +1,10 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import rotorwalk.harmonic as harmonic
 from rotorwalk import (
     AbortedMaxSteps,
     DimensionMismatch,
@@ -144,15 +148,46 @@ def test_mc_green_input_validation(p3):
 MC_GRAPHS = [build_path(5), build_lattice_ball(2, 5), build_lattice_ball(3, 6), build_bary_tree(2, 6)]
 
 
-@pytest.mark.parametrize("g", MC_GRAPHS, ids=[g.describe() for g in MC_GRAPHS])
+@functools.cache
+def _reference_loops(graph_index, walks):
+    g = MC_GRAPHS[graph_index]
+    return reference_mc_green(g, walks, 20240801), reference_srw_escape_mc(g, walks, 20240801)
+
+
+@pytest.mark.parametrize("draw_block", [None, 1], ids=["draw-block", "tiny-draw-block"])
+@pytest.mark.parametrize("group", [1, 2, 3, None], ids=["1-chunk", "2-chunks", "3-chunks", "default"])
+@pytest.mark.parametrize("gi", range(len(MC_GRAPHS)), ids=[g.describe() for g in MC_GRAPHS])
 @pytest.mark.parametrize("walks", [1, 511, 513, 4097, 20_000])
-def test_walk_kernel_matches_reference_loops(g, walks):
-    """Both estimators on the shared step kernel equal their old per-step loops, bit for bit."""
+def test_walk_kernel_matches_reference_loops(monkeypatch, gi, walks, group, draw_block):
+    """Both estimators on the shared step kernel equal their old per-step loops, bit for bit.
+
+    mc_green advances `group` chunks of walks together (by default as many
+    as _WALK_CELLS holds); with a tiny _DRAW_BLOCK a stream's row holds one
+    chunk of draws, so it runs out between steps and refills, keeping what
+    it had left, while other streams go on reading theirs.
+    """
+    g = MC_GRAPHS[gi]
+    if group is not None:
+        monkeypatch.setattr(harmonic, "_WALK_CELLS", group * harmonic._MC_CHUNK * g.num_vertices)
+    if draw_block is not None:
+        monkeypatch.setattr(harmonic, "_DRAW_BLOCK", draw_block)
+    (visits, stderr), escape = _reference_loops(gi, walks)
     est = mc_green(g, walks, seed=20240801)
-    visits, stderr = reference_mc_green(g, walks, 20240801)
     assert np.array_equal(est.visits, visits)
     assert np.array_equal(est.stderr, stderr)
-    assert srw_escape_mc(g, walks, seed=20240801) == reference_srw_escape_mc(g, walks, 20240801)
+    assert srw_escape_mc(g, walks, seed=20240801) == escape
+
+
+def test_mc_green_memory_stays_bounded():
+    """Grouped chunks hold one count array of _WALK_CELLS int64 cells, not one per walk."""
+    g = build_lattice_ball(2, 5)
+    tracemalloc.start()
+    try:
+        mc_green(g, 100_000, seed=20240801)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * harmonic._WALK_CELLS * 8
 
 
 def test_walks_ending_on_the_last_allowed_step_do_not_abort():
@@ -162,6 +197,16 @@ def test_walks_ending_on_the_last_allowed_step_do_not_abort():
     assert mc_green(g, 10, 0, max_steps=1).visits[g.origin] == 1.0
     with pytest.raises(AbortedMaxSteps):
         srw_escape_mc(build_path(6), 32, 0, max_steps=2)
+
+
+@pytest.mark.parametrize("max_steps", [0, -1])
+def test_walk_cap_below_one_is_a_usage_error(max_steps):
+    """As in run_until_settled, a cap below one step is an InvalidParameter, not an abort."""
+    g = build_path(2)
+    with pytest.raises(InvalidParameter, match="max_steps must be >= 1"):
+        mc_green(g, 10, 0, max_steps=max_steps)
+    with pytest.raises(InvalidParameter, match="max_steps must be >= 1"):
+        srw_escape_mc(g, 10, 0, max_steps=max_steps)
 
 
 def test_largest_uniform_never_picks_past_the_last_edge():

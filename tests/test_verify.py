@@ -1,3 +1,5 @@
+import multiprocessing
+import os
 from collections import Counter
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 
 import rotorwalk.analysis as analysis
 import rotorwalk.verify as verify
-from rotorwalk import build_path, default_mechanism, solve_harmonic, weight_table
+from rotorwalk import AbortedMaxSteps, build_path, default_mechanism, solve_harmonic, weight_table
 from rotorwalk.weights import WeightTable
 
 
@@ -86,3 +88,43 @@ def test_one_weight_table_per_fixture_mechanism(monkeypatch, quick):
     assert built == expected
     assert sum(built.values()) == (16 if quick else 25)
     assert [r.ok for r in records[:-2]] == [True] * 7
+
+
+def _pid_record(fixtures, walks):
+    return verify.CheckRecord("mc-green-zscore", True, 0.0, 3.0, str(os.getpid()))
+
+
+def test_mc_green_check_runs_in_a_forked_worker(monkeypatch):
+    monkeypatch.setattr(verify, "check_mc_green", _pid_record)
+    records = verify.run_verification(quick=True)
+    assert records[5].detail != str(os.getpid())
+    monkeypatch.setattr(verify, "_fork_context", lambda: None)
+    records = verify.run_verification(quick=True)
+    assert records[5].detail == str(os.getpid())
+    assert multiprocessing.active_children() == []
+
+
+def test_records_equal_with_and_without_the_worker(monkeypatch):
+    forked = verify.run_verification(quick=True, inject_corruption=True)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(verify, "_fork_context", lambda: None)
+    assert verify.run_verification(quick=True, inject_corruption=True) == forked
+    assert [r.name for r in forked] == [
+        "harmonic-residual", "weight-increment", "weight-row-sum", "invariant-constancy",
+        "min-config-lower-bound", "mc-green-zscore", "srw-escape-zscore",
+        "corrupted-weights-control", "corrupted-config-control",
+    ]
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_mc_green_check_failure_reaches_the_caller(monkeypatch, forked):
+    def fail(fixtures, walks):
+        raise AbortedMaxSteps("walk cap reached in check_mc_green")
+
+    # the forked worker inherits the patched module attribute
+    monkeypatch.setattr(verify, "check_mc_green", fail)
+    if not forked:
+        monkeypatch.setattr(verify, "_fork_context", lambda: None)
+    with pytest.raises(AbortedMaxSteps, match="walk cap reached in check_mc_green"):
+        verify.run_verification(quick=True)
+    assert multiprocessing.active_children() == []
