@@ -44,6 +44,7 @@ from .weights import (
 )
 from .experiment import (
     ExperimentState,
+    InvariantTracker,
     ParticleStatus,
     compute_invariant,
     init_experiment,
@@ -53,7 +54,6 @@ from .experiment import (
 from .analysis import (
     EnsembleSummary,
     EscapeReport,
-    InvariantTracker,
     TheoremCheckResult,
     escape_sweep,
     random_ensemble,

@@ -3,7 +3,8 @@
 escape_sweep runs the n-particle experiment for a list of n values and
 reports escape rates against the harmonic escape probability; it is the only
 sweep loop.  Every run settles on the round kernel, invariant checks and
-per-round observers (the CLI's trace) included.  theorem_check reads one
+per-round observers (the CLI's trace) included: both go through one
+experiment.InvariantTracker per n.  theorem_check reads one
 escape_sweep and asserts the facts the minimizing configuration guarantees:
 conserved quantity constant, escaped fraction at or above the escape
 probability once every particle has moved, and final gaps nonnegative and
@@ -16,7 +17,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -39,19 +40,14 @@ from .weights import (
 from .experiment import (
     DEFAULT_MAX_STEPS,
     ExperimentState,
-    ParticleStatus,
-    RoundInvariants,
-    compute_invariant,
+    InvariantTracker,
+    RoundMoves,
     init_experiment,
     run_until_settled,
     settle_trials,
 )
 
 logger = logging.getLogger(__name__)
-
-# up to this many (particles x vertices) the conserved quantity is checked
-# after every move; above it, about once per round
-_EVENT_CHECK_BUDGET = 10**6
 
 
 @dataclass
@@ -118,91 +114,6 @@ class TheoremCheckResult:
         )
 
 
-class InvariantTracker:
-    """Tracks the worst deviation of the conserved quantity during a run.
-
-    compute_invariant samples the state at construction and in finish();
-    in between, on_round takes each round the kernel moves (the arguments
-    of the run_until_settled on_round hook) and evaluates its moves with
-    experiment.RoundInvariants, bit for bit compute_invariant's values.
-    Built at any t, on a resumed state too, it sees every later move, so
-    RoundInvariants' precondition holds (see there).
-    It evaluates every move when every_move is set or the problem is within
-    _EVENT_CHECK_BUDGET (particles x vertices); above it, about once per
-    round: the first move whose t reaches the next check, which is then that
-    t + n.  The target value is n * v(origin), fixed at construction.
-    """
-
-    def __init__(self, state: ExperimentState, profile: HarmonicProfile, wt: WeightTable,
-                 every_move: bool = False):
-        self._state = state
-        self._profile = profile
-        self._wt = wt
-        self._rounds = RoundInvariants(state, profile, wt)
-        self.target = float(state.n * profile.voltage[state.graph.origin])
-        self.every_move = every_move or state.n * state.graph.num_vertices <= _EVENT_CHECK_BUDGET
-        self.max_dev = 0.0
-        self.sample()
-        self._next_check = state.t + state.n
-
-    def _fold(self, values) -> None:
-        dev = float(np.abs(values - self.target).max())
-        if dev > self.max_dev:
-            self.max_dev = dev
-
-    def sample(self) -> float:
-        """Recompute the conserved quantity, fold in its deviation, and return it."""
-        value = compute_invariant(self._state, self._profile, self._wt)
-        self._fold(value)
-        return value
-
-    def on_round(self, movers, turns, source, target, taken, arrived) -> np.ndarray:
-        """Fold in the round's evaluated moves and return their values (every move's if every_move)."""
-        first, stop = 0, movers.size
-        if not self.every_move:
-            # t after a move is its turn + 1
-            first = int(np.searchsorted(turns, self._next_check - 1))
-            stop = min(first + 1, stop)
-            if first < stop:
-                self._next_check = int(turns[first]) + 1 + self._state.n
-        values = self._rounds(movers, turns, source, target, taken, first, stop)
-        if values.size:
-            self._fold(values)
-        return values
-
-    def finish(self) -> float:
-        """Force one last sample and return the worst deviation seen."""
-        self.sample()
-        return self.max_dev
-
-
-class RoundMoves(NamedTuple):
-    """The moves of one round in turn order, as parallel arrays."""
-
-    t: np.ndarray          # the turn of each move (t before it)
-    mover: np.ndarray
-    source: np.ndarray     # the vertex the mover left
-    target: np.ndarray     # the vertex it reached
-    status: np.ndarray     # its status on arrival
-    survivors: np.ndarray  # survivors after the move
-    invariant: np.ndarray  # the conserved quantity after the move
-
-
-def _observed_rounds(state: ExperimentState, tracker: InvariantTracker,
-                     observer: Callable[[ExperimentState, RoundMoves], None]):
-    """A round hook that hands each round's moves, with their invariants, to observer."""
-    survivors = state.survivors
-
-    def on_round(movers, turns, source, target, taken, arrived):
-        nonlocal survivors
-        invariant = tracker.on_round(movers, turns, source, target, taken, arrived)
-        left = survivors - np.cumsum(arrived == ParticleStatus.RETURNED)
-        survivors = int(left[-1])
-        observer(state, RoundMoves(turns, movers, source, target, arrived, left, invariant))
-
-    return on_round
-
-
 def escape_sweep(
     graph: Graph,
     mechanism: RotorMechanism,
@@ -249,14 +160,11 @@ def escape_sweep(
 
     for n in n_values:
         state = init_experiment(graph, mechanism, config, n)
-        on_round = None
+        tracker = None
         if observer is not None or check_invariant:
-            tracker = InvariantTracker(state, profile, wt, every_move=observer is not None)
-            on_round = tracker.on_round
-            if observer is not None:
-                on_round = _observed_rounds(state, tracker, observer)
-
-        run_until_settled(state, max_steps=max_steps, on_round=on_round)
+            tracker = InvariantTracker(state, profile, wt, observer)
+        run_until_settled(state, max_steps=max_steps,
+                          on_round=None if tracker is None else tracker.on_round)
         if check_invariant:
             dev = tracker.finish()
             worst = dev if worst is None else max(worst, dev)

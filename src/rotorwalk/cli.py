@@ -104,7 +104,9 @@ def _merge_config_file(ns: argparse.Namespace) -> None:
     if not isinstance(data, dict):
         raise InvalidParameter("config file must be a mapping of option names to values")
     graph_section = data.pop("graph", None)
-    if isinstance(graph_section, dict):
+    if graph_section is not None:
+        if not isinstance(graph_section, dict):
+            raise InvalidParameter("config file section 'graph' must be a mapping of option names to values")
         data.update(graph_section)
     unknown = set(data) - _FILE_KEYS
     if unknown:

@@ -37,7 +37,7 @@ step() is the single-move engine and the reference the kernel is tested
 against; run_until_settled never calls it.  The kernel reports each round,
 a partial first round included, through an optional hook (its movers,
 turns, from and to vertices, mechanism positions taken and arrival
-statuses), from which RoundInvariants gives the conserved quantity after
+statuses), from which InvariantTracker gives the conserved quantity after
 each of the round's moves, bit for bit what compute_invariant gives after
 the same move of step().
 """
@@ -46,7 +46,7 @@ from __future__ import annotations
 from enum import IntEnum
 from functools import cached_property
 from itertools import islice
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,8 +57,12 @@ from .weights import RotorConfig, WeightTable, check_config
 
 DEFAULT_MAX_STEPS = 10**9
 
-# elements in each block matrix of RoundInvariants; larger rounds are split
+# elements in each block matrix of InvariantTracker; larger rounds are split
 _BLOCK_ELEMENTS = 1 << 15
+
+# up to this many (particles x vertices) an unobserved InvariantTracker
+# evaluates every move; above it, about once per round
+_EVENT_CHECK_BUDGET = 10**6
 
 # particles (or rotors, if more) in a settle_trials group of several trials; keys fit in 16 bits
 _TRIAL_ELEMENTS = 1 << 16
@@ -381,14 +385,6 @@ def settle_trials(
     return survivors, steps
 
 
-def _check_dimensions(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> None:
-    g = state.graph
-    if profile.voltage.shape != (g.num_vertices,):
-        raise DimensionMismatch("profile does not match the experiment's graph")
-    if len(wt.indptr) != g.num_vertices + 1 or wt.indptr[-1] != state.mechanism.indptr[-1]:
-        raise DimensionMismatch("weight table does not match the experiment's mechanism")
-
-
 def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> float:
     """Recompute the conserved quantity from the current state, in whole arrays.
 
@@ -399,10 +395,13 @@ def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: Weig
     sequential sum, while np.sum adds pairwise and would change the last bits
     (and with them the trace's invariant column).
     """
-    _check_dimensions(state, profile, wt)
     g = state.graph
-    v = profile.voltage
+    if profile.voltage.shape != (g.num_vertices,):
+        raise DimensionMismatch("profile does not match the experiment's graph")
     indptr = state.mechanism.indptr
+    if len(wt.indptr) != g.num_vertices + 1 or wt.indptr[-1] != indptr[-1]:
+        raise DimensionMismatch("weight table does not match the experiment's mechanism")
+    v = profile.voltage
     o = state._origin
     total = float(np.sum(v[state.positions]))
     total += min(state.t, state.n) / int(indptr[o + 1] - indptr[o])
@@ -415,15 +414,35 @@ def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: Weig
     return float(np.add.accumulate(terms)[-1])
 
 
-class RoundInvariants:
-    """The conserved quantity after moves of the round kernel, bit for bit compute_invariant.
+class RoundMoves(NamedTuple):
+    """The moves of one round in turn order, as parallel arrays."""
 
-    Build it at the state a settle starts from, at any t, and call it for
-    every round the kernel moves, in order, with the arguments of the
-    run_until_settled on_round hook (a partial first round included): it
-    carries the rotor-weight terms of the live range, in first-visit order,
-    from round to round (read from the state's rotors after each round).
-    For moves first..stop-1 of the round it builds, per block of moves, two
+    t: np.ndarray          # the turn of each move (t before it)
+    mover: np.ndarray
+    source: np.ndarray     # the vertex the mover left
+    target: np.ndarray     # the vertex it reached
+    status: np.ndarray     # its status on arrival
+    survivors: np.ndarray  # survivors after the move
+    invariant: np.ndarray  # the conserved quantity after the move
+
+
+class InvariantTracker:
+    """The conserved quantity after the round kernel's moves, and its worst deviation.
+
+    Build it at the state a settle starts from, at any t, and pass on_round
+    to run_until_settled, so it sees every later move (a partial first round
+    included).  compute_invariant samples the state at construction and in
+    finish(); in between, on_round evaluates moves of each round, bit for bit
+    compute_invariant's values after the same move of step(), and folds
+    their deviation from n * v(origin) into max_dev.  It evaluates every move
+    if an observer is given or particles x vertices is within
+    _EVENT_CHECK_BUDGET; above it, about once per round: the first move whose
+    t reaches the next check, which is then that t + n.  observer, if given,
+    is called after each round with the state and the round's RoundMoves.
+
+    The rotor-weight terms of the live range, in first-visit order, are
+    carried from round to round (read from the state's rotors after each
+    round).  For the evaluated moves it builds, per block of moves, two
     matrices with one row per move:
 
     - v at every particle's position after that move, summed with
@@ -439,15 +458,22 @@ class RoundInvariants:
     end.  Each block matrix holds at most _BLOCK_ELEMENTS elements.
     """
 
-    def __init__(self, state: ExperimentState, profile: HarmonicProfile, wt: WeightTable):
-        _check_dimensions(state, profile, wt)
-        self._state = state
+    def __init__(self, state: ExperimentState, profile: HarmonicProfile, wt: WeightTable,
+                 observer: Optional[Callable[[ExperimentState, RoundMoves], None]] = None):
+        self._state, self._profile, self._wt, self._observer = state, profile, wt, observer
+        value = compute_invariant(state, profile, wt)  # checks the dimensions before any lookup
         self._v = profile.voltage
+        self.target = float(state.n * self._v[state.graph.origin])
+        self.max_dev = 0.0
+        self._fold(value)
+        num_vertices = state.graph.num_vertices
+        self._every_move = observer is not None or state.n * num_vertices <= _EVENT_CHECK_BUDGET
+        self._next_check = state.t + state.n
+        self._survivors = state.survivors
         self._values = wt.values
         self._indptr = state.mechanism.indptr
         o = state._origin
         self._deg_origin = int(self._indptr[o + 1] - self._indptr[o])
-        num_vertices = state.graph.num_vertices
         self._col = np.full(num_vertices, -1, dtype=np.intp)  # column of each live range vertex
         self._terms = np.empty(num_vertices)  # rotor-weight term of each column
         self._cols = 0
@@ -455,6 +481,14 @@ class RoundInvariants:
         self._slot = np.empty(num_vertices, dtype=np.intp)  # scratch: a block's move per column
         self._tri = np.ones((0, 0), dtype=bool)
         self._add_range()
+
+    def _fold(self, values) -> None:
+        self.max_dev = max(self.max_dev, float(np.abs(values - self.target).max()))
+
+    def finish(self) -> float:
+        """Sample the state once more and return the worst deviation seen."""
+        self._fold(compute_invariant(self._state, self._profile, self._wt))
+        return self.max_dev
 
     def _add_range(self) -> None:
         """Give the live vertices visited since the last call their columns and terms."""
@@ -470,14 +504,16 @@ class RoundInvariants:
         self._terms[cols] = self._values[base + st.rho[fresh]] - self._values[base + st.rho0[fresh]]
         self._cols += fresh.size
 
-    def __call__(
-        self, movers: np.ndarray, turns: np.ndarray, source: np.ndarray, target: np.ndarray,
-        taken: np.ndarray, first: int = 0, stop: Optional[int] = None,
-    ) -> np.ndarray:
-        """Values after moves first..stop-1 of the round just moved (default: every move)."""
-        st = self._state
-        values = self._values
-        stop = movers.size if stop is None else stop
+    def on_round(self, movers, turns, source, target, taken, arrived) -> None:
+        """The run_until_settled hook: evaluate the round's moves, fold them in, observe them."""
+        st, values = self._state, self._values
+        first, stop = 0, movers.size
+        if not self._every_move:
+            # t after a move is its turn + 1
+            first = int(np.searchsorted(turns, self._next_check - 1))
+            stop = min(first + 1, stop)
+            if first < stop:
+                self._next_check = int(turns[first]) + 1 + st.n
         self._add_range()  # vertices first visited in this round: none of them was left
 
         cols = self._col[source]
@@ -487,9 +523,13 @@ class RoundInvariants:
         if out.size:
             self._evaluate(movers, turns, source, target, values[base + taken] - w0, cols,
                            first, stop, out)
+            self._fold(out)
         # the rotors the round left behind, as compute_invariant reads them
         self._terms[cols] = values[base + st.rho[source]] - w0
-        return out
+        if self._observer is not None:
+            left = self._survivors - np.cumsum(arrived == _RETURNED)
+            self._survivors = int(left[-1])
+            self._observer(st, RoundMoves(turns, movers, source, target, arrived, left, out))
 
     def _evaluate(self, movers, turns, source, target, moved_terms, cols, first, stop, out):
         v, n = self._v, self._state.n

@@ -238,16 +238,15 @@ def test_ensemble_input_validation(p3):
 @pytest.mark.parametrize("config_kind", ["min", "random"])
 def test_sampled_invariant_follows_the_stepwise_rule(monkeypatch, g, mech_seed, config_kind):
     """Above the per-move budget the kernel checks the moves the stepwise tracker sampled."""
-    monkeypatch.setattr(analysis, "_EVENT_CHECK_BUDGET", 0)
+    monkeypatch.setattr(experiment, "_EVENT_CHECK_BUDGET", 0)
     checked = []
 
-    class Recorded(experiment.RoundInvariants):
-        def __call__(self, movers, turns, source, target, taken, first=0, stop=None):
-            values = super().__call__(movers, turns, source, target, taken, first, stop)
-            checked.extend(zip((turns[first:stop] + 1).tolist(), values.tolist()))
-            return values
+    class Recorded(experiment.InvariantTracker):
+        def _evaluate(self, movers, turns, source, target, moved_terms, cols, first, stop, out):
+            super()._evaluate(movers, turns, source, target, moved_terms, cols, first, stop, out)
+            checked.extend(zip((turns[first:stop] + 1).tolist(), out.tolist()))
 
-    monkeypatch.setattr(analysis, "RoundInvariants", Recorded)
+    monkeypatch.setattr(analysis, "InvariantTracker", Recorded)
     mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
     profile = solve_harmonic(g)
     wt = weight_table(g, mech, profile)
@@ -276,7 +275,7 @@ def test_checked_sweeps_settle_on_the_round_kernel(monkeypatch, observed, check_
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(analysis, "compute_invariant", counted("compute_invariant", analysis.compute_invariant))
+    monkeypatch.setattr(experiment, "compute_invariant", counted("compute_invariant", experiment.compute_invariant))
     monkeypatch.setattr(experiment, "step", counted("step", experiment.step))
     g = build_lattice_ball(2, 5)
     rounds = []
@@ -287,3 +286,24 @@ def test_checked_sweeps_settle_on_the_round_kernel(monkeypatch, observed, check_
     assert calls["compute_invariant"] <= 2 * len(n_values)
     assert bool(rounds) == observed
     assert (rep.max_invariant_dev is not None) == check_invariant
+
+
+def test_observed_sweep_evaluates_every_move_above_the_budget(monkeypatch):
+    """An observer gets every move's value even above the per-move budget, to the same bits."""
+    g = build_lattice_ball(2, 5)
+    mech = shuffled_mechanism(g, 11)
+
+    def observed_sweep():
+        rounds = []
+        rep = escape_sweep(g, mech, random_config(g, 21), [1, 7, 50], check_invariant=True,
+                           observer=lambda st, moves: rounds.append(moves))
+        return rep.max_invariant_dev, rounds
+
+    dev, rounds = observed_sweep()
+    monkeypatch.setattr(experiment, "_EVENT_CHECK_BUDGET", 0)
+    sampled_dev, sampled_rounds = observed_sweep()
+    assert all(moves.invariant.size == moves.t.size > 0 for moves in sampled_rounds)
+    assert len(sampled_rounds) == len(rounds)
+    for got, want in zip(sampled_rounds, rounds):
+        assert got.invariant.tobytes() == want.invariant.tobytes()
+    assert sampled_dev == dev

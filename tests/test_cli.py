@@ -237,6 +237,17 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config file keys" in err
 
 
+def test_config_file_rejects_a_graph_section_that_is_not_a_mapping(capsys, tmp_path):
+    """A graph section given as a string fails, with or without a graph option on the command line."""
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text('graph: "lattice:2,5"\n')
+    for graph_args in ((), ("--lattice", "2", "3")):
+        code, out, err = run_cli(capsys, "run", *graph_args, "--config-file", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "config file section 'graph' must be a mapping" in err
+
+
 def test_edges_file_workflow(capsys, tmp_path):
     edges = tmp_path / "g.txt"
     edges.write_text("o a\na b\nb s\n")
@@ -323,16 +334,16 @@ def test_precompute_outputs_match_golden(capsys, tmp_path, name, argv, files):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes()
 
 
-@pytest.mark.parametrize("name, config_args", [
-    ("rho-min", ("--config", "rho-min")),
-    ("random-5", ("--config", "random", "--seed-config", "5")),
-    ("config-csv", ("--config", str(GOLDEN / "config.csv"))),
+@pytest.mark.parametrize("name, argv", [
+    ("rho-min", (*LATTICE_2_4, "--n", "20,100", "--config", "rho-min")),
+    ("random-5", (*LATTICE_2_4, "--n", "20,100", "--config", "random", "--seed-config", "5")),
+    ("config-csv", (*LATTICE_2_4, "--n", "20,100", "--config", str(GOLDEN / "config.csv"))),
+    # n·V = 1.31M, above the per-move budget: the invariant is sampled about once per round
+    ("sampled-lattice-2-40-n400",
+     ("--lattice", "2", "40", "--n", "400", "--mechanism", "shuffled", "--seed-mech", "5")),
 ])
-def test_run_reports_match_golden(capsys, tmp_path, name, config_args):
-    code, _, _ = run_cli(
-        capsys, "run", *LATTICE_2_4, "--n", "20,100", *config_args,
-        "--check-invariant", "--out-dir", str(tmp_path),
-    )
+def test_run_reports_match_golden(capsys, tmp_path, name, argv):
+    code, _, _ = run_cli(capsys, "run", *argv, "--check-invariant", "--out-dir", str(tmp_path))
     assert code == 0
     for fname in ("report.json", "report.csv"):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes()
@@ -403,9 +414,11 @@ def test_traced_report_equals_untraced(capsys, tmp_path):
 @pytest.mark.parametrize("name, argv, exit_code", [
     ("quick-inject-corruption", ("--quick", "--inject-corruption"), 1),
     ("lattice-2-5", ("--graph", "lattice:2,5"), 0),
+    ("full", (), 0),
 ])
 def test_verify_matches_golden(capsys, name, argv, exit_code):
-    """Covers check_lower_bound and the corrupted-config control (theorem_check)."""
+    """Covers check_lower_bound, the corrupted-config control (theorem_check), and every
+    default fixture of the full run (lattice(2,5), lattice(3,6), tree(2,6); n up to 50)."""
     code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == exit_code
     assert out.encode() == (GOLDEN / "verify" / f"{name}.txt").read_bytes()

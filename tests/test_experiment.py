@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rotorwalk import analysis, experiment
+from rotorwalk import experiment
 from rotorwalk import (
     AbortedMaxSteps,
     DimensionMismatch,
@@ -224,6 +224,8 @@ def test_input_validation(p3_solved):
     other = solve_harmonic(build_path(5))
     with pytest.raises(DimensionMismatch):
         compute_invariant(state, other, wt)
+    with pytest.raises(DimensionMismatch):
+        experiment.InvariantTracker(state, other, wt)
 
 
 CROSS_GRAPHS = {
@@ -426,7 +428,7 @@ def test_round_invariants_equal_compute_invariant_after_every_move(
 
 
 def test_round_invariants_resume_after_abort():
-    """An evaluator built on a state the kernel left at an abort starts from that state's rotors."""
+    """A tracker built on a state the kernel left at an abort starts from that state's rotors."""
     g = build_lattice_ball(2, 6)
     mech = shuffled_mechanism(g, 11)
     profile = solve_harmonic(g)
@@ -442,9 +444,9 @@ def test_round_invariants_resume_after_abort():
         run_until_settled(state, max_steps=cap)
     resumed_at = state.t
     assert resumed_at == cap > 0
-    evaluator = experiment.RoundInvariants(state, profile, wt)
     got = []
-    run_until_settled(state, on_round=lambda *moves: got.append(evaluator(*moves[:5])))
+    tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: got.append(moves.invariant))
+    run_until_settled(state, on_round=tracker.on_round)
     assert np.concatenate(got).tobytes() == expected[t >= resumed_at].tobytes()
 
 
@@ -531,14 +533,10 @@ def test_mid_round_resume_matches_stepwise(graph_name, config_kind, n):
             (st.t - 1, st.last_event[0], compute_invariant(st, profile, wt))))
 
         state = _resumed(g, mech, config, n, k)
-        tracker = analysis.InvariantTracker(state, profile, wt, every_move=True)
         got = []
-
-        def on_round(movers, turns, *rest):
-            values = tracker.on_round(movers, turns, *rest)
-            got.extend(zip(turns.tolist(), movers.tolist(), values.tolist()))
-
-        run_until_settled(state, on_round=on_round)
+        tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: got.extend(
+            zip(moves.t.tolist(), moves.mover.tolist(), moves.invariant.tolist())))
+        run_until_settled(state, on_round=tracker.on_round)
         assert settled_fields(state) == settled_fields(stepwise)
         assert got == expected
 
@@ -571,8 +569,8 @@ def test_tracker_on_a_resumed_state_equals_compute_invariant(calls):
                     observer=lambda st: expected.append(compute_invariant(st, profile, wt)))
 
     state = _resumed(g, mech, config, n, calls)
-    tracker = analysis.InvariantTracker(state, profile, wt, every_move=True)
     got = []
-    run_until_settled(state, on_round=lambda *moves: got.append(tracker.on_round(*moves)))
+    tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: got.append(moves.invariant))
+    run_until_settled(state, on_round=tracker.on_round)
     assert np.concatenate(got).tobytes() == np.array(expected).tobytes()
     assert tracker.finish() <= 1e-8 * tracker.target
