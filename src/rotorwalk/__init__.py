@@ -32,6 +32,7 @@ from .harmonic import (
     mc_green,
     residual,
     solve_harmonic,
+    srw_escape_mc,
 )
 from .weights import (
     RotorConfig,
@@ -57,7 +58,6 @@ from .analysis import (
     TheoremCheckResult,
     escape_sweep,
     random_ensemble,
-    srw_escape_mc,
     theorem_check,
 )
 from .rng import philox_generator

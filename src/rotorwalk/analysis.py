@@ -23,13 +23,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .graphs import Graph, RotorMechanism
-from .harmonic import (
-    DEFAULT_WALK_CAP,
-    HarmonicProfile,
-    _check_walk_args,
-    _walk_steps,
-    solve_harmonic,
-)
+from .harmonic import HarmonicProfile, solve_harmonic
 from .weights import (
     RotorConfig,
     WeightTable,
@@ -185,36 +179,6 @@ def escape_sweep(
         max_invariant_dev=worst,
         runtime_s=time.perf_counter() - t0,
     )
-
-
-def srw_escape_mc(
-    graph: Graph,
-    walks: int,
-    seed: int,
-    *,
-    max_steps: int = DEFAULT_WALK_CAP,
-) -> tuple[float, float]:
-    """Monte Carlo estimate of the simple-random-walk escape probability.
-
-    Fraction of walks from the origin that reach a sink before returning to
-    the origin.  Returns (estimate, standard error).  Walk i draws from
-    Philox stream i // 4096.  Walks run on mc_green's step kernel, stopped at
-    sinks and at the origin: AbortedMaxSteps only if one outlives max_steps.
-    """
-    _check_walk_args(walks, max_steps)
-    stop = graph.is_sink.copy()
-    stop[graph.origin] = True
-
-    escaped = 0
-    chunk = 4096
-    for start in range(0, walks, chunk):
-        m = min(chunk, walks - start)
-        for nxt, _, _ in _walk_steps(graph, m, seed, start // chunk, chunk, stop, max_steps):
-            escaped += int(np.count_nonzero(graph.is_sink[nxt]))
-
-    p = escaped / walks
-    stderr = float(np.sqrt(p * (1.0 - p) / walks))
-    return p, stderr
 
 
 def random_ensemble(

@@ -112,6 +112,16 @@ def _merge_config_file(ns: argparse.Namespace) -> None:
     if unknown:
         raise InvalidParameter(f"unknown config file keys: {sorted(unknown)}")
     for key, value in data.items():
+        # a value arrives as its flag would give it: text, a list of text, or --check-invariant's bool
+        if key == "check_invariant":
+            if not isinstance(value, bool):
+                raise InvalidParameter(f"config file key 'check_invariant' must be true or false, got {value!r}")
+        elif isinstance(value, dict):
+            raise InvalidParameter(f"config file key {key!r} takes a value or a list, not a mapping")
+        elif isinstance(value, list):
+            value = [str(v) for v in value]
+        elif value is not None:
+            value = str(value)
         if getattr(ns, key, None) is None:
             setattr(ns, key, value)
 

@@ -16,7 +16,7 @@ which stays exactly equal to its t=0 value n * v(origin) for every initial
 configuration.  Survivors are the particles that have not returned; on a
 sink truncation the settled survivor count is the experiment's escape count.
 
-A settle moves whole rounds at once (_settle_rounds), with the same steps,
+A settle moves whole rounds at once (run_until_settled), with the same steps,
 rotors and range order as step().  That is exact because a rotor changes
 only when a particle leaves its vertex, and every live particle moves
 exactly once per round.  So the particles leaving x in a round are the ones
@@ -44,7 +44,6 @@ the same move of step().
 from __future__ import annotations
 
 from enum import IntEnum
-from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -76,10 +75,6 @@ class ParticleStatus(IntEnum):
     ACTIVE = 1      # away from the origin, not yet settled
     RETURNED = 2    # came back to the origin after leaving; moves no more
     ABSORBED = 3    # reached a sink; escaped
-
-    @property
-    def terminal(self) -> bool:
-        return self >= ParticleStatus.RETURNED
 
 
 _AT_ORIGIN = int(ParticleStatus.AT_ORIGIN)
@@ -126,23 +121,6 @@ class ExperimentState:
         self._num_visited = 1
         self._origin = graph.origin
 
-    # flat Python lookups of the graph and mechanism for step(), built on first use
-    @cached_property
-    def _deg(self) -> list[int]:
-        return np.diff(self.mechanism.indptr).tolist()
-
-    @cached_property
-    def _sink(self) -> list[bool]:
-        return [bool(b) for b in self.graph.is_sink]
-
-    @cached_property
-    def _mt(self) -> list[int]:
-        return self.mechanism.flat.tolist()
-
-    @cached_property
-    def _mi(self) -> list[int]:
-        return self.mechanism.indptr.tolist()
-
     @property
     def settled(self) -> bool:
         return self.remaining == 0
@@ -176,11 +154,13 @@ def step(state: ExperimentState) -> ExperimentState:
         state.t = t + 1
         return state
     x = state.positions.item(i)  # never a sink: arrival there marks ABSORBED
+    indptr = state.mechanism.indptr
+    base = indptr.item(x)
     r = state.rho.item(x) + 1
-    if r == state._deg[x]:
+    if r == indptr.item(x + 1) - base:
         r = 0
     state.rho[x] = r
-    y = state._mt[state._mi[x] + r]
+    y = state.mechanism.flat.item(base + r)
     state.positions[i] = y
     if not state._range_mask[y]:
         state._range_mask[y] = True
@@ -191,7 +171,7 @@ def step(state: ExperimentState) -> ExperimentState:
         state.status[i] = _RETURNED
         state.survivors -= 1
         state.remaining -= 1
-    elif state._sink[y]:
+    elif state.graph.is_sink.item(y):
         state.status[i] = _ABSORBED
         state.remaining -= 1
     elif st == _AT_ORIGIN:
@@ -209,34 +189,24 @@ def run_until_settled(
 ) -> ExperimentState:
     """Run the round kernel, from any t, until every particle has returned or been absorbed.
 
-    A live turn at or past max_steps raises AbortedMaxSteps.  on_round, if
-    given, sees every move made after this call, once per round, a partial
-    first round included (see _settle_rounds).
+    Each round's moves are made at once in numpy, reaching the state step()
+    would reach (t, positions, rotors, statuses and the range in first-visit
+    order; the module docstring says why) in the state's own arrays.  From
+    part-way through a round, the live particles whose turns in it have
+    passed wait and lead the next round.  A round whose turns reach
+    max_steps moves only the particles whose turns come first, then raises
+    AbortedMaxSteps, naming the first live turn at or past max_steps, with t
+    one past its last move; it can be resumed.
+
+    on_round, if given, sees every move made after this call: it is called
+    after each round, a partial first round included, has been written to
+    the state's arrays (t, survivors and remaining are written when the
+    settle ends) with the round's movers in turn order, their turns, the
+    vertices they left and reached, the mechanism positions they took and
+    their statuses on arrival.
     """
     if max_steps < 1:
         raise InvalidParameter(f"max_steps must be >= 1, got {max_steps}")
-    return _settle_rounds(state, max_steps, on_round)
-
-
-def _settle_rounds(
-    state: ExperimentState, max_steps: int, on_round: Optional[RoundHook] = None
-) -> ExperimentState:
-    """Run rounds from any t, each round's moves at once in numpy.
-
-    Reaches the state step() would reach (t, positions, rotors, statuses and
-    the range in first-visit order; the module docstring says why), writing
-    the state's own arrays in place.  From part-way through a round, the
-    live particles whose turns in it have passed wait and lead the next
-    round.  A round whose turns reach max_steps moves only the particles
-    whose turns come first, then aborts, naming the first live turn at or
-    past max_steps, with t one past its last move; it can be resumed.
-
-    on_round, if given, is called after each round has been written to the
-    state's arrays (t, survivors and remaining are written when the settle
-    ends) with the round's movers in turn order, their turns, the vertices
-    they left and reached, the mechanism positions they took and their
-    statuses on arrival.
-    """
     n, mech, num_vertices = state.n, state.mechanism, state.graph.num_vertices
     deg = np.diff(mech.indptr)
     # status of a particle that has just arrived at each vertex

@@ -13,9 +13,10 @@ probability (never returning to the origin) is 1/G(origin).
 
 mc_green estimates G by Monte Carlo, for cross-checks: absorbed walks from
 the origin, in chunks of 512 with one Philox stream each, on the one walk
-kernel _walk_steps, which also runs analysis.srw_escape_mc.  The kernel
-advances several chunks at once, each stream read in its own order, so
-the estimate does not depend on how many chunks advance together.
+kernel _walk_steps.  The kernel advances several chunks at once, each
+stream read in its own order, so the estimate does not depend on how many
+chunks advance together.  srw_escape_mc runs the same kernel to estimate
+the escape probability, 1/G(origin), directly.
 """
 from __future__ import annotations
 
@@ -215,8 +216,8 @@ def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP)
     advance together in groups whose visit counts fill at most _WALK_CELLS
     cells of one flat array, so the steps at the tail of one chunk's walks
     move the other chunks' walks too.  Walks run on _walk_steps, shared with
-    analysis.srw_escape_mc, which raises AbortedMaxSteps only if a walk is
-    still running after max_steps.
+    srw_escape_mc, which raises AbortedMaxSteps only if a walk is still
+    running after max_steps.
     """
     _check_walk_args(walks, max_steps)
 
@@ -247,3 +248,33 @@ def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP)
     else:
         stderr = np.zeros(nv)
     return VisitEstimates(visits=mean, stderr=stderr, walks=walks)
+
+
+def srw_escape_mc(
+    graph: Graph,
+    walks: int,
+    seed: int,
+    *,
+    max_steps: int = DEFAULT_WALK_CAP,
+) -> tuple[float, float]:
+    """Monte Carlo estimate of the simple-random-walk escape probability.
+
+    Fraction of walks from the origin that reach a sink before returning to
+    the origin.  Returns (estimate, standard error).  Walk i draws from
+    Philox stream i // 4096.  Walks run on mc_green's step kernel, stopped at
+    sinks and at the origin: AbortedMaxSteps only if one outlives max_steps.
+    """
+    _check_walk_args(walks, max_steps)
+    stop = graph.is_sink.copy()
+    stop[graph.origin] = True
+
+    escaped = 0
+    chunk = 4096
+    for start in range(0, walks, chunk):
+        m = min(chunk, walks - start)
+        for nxt, _, _ in _walk_steps(graph, m, seed, start // chunk, chunk, stop, max_steps):
+            escaped += int(np.count_nonzero(graph.is_sink[nxt]))
+
+    p = escaped / walks
+    stderr = float(np.sqrt(p * (1.0 - p) / walks))
+    return p, stderr

@@ -31,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .analysis import escape_sweep, srw_escape_mc, theorem_check
+from .analysis import escape_sweep, theorem_check
 from .graphs import (
     Graph,
     RotorMechanism,
@@ -41,7 +41,7 @@ from .graphs import (
     default_mechanism,
     shuffled_mechanism,
 )
-from .harmonic import HarmonicProfile, mc_green, solve_harmonic
+from .harmonic import HarmonicProfile, mc_green, solve_harmonic, srw_escape_mc
 from .weights import WeightTable, min_weight_config, random_config, weight_table
 
 _MECH_SEEDS = (11, 12)

@@ -183,13 +183,14 @@ def reference_compute_invariant(state, profile, wt):
     of the range in first-visit order.  The package must equal it exactly.
     """
     total = float(np.sum(profile.voltage[state.positions]))
-    total += min(state.t, state.n) / state._deg[state._origin]
+    g = state.graph
+    total += min(state.t, state.n) / int(g.degrees[g.origin])
 
     values = wt.values
-    mi = state._mi
+    mi = state.mechanism.indptr.tolist()
     rho = state.rho
     rho0 = state.rho0
-    sink = state._sink
+    sink = g.is_sink.tolist()
     for x in state.range_order.tolist():
         if not sink[x]:
             base = mi[x]

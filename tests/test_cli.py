@@ -237,6 +237,40 @@ def test_config_file_rejects_unknown_keys(capsys, tmp_path):
     assert "unknown config file keys" in err
 
 
+@pytest.mark.parametrize("text, code, result", [
+    ("path: 3\ntrace: 5\n", 0, "5"),
+    ("path: 3\nout_dir: 7\n", 0, "7/report.json"),
+    ("path: 3\nconfig: 5\n", 2, "error: [Errno 2] No such file or directory: '5'\n"),
+    ("lattice: {d: 2, r: 3}\n", 2,
+     "error: config file key 'lattice' takes a value or a list, not a mapping\n"),
+], ids=["trace", "out_dir", "config", "lattice"])
+def test_config_file_values_read_as_flag_text(capsys, tmp_path, monkeypatch, text, code, result):
+    """A file value arrives as the command line would give it: trace: 5 writes ./5, as --trace 5 does."""
+    monkeypatch.chdir(tmp_path)
+    Path("run.yaml").write_text(text)
+    got, _, err = run_cli(capsys, "run", "--config-file", "run.yaml")
+    assert got == code
+    if code == 0:
+        assert err == ""
+        assert Path(result).is_file()
+    else:
+        assert err == result
+
+
+def test_config_file_check_invariant_must_be_a_boolean(capsys, tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text('path: 3\ncheck_invariant: "false"\n')
+    code, out, err = run_cli(capsys, "run", "--config-file", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: config file key 'check_invariant' must be true or false, got 'false'\n"
+
+    cfg.write_text("path: 3\ncheck_invariant: false\n")
+    code, out, _ = run_cli(capsys, "run", "--config-file", str(cfg))
+    assert code == 0
+    assert json.loads(out[out.index("{"):])["max_invariant_dev"] is None
+
+
 def test_config_file_rejects_a_graph_section_that_is_not_a_mapping(capsys, tmp_path):
     """A graph section given as a string fails, with or without a graph option on the command line."""
     cfg = tmp_path / "run.yaml"

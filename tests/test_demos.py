@@ -1,10 +1,12 @@
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 EXPECTED = {
     "01_harmonic_profile.py": "escape probability alpha",
@@ -30,3 +32,13 @@ def test_demo_runs_clean(script):
 
 def test_demo_list_is_complete():
     assert [p.name for p in DEMOS] == sorted(EXPECTED)
+
+
+def test_readme_quickstart_runs(capsys):
+    """The README's one python block runs, and its settled rate is at least alpha."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    exec(blocks[0], {})
+    rate, ge, alpha = capsys.readouterr().out.split()
+    assert ge == ">="
+    assert float(rate) >= float(alpha)
