@@ -10,10 +10,12 @@ Exit codes: 0 success, 1 verification failure, 2 usage or input error,
 3 runtime abort (non-convergence or step-budget exhaustion).  A closed
 stdout pipe ends the `rotorwalk` command by SIGPIPE, like other Unix filters.
 
-A YAML config file can stand in for flags (--config-file); explicitly
-given flags win over file values.  All randomness is seeded; defaults are
-fixed constants, never the clock, so identical invocations give identical
-bytes in every written artifact.
+A YAML config file can stand in for flags (--config-file).  Its keys are the
+snake_case names of its own subcommand's options, and its values become that
+subcommand's defaults, so flags given on the command line win.
+
+All randomness is seeded; defaults are fixed constants, never the clock, so
+identical invocations give identical bytes in every written artifact.
 """
 from __future__ import annotations
 
@@ -56,25 +58,6 @@ from .serialize import (
 from .verify import all_passed, run_verification
 from .weights import count_min_weight_ties, min_weight_config, random_config, weight_table
 
-_DEFAULTS = {
-    "mechanism": "default",
-    "seed_mech": 0,
-    "config": "rho-min",
-    "seed_config": 0,
-    "n": [1],
-    "check_invariant": False,
-    "max_steps": DEFAULT_MAX_STEPS,
-    "quick": False,
-    "inject_corruption": False,
-}
-
-_FILE_KEYS = {
-    "path", "lattice", "tree", "edges", "origin", "sinks",
-    "mechanism", "seed_mech", "config", "seed_config", "n",
-    "check_invariant", "out_dir", "trace", "max_steps",
-}
-
-
 def _int_token(tok) -> int:
     try:
         return int(str(tok))
@@ -88,10 +71,10 @@ def _str_list(value) -> list[str]:
     return [tok.strip() for tok in str(value).split(",") if tok.strip()]
 
 
-def _merge_config_file(ns: argparse.Namespace) -> None:
-    """File values fill options the command line left unset."""
-    if not getattr(ns, "config_file", None):
-        return
+def _config_file_values(ns: argparse.Namespace) -> dict:
+    """The --config-file values of ns's subcommand's options, as its flags would give them; nulls left out."""
+    if vars(ns).get("config_file") is None:
+        return {}
     import yaml  # only config files need it, so other runs skip its import
 
     text = Path(ns.config_file).read_text()
@@ -100,7 +83,7 @@ def _merge_config_file(ns: argparse.Namespace) -> None:
     except yaml.YAMLError as exc:
         raise InvalidParameter(str(exc))
     if data is None:
-        return
+        return {}
     if not isinstance(data, dict):
         raise InvalidParameter("config file must be a mapping of option names to values")
     graph_section = data.pop("graph", None)
@@ -108,9 +91,10 @@ def _merge_config_file(ns: argparse.Namespace) -> None:
         if not isinstance(graph_section, dict):
             raise InvalidParameter("config file section 'graph' must be a mapping of option names to values")
         data.update(graph_section)
-    unknown = set(data) - _FILE_KEYS
+    unknown = set(data) - (set(vars(ns)) - {"command", "func", "config_file"})
     if unknown:
         raise InvalidParameter(f"unknown config file keys: {sorted(unknown)}")
+    values = {}
     for key, value in data.items():
         # a value arrives as its flag would give it: text, a list of text, or --check-invariant's bool
         if key == "check_invariant":
@@ -120,16 +104,12 @@ def _merge_config_file(ns: argparse.Namespace) -> None:
             raise InvalidParameter(f"config file key {key!r} takes a value or a list, not a mapping")
         elif isinstance(value, list):
             value = [str(v) for v in value]
-        elif value is not None:
+        elif value is None:
+            continue
+        else:
             value = str(value)
-        if getattr(ns, key, None) is None:
-            setattr(ns, key, value)
-
-
-def _fill_defaults(ns: argparse.Namespace) -> None:
-    for key, value in _DEFAULTS.items():
-        if getattr(ns, key, None) is None and hasattr(ns, key):
-            setattr(ns, key, value)
+        values[key] = value
+    return values
 
 
 # the graph families of --path/--lattice/--tree and of --graph specs: kind -> (builder, parameter names)
@@ -165,11 +145,7 @@ def _family_graph(kind: str, value, error: str) -> Graph:
 
 
 def _build_graph(ns: argparse.Namespace) -> Graph:
-    given = [k for k in ("path", "lattice", "tree", "edges") if getattr(ns, k, None) is not None]
-    if hasattr(ns, "graph") and ns.graph is not None:
-        if given:
-            raise InvalidParameter("give either --graph or a graph family flag, not both")
-        return _parse_graph_spec(ns.graph)
+    given = [k for k in ("path", "lattice", "tree", "edges") if getattr(ns, k) is not None]
     if len(given) != 1:
         raise InvalidParameter(
             "exactly one of --path, --lattice, --tree, --edges is required"
@@ -221,7 +197,7 @@ def _parse_n(ns: argparse.Namespace) -> list[int]:
 
 
 def _out_dir(ns: argparse.Namespace) -> Optional[Path]:
-    if getattr(ns, "out_dir", None) is None:
+    if ns.out_dir is None:
         return None
     out = Path(ns.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -300,6 +276,7 @@ class _TraceWriter:
 
 
 def cmd_run(ns: argparse.Namespace) -> int:
+    max_steps = _int_token(ns.max_steps)
     g = _build_graph(ns)
     mech = _build_mechanism(g, ns)
     config = _build_config(g, ns)
@@ -310,7 +287,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
         report = escape_sweep(
             g, mech, config, n_values,
             check_invariant=ns.check_invariant,
-            max_steps=ns.max_steps,
+            max_steps=max_steps,
             observer=trace,
         )
     finally:
@@ -337,9 +314,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     graphs = None
     if ns.graph is not None:
         graphs = [_parse_graph_spec(ns.graph)]
-    records = run_verification(
-        quick=bool(ns.quick), graphs=graphs, inject_corruption=bool(ns.inject_corruption)
-    )
+    records = run_verification(quick=ns.quick, graphs=graphs, inject_corruption=ns.inject_corruption)
     name_w = max(len(r.name) for r in records)
     for r in records:
         status = "pass" if r.ok else "FAIL"
@@ -366,12 +341,13 @@ def _add_graph_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_mech_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--mechanism", choices=["default", "shuffled"],
+    p.add_argument("--mechanism", choices=["default", "shuffled"], default="default",
                    help="edge ordering at each vertex (default: default)")
-    p.add_argument("--seed-mech", help="seed for --mechanism shuffled (default 0)")
+    p.add_argument("--seed-mech", default="0", help="seed for --mechanism shuffled (default 0)")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The parser, and its sub-parsers by subcommand name."""
     parser = argparse.ArgumentParser(
         prog="rotorwalk",
         description="Escape-rate experiments for rotor walks on sink-truncated graphs.",
@@ -392,38 +368,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run the escape experiment")
     _add_graph_flags(p_run)
     _add_mech_flags(p_run)
-    p_run.add_argument("--config",
+    p_run.add_argument("--config", default="rho-min",
                        help="rotor configuration: rho-min, random, or a config.csv path")
-    p_run.add_argument("--seed-config", help="seed for --config random (default 0)")
-    p_run.add_argument("--n", help="comma-separated ascending particle counts")
-    p_run.add_argument("--check-invariant", action="store_const", const=True,
+    p_run.add_argument("--seed-config", default="0", help="seed for --config random (default 0)")
+    p_run.add_argument("--n", default="1", help="comma-separated ascending particle counts")
+    p_run.add_argument("--check-invariant", action="store_true",
                        help="track the conserved quantity during the run")
     p_run.add_argument("--trace", metavar="FILE",
                        help="write a per-move CSV trace (FILE-n{n}.csv for multiple n)")
     p_run.add_argument("--out-dir", help="write report.json and report.csv here")
-    p_run.add_argument("--max-steps", help="abort unsettled runs past this step count")
+    p_run.add_argument("--max-steps", default=DEFAULT_MAX_STEPS,
+                       help="abort unsettled runs past this step count")
     p_run.set_defaults(func=cmd_run)
 
     p_ver = sub.add_parser("verify", help="run the property suite")
-    p_ver.add_argument("--quick", action="store_const", const=True,
+    p_ver.add_argument("--quick", action="store_true",
                        help="small fixtures and sample counts")
     p_ver.add_argument("--graph", metavar="SPEC",
                        help="verify one graph only: path:K, lattice:D,R or tree:B,DEPTH")
-    p_ver.add_argument("--inject-corruption", action="store_const", const=True,
+    p_ver.add_argument("--inject-corruption", action="store_true",
                        help="add negative controls that must fail")
     p_ver.set_defaults(func=cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     try:
         ns = parser.parse_args(argv)
-        _merge_config_file(ns)
-        _fill_defaults(ns)
-        if hasattr(ns, "max_steps"):
-            ns.max_steps = _int_token(ns.max_steps)
+        values = _config_file_values(ns)
+        if values:
+            # file values become the subcommand's defaults, so a flag on the command line wins
+            commands[ns.command].set_defaults(**values)
+            ns = parser.parse_args(argv)
         return ns.func(ns)
     except SystemExit as exc:  # argparse --help (0) or usage error (2)
         code = exc.code

@@ -161,6 +161,38 @@ def reference_ensemble(g, mech, n, trials, seed, max_steps=10**9):
     return survivors, steps
 
 
+def reference_settle_any_order(g, mech, config, n, seed):
+    """Escapes, final rotors and departures from each vertex of n particles, moved in any order.
+
+    The origin holds n particles and keeps each one that returns; a sink keeps
+    each one it absorbs.  Each move is made by a particle that can still move,
+    picked by a Philox draw from stream seed, or with seed None particle by
+    particle: one moves until it stops before the next starts.  By the abelian
+    property of rotor-routing (Holroyd, Levine, Meszaros, Peres, Propp and
+    Wilson, "Chip-firing and rotor-routing on directed graphs", 2008) the three
+    results are the same for every order; the number of steps is not.
+    """
+    order = mech.order
+    rho = config.pos.tolist()
+    departures = [0] * g.num_vertices
+    positions = [g.origin] * n
+    movable = list(range(n))
+    rng = None if seed is None else philox_generator(seed)
+    escapes = 0
+    while movable:
+        k = len(movable) - 1 if rng is None else int(rng.integers(0, len(movable)))
+        i = movable[k]
+        x = positions[i]
+        departures[x] += 1
+        rho[x] = (rho[x] + 1) % len(order[x])
+        positions[i] = y = order[x][rho[x]]
+        if y == g.origin or y in g.sinks:
+            escapes += y != g.origin
+            movable[k] = movable[-1]
+            movable.pop()
+    return escapes, rho, departures
+
+
 def reference_invariant(g, voltage, weight_of, positions, rho, rho0, visited, t, n):
     """Conserved quantity from a raw snapshot.
 

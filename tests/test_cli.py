@@ -229,12 +229,43 @@ def test_importing_the_cli_leaves_yaml_unloaded():
     assert proc.stdout == "False\n"
 
 
-def test_config_file_rejects_unknown_keys(capsys, tmp_path):
-    cfg = tmp_path / "run.yaml"
-    cfg.write_text("path: 3\nbogus: 1\n")
-    code, _, err = run_cli(capsys, "run", "--config-file", str(cfg))
+@pytest.mark.parametrize("command, text, unknown", [
+    ("run", "path: 3\nbogus: 1\n", ["bogus"]),
+    ("green", "path: 3\nn: 5\ncheck_invariant: true\ntrace: t.csv\n", ["check_invariant", "n", "trace"]),
+    ("rho-min", "path: 3\nn: 5\n", ["n"]),
+    ("green", "path: 3\nmechanism: shuffled\n", ["mechanism"]),
+], ids=["run-bogus", "green-run-keys", "rho-min-n", "green-mechanism"])
+def test_config_file_rejects_unknown_keys(capsys, tmp_path, monkeypatch, command, text, unknown):
+    """A file holds only the options of its own subcommand."""
+    monkeypatch.chdir(tmp_path)
+    Path("f.yaml").write_text(text)
+    code, out, err = run_cli(capsys, command, "--config-file", "f.yaml")
     assert code == 2
-    assert "unknown config file keys" in err
+    assert out == ""
+    assert err == f"error: unknown config file keys: {unknown}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f.yaml"]
+
+
+def test_rho_min_config_file_flags_win(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("f.yaml").write_text("path: 3\nmechanism: shuffled\nseed_mech: 4\n")
+    code, out, _ = run_cli(capsys, "rho-min", "--config-file", "f.yaml")
+    assert code == 0
+    assert out.splitlines()[0] == "graph: path(3) mechanism: shuffled(seed=4)"
+
+    code, out, _ = run_cli(capsys, "rho-min", "--config-file", "f.yaml", "--mechanism", "default")
+    assert code == 0
+    assert out.splitlines()[0] == "graph: path(3) mechanism: default"
+
+
+def test_config_file_null_keeps_the_default(capsys, tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("path: 3\nn:\nmechanism: null\n")
+    code, out, _ = run_cli(capsys, "run", "--config-file", str(cfg))
+    assert code == 0
+    doc = json.loads(out[out.index("{"):])
+    assert [r["n"] for r in doc["runs"]] == [1]
+    assert doc["mechanism"] == "default"
 
 
 @pytest.mark.parametrize("text, code, result", [

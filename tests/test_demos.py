@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from rotorwalk.cli import main
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
@@ -42,3 +44,15 @@ def test_readme_quickstart_runs(capsys):
     rate, ge, alpha = capsys.readouterr().out.split()
     assert ge == ">="
     assert float(rate) >= float(alpha)
+
+
+def test_readme_config_file_example_runs(capsys, tmp_path):
+    """The README's one yaml block is a config file `rotorwalk run` accepts."""
+    blocks = re.findall(r"^```yaml\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(blocks[0])
+    assert main(["run", "--config-file", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[:2]] == ["n=100", "n=1000"]
+    assert any(line.startswith("max_invariant_dev=") for line in lines)

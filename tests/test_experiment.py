@@ -24,7 +24,12 @@ from rotorwalk import (
     weight_table,
 )
 
-from oracles import reference_compute_invariant, reference_invariant, reference_run
+from oracles import (
+    reference_compute_invariant,
+    reference_invariant,
+    reference_run,
+    reference_settle_any_order,
+)
 from stepwise import settle_stepwise
 
 
@@ -553,6 +558,29 @@ def test_mid_round_resume_matches_stepwise(graph_name, config_kind, n):
                     message = str(exc)
                 aborted.append((message, settled_fields(resumed)))
             assert aborted[0] == aborted[1]
+
+
+@pytest.mark.parametrize("graph_name", EXACT_GRAPHS)
+@pytest.mark.parametrize("mech_seed", [None, 11])
+@pytest.mark.parametrize("config_kind", ["min", "random"])
+def test_settled_state_does_not_depend_on_move_order(graph_name, mech_seed, config_kind):
+    """Escapes, final rotors and departures from each vertex are the kernel's in any move order.
+
+    Checked against particle-by-particle and uniformly random orders; steps
+    depend on the order, so they are left out.
+    """
+    g = EXACT_GRAPHS[graph_name]
+    mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
+    wt = weight_table(g, mech, solve_harmonic(g))
+    config = min_weight_config(g, wt) if config_kind == "min" else random_config(g, 21)
+    for n in (1, 7, 100):
+        state = init_experiment(g, mech, config, n)
+        sources = []
+        run_until_settled(state, on_round=lambda movers, turns, source, *rest: sources.append(source))
+        departures = np.bincount(np.concatenate(sources), minlength=g.num_vertices).tolist()
+        for seed in (None, 5):
+            expected = reference_settle_any_order(g, mech, config, n, seed)
+            assert (state.survivors, state.rho.tolist(), departures) == expected
 
 
 @pytest.mark.parametrize("calls", [1, 3])
