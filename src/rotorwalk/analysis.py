@@ -7,8 +7,8 @@ per-round observers (the CLI's trace) included: both go through one
 experiment.InvariantTracker per n.  theorem_check reads one
 escape_sweep and asserts the facts the minimizing configuration guarantees:
 conserved quantity constant, escaped fraction at or above the escape
-probability once every particle has moved, and final gaps nonnegative and
-non-increasing in n.  The lower bound is
+probability once every particle has moved (the gap rate - alpha is
+nonnegative), and final gaps non-increasing in n.  The lower bound is
 checked at settle: survivors never increase during a run, so the settled
 rate is the minimum of survivors/n over every t >= n.
 """
@@ -94,18 +94,12 @@ class TheoremCheckResult:
     max_invariant_dev: float
     invariant_ok: bool
     lower_bound_ok: bool
-    gaps_nonneg_ok: bool
     gaps_monotone_ok: bool
     violations: list[BoundViolation] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return (
-            self.invariant_ok
-            and self.lower_bound_ok
-            and self.gaps_nonneg_ok
-            and self.gaps_monotone_ok
-        )
+        return self.invariant_ok and self.lower_bound_ok and self.gaps_monotone_ok
 
 
 def escape_sweep(
@@ -228,10 +222,10 @@ def theorem_check(
     settle time t.  Invariant: the sweep's worst absolute deviation, divided by
     the smallest n's target n*v(origin) (never looser than a per-n scale), must
     stay within invariant_tol; a failure is one violation at the smallest n
-    with t = -1.  Across n: final gaps are nonnegative and non-increasing.  A
-    custom config exercises the same checks without the guarantees;
-    violations are then expected and are recorded rather than raised.
-    profile and wt, if given, are passed on to escape_sweep.
+    with t = -1.  Across n: final gaps are non-increasing; a nonnegative gap
+    is the lower bound itself.  A custom config exercises the same checks
+    without the guarantees; violations are then expected and are recorded
+    rather than raised.  profile and wt, if given, are passed on to escape_sweep.
     """
     profile = solve_harmonic(graph) if profile is None else profile
     rep = escape_sweep(
@@ -252,10 +246,7 @@ def theorem_check(
         violations.append(BoundViolation(min(n_values), -1, "invariant", max_dev, invariant_tol))
         logger.warning("conserved quantity deviated beyond %g", invariant_tol)
 
-    gaps_nonneg = all(gp >= -bound_slack for gp in gaps)
     monotone = all(gaps[k + 1] <= gaps[k] + bound_slack for k in range(len(gaps) - 1))
-    violations += [BoundViolation(n, -1, "gap-negative", gp, 0.0)
-                   for n, gp in zip(n_values, gaps) if gp < -bound_slack]
     violations += [BoundViolation(n_values[k + 1], -1, "gap-increase", gaps[k + 1], gaps[k])
                    for k in range(len(gaps) - 1) if gaps[k + 1] > gaps[k] + bound_slack]
 
@@ -267,7 +258,6 @@ def theorem_check(
         max_invariant_dev=max_dev,
         invariant_ok=inv_ok,
         lower_bound_ok=lower_ok,
-        gaps_nonneg_ok=gaps_nonneg,
         gaps_monotone_ok=monotone,
         violations=violations,
     )

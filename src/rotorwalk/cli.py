@@ -97,15 +97,15 @@ def _config_file_values(ns: argparse.Namespace) -> dict:
     values = {}
     for key, value in data.items():
         # a value arrives as its flag would give it: text, a list of text, or --check-invariant's bool
-        if key == "check_invariant":
+        if value is None:
+            continue
+        elif key == "check_invariant":
             if not isinstance(value, bool):
                 raise InvalidParameter(f"config file key 'check_invariant' must be true or false, got {value!r}")
         elif isinstance(value, dict):
             raise InvalidParameter(f"config file key {key!r} takes a value or a list, not a mapping")
         elif isinstance(value, list):
             value = [str(v) for v in value]
-        elif value is None:
-            continue
         else:
             value = str(value)
         values[key] = value

@@ -10,6 +10,7 @@ plain data containers and the seeded Philox streams.
 from __future__ import annotations
 
 from collections import Counter, deque
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -265,6 +266,59 @@ def reference_weight_increment(g, mech, voltage, x, i):
     d = len(mech.order[x])
     return (reference_edge_weight(g, mech, voltage, x, (i + 1) % d)
             - reference_edge_weight(g, mech, voltage, x, i))
+
+
+# --- exact rationals --------------------------------------------------------
+# The package compares floats under tolerances.  On small graphs the voltage
+# and the weights are computed here exactly, in fractions.Fraction.
+
+
+def exact_voltage(g):
+    """Voltage as Fractions: deg(x) v(x) - sum of v over the neighbors of x is 1 at
+    the origin and 0 at every other live x; v = 0 at sinks.
+
+    Gaussian elimination in vertex order, without pivoting: the matrix is
+    symmetric positive definite, and its elimination keeps the pattern
+    symmetric, so the rows below a pivot that hold its column are the
+    pivot row's own later entries.  Zero entries are never stored.
+    """
+    live = [x for x in range(g.num_vertices) if x not in g.sinks]
+    rows = {}
+    for x in live:
+        row = {x: Fraction(len(g.adjacency[x]))}
+        for y in g.adjacency[x]:
+            if y not in g.sinks:
+                row[y] = row.get(y, 0) - 1
+        rows[x] = row
+    rhs = {x: Fraction(int(x == g.origin)) for x in live}
+
+    for k in live:
+        pivot, pivot_row = rows[k][k], rows[k]
+        for j in [j for j in pivot_row if j > k]:
+            factor = rows[j].pop(k) / pivot
+            for c, a in pivot_row.items():
+                if c > k:
+                    value = rows[j].get(c, 0) - factor * a
+                    if value:
+                        rows[j][c] = value
+                    else:
+                        rows[j].pop(c, None)
+            rhs[j] -= factor * rhs[k]
+
+    v = [Fraction(0)] * g.num_vertices
+    for k in reversed(live):
+        v[k] = (rhs[k] - sum(a * v[c] for c, a in rows[k].items() if c > k)) / rows[k][k]
+    return v
+
+
+def exact_weights(g, mech, v):
+    """Per vertex, the Fraction weights w(x, i) of the weights.py definition over mech.order."""
+    weights = []
+    for order in mech.order:
+        d = len(order)
+        weights.append([-sum(j * v[order[(i + j + 1) % d]] for j in range(d)) / d
+                        for i in range(d)])
+    return weights
 
 
 # --- scalar precompute loops ------------------------------------------------

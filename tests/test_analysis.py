@@ -200,7 +200,7 @@ def test_theorem_check_transient_fixture():
     g = build_bary_tree(2, 5)
     res = theorem_check(g, default_mechanism(g), [10, 100, 1000])
     assert res.ok
-    assert res.gaps_nonneg_ok and res.gaps_monotone_ok
+    assert res.lower_bound_ok and res.gaps_monotone_ok
     assert all(gap >= -1e-9 for gap in res.gaps)
 
 
@@ -219,8 +219,6 @@ def test_theorem_check_records_gap_regression():
     res = theorem_check(g, default_mechanism(g), [1, 2, 3, 4, 5, 6])
     if not res.gaps_monotone_ok:
         assert any(v.kind == "gap-increase" for v in res.violations)
-    if not res.gaps_nonneg_ok:
-        assert any(v.kind == "gap-negative" for v in res.violations)
     assert res.max_invariant_dev <= 1e-10
 
 

@@ -260,12 +260,13 @@ def test_rho_min_config_file_flags_win(capsys, tmp_path, monkeypatch):
 
 def test_config_file_null_keeps_the_default(capsys, tmp_path):
     cfg = tmp_path / "run.yaml"
-    cfg.write_text("path: 3\nn:\nmechanism: null\n")
+    cfg.write_text("path: 3\nn:\nmechanism: null\ncheck_invariant:\n")
     code, out, _ = run_cli(capsys, "run", "--config-file", str(cfg))
     assert code == 0
     doc = json.loads(out[out.index("{"):])
     assert [r["n"] for r in doc["runs"]] == [1]
     assert doc["mechanism"] == "default"
+    assert doc["max_invariant_dev"] is None
 
 
 @pytest.mark.parametrize("text, code, result", [
@@ -482,8 +483,8 @@ def test_traced_report_equals_untraced(capsys, tmp_path):
     ("full", (), 0),
 ])
 def test_verify_matches_golden(capsys, name, argv, exit_code):
-    """Covers check_lower_bound, the corrupted-config control (theorem_check), and every
-    default fixture of the full run (lattice(2,5), lattice(3,6), tree(2,6); n up to 50)."""
+    """Covers check_lower_bound, the corruption controls (the same checks on corrupted tables),
+    and every default fixture of the full run (lattice(2,5), lattice(3,6), tree(2,6); n up to 50)."""
     code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == exit_code
     assert out.encode() == (GOLDEN / "verify" / f"{name}.txt").read_bytes()

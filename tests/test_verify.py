@@ -64,7 +64,7 @@ def test_each_fixture_solved_once(monkeypatch):
     monkeypatch.setattr(analysis, "solve_harmonic", counting_solve)
     verify.run_verification(quick=True, inject_corruption=True)
     expected = Counter(g.describe() for g in verify.quick_fixtures())
-    # the corruption controls' own path(3), which theorem_check reuses
+    # the corruption controls' own path(3), whose solve both controls reuse
     expected[build_path(3).describe()] += 1
     assert solved == expected
 
@@ -83,11 +83,23 @@ def test_one_weight_table_per_fixture_mechanism(monkeypatch, quick):
     fixtures = verify.quick_fixtures() if quick else verify.full_fixtures()
     expected = Counter((g.describe(), name) for g in fixtures
                        for name in ("default", "shuffled(seed=11)", "shuffled(seed=12)"))
-    # the corruption controls' path(3) table, which theorem_check reuses
+    # the corruption controls' path(3) table, which both corrupted tables derive from
     expected[build_path(3).describe(), "default"] += 1
     assert built == expected
     assert sum(built.values()) == (16 if quick else 25)
     assert [r.ok for r in records[:-2]] == [True] * 7
+
+
+def test_negative_controls_run_the_shipped_checks(monkeypatch):
+    def passing(fixtures, *args):
+        return verify.CheckRecord("stub", True, 0.0, 1.0)
+
+    monkeypatch.setattr(verify, "check_weight_increment", passing)
+    monkeypatch.setattr(verify, "check_lower_bound", passing)
+    records = verify._corruption_controls()
+    assert [(r.name, r.ok) for r in records] == [
+        ("corrupted-weights-control", True), ("corrupted-config-control", True),
+    ]
 
 
 def _pid_record(fixtures, walks):
