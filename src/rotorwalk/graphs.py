@@ -19,8 +19,6 @@ from functools import cached_property
 from typing import IO, Iterable
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import GraphInvalid, InvalidParameter
 from .rng import philox_generator
@@ -148,11 +146,31 @@ def check_graph(g: Graph) -> None:
     _check_adjacency(g)
 
     # connectivity of the whole graph (the adjacency is symmetric by now)
-    adj = sp.csr_matrix((np.ones(g.adj_flat.size), g.adj_flat, g.adj_indptr), shape=(n, n))
-    _, component = connected_components(adj, directed=False)
-    missing = np.flatnonzero(component != component[0])
+    missing = np.flatnonzero(~_reached_from_zero(g))
     if missing.size:
         raise GraphInvalid(f"graph is disconnected (vertex {g.labels[missing[0]]} unreachable)")
+
+
+def _reached_from_zero(g: Graph) -> np.ndarray:
+    """Mask of the vertices that vertex 0 reaches, by breadth-first frontiers over the CSR arrays."""
+    seen = np.zeros(g.num_vertices, dtype=bool)
+    seen[0] = True
+    slot = np.empty(g.num_vertices, dtype=np.intp)
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        counts = g.degrees[frontier]
+        # the entries of the frontier's rows: each row's start, plus 0..count-1
+        ends = np.cumsum(counts)
+        entries = np.arange(ends[-1]) + np.repeat(g.adj_indptr[frontier] - (ends - counts), counts)
+        reached = g.adj_flat[entries]
+        reached = reached[~seen[reached]]
+        # drop repeats without a sort: of the copies of a vertex, exactly one
+        # finds its own index in the vertex's slot, whichever write was kept
+        ids = np.arange(reached.size)
+        slot[reached] = ids
+        frontier = reached[slot[reached] == ids]
+        seen[frontier] = True
+    return seen
 
 
 def _check_adjacency(g: Graph) -> None:

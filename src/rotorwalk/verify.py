@@ -268,8 +268,8 @@ def _overlapped(job: Callable) -> Iterator[Callable]:
     inherits it, and every module-level name it reads, as the pool forks;
     only its result, or its exception, is pickled back.  fork, not the
     platform default, because a spawned or forkserver worker would import
-    numpy and scipy again; the executor forks its worker before it starts
-    its own thread.  The pool is shut down, its worker joined, on the way
+    numpy and the package again; the executor forks its worker before it
+    starts its own thread.  The pool is shut down, its worker joined, on the way
     out.  Without fork, the callable runs job() in this process.
     """
     ctx = _fork_context()

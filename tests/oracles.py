@@ -15,9 +15,11 @@ from itertools import product
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from rotorwalk.errors import AbortedMaxSteps, GraphInvalid
 from rotorwalk.graphs import Graph, RotorMechanism
+from rotorwalk.harmonic import HarmonicProfile
 from rotorwalk.rng import philox_generator
 
 
@@ -489,6 +491,24 @@ def reference_dirichlet_system(g):
     rhs = np.zeros(live.size)
     rhs[pos[g.origin]] = 1.0
     return live, mat, rhs
+
+
+def reference_solve(g):
+    """HarmonicProfile from a sparse LU (scipy's splu) of reference_dirichlet_system.
+
+    Its residual is the largest |(D - A) v - rhs| / deg over the live rows.
+    """
+    live, mat, rhs = reference_dirichlet_system(g)
+    hv = splu(mat).solve(rhs)
+    v = np.zeros(g.num_vertices)
+    v[live] = hv
+    green = v * np.array([len(a) for a in g.adjacency])
+    return HarmonicProfile(
+        voltage=v,
+        green=green,
+        escape_probability=1.0 / float(green[g.origin]),
+        residual=float(np.max(np.abs(mat @ hv - rhs) / mat.diagonal())),
+    )
 
 
 def reference_weight_table(mech, voltage):

@@ -1,5 +1,9 @@
 import functools
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -106,6 +110,37 @@ def test_solver_parameter_validation(p3):
         solve_harmonic(p3, tol=0.0)
     with pytest.raises(NonConvergence):
         solve_harmonic(build_lattice_ball(2, 4), tol=1e-30)
+
+
+def test_stalled_solve_stops_on_its_residual(monkeypatch):
+    """Below reach of rounding, the solve gives up a check or so after the residual stops
+    improving; without that rule it would go on until the recurrence underflows, about
+    70 checks here, or to the iteration cap of 10 per vertex."""
+    calls = []
+
+    def counting_residual(g, profile):
+        calls.append(1)
+        return residual(g, profile)
+
+    monkeypatch.setattr(harmonic, "residual", counting_residual)
+    with pytest.raises(NonConvergence):
+        solve_harmonic(build_lattice_ball(3, 12), tol=1e-30)
+    assert 0 < len(calls) <= 20
+
+
+def test_import_path_has_no_scipy():
+    """Importing the package, validating a graph and solving it load no scipy module."""
+    code = (
+        "import sys, rotorwalk\n"
+        "rotorwalk.solve_harmonic(rotorwalk.build_lattice_ball(3, 6))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_profile_arrays_frozen(p3):

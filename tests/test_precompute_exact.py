@@ -1,10 +1,12 @@
 """The vectorized precompute path equals today's scalar loops exactly.
 
-Graph build, validation, Dirichlet assembly and the weight table are numpy
-code over CSR arrays; `oracles` keeps the per-vertex loops they replaced.
-Every comparison is exact: CSR arrays, sparse arrays and weights by
-np.array_equal (weights with the sign bit), labels and derived tuple views
-by ==, error messages by string.
+Graph build, validation and the weight table are numpy code over CSR
+arrays; `oracles` keeps the per-vertex loops they replaced.  Every
+comparison is exact: CSR arrays and weights by np.array_equal (weights with
+the sign bit), labels and derived tuple views by ==, error messages by
+string.  The one exception is the harmonic solve, refereed by a sparse LU
+of the scalar-loop Dirichlet system: voltages to 1e-13 relative, and the
+integer answers built on them exactly.
 """
 import random
 
@@ -17,26 +19,28 @@ from rotorwalk import (
     build_lattice_ball,
     build_path,
     check_graph,
+    count_min_weight_ties,
     default_mechanism,
     load_edge_list,
+    min_weight_config,
     shuffled_mechanism,
     solve_harmonic,
     weight_table,
 )
-from rotorwalk.harmonic import _dirichlet_system
 
 from oracles import (
     graph_from_rows,
     reference_bary_tree,
     reference_check_graph,
     reference_default_mechanism,
-    reference_dirichlet_system,
     reference_graph_from_edges,
     reference_lattice_ball,
     reference_path,
     reference_shuffled_mechanism,
+    reference_solve,
     reference_weight_table,
 )
+from test_experiment import EXACT_GRAPHS
 
 # string labels; right-out and left-far are repeated sink edges
 EDGE_LIST = "hub left\nleft right\nright hub\nleft out\nright out\nhub out\nout right\nleft far\nfar left\n"
@@ -101,15 +105,20 @@ def test_mechanisms_equal_scalar_loops(graph, seed):
     assert mech.name == ref.name
 
 
-def test_dirichlet_system_equals_scalar_loop(graph):
-    live, mat, rhs = _dirichlet_system(graph)
-    ref_live, ref_mat, ref_rhs = reference_dirichlet_system(graph)
-    assert np.array_equal(live, ref_live)
-    assert np.array_equal(rhs, ref_rhs)
-    for attr in ("indptr", "indices", "data"):
-        got, want = getattr(mat, attr), getattr(ref_mat, attr)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want), attr
+SOLVE_GRAPHS = {**{name: build() for name, (build, _) in CASES.items()}, **EXACT_GRAPHS}
+
+
+@pytest.mark.parametrize("name", list(SOLVE_GRAPHS))
+def test_solve_matches_sparse_lu_reference(name):
+    """Voltages within 1e-13 * max|v| of splu's, and the same min-weight rotors and tie counts."""
+    g = SOLVE_GRAPHS[name]
+    profile, ref = solve_harmonic(g), reference_solve(g)
+    assert np.abs(profile.voltage - ref.voltage).max() <= 1e-13 * np.abs(ref.voltage).max()
+    for seed in (None, 0, 3, 11):
+        mech = default_mechanism(g) if seed is None else shuffled_mechanism(g, seed)
+        wt, ref_wt = weight_table(g, mech, profile), weight_table(g, mech, ref)
+        assert min_weight_config(g, wt) == min_weight_config(g, ref_wt)
+        assert count_min_weight_ties(g, wt) == count_min_weight_ties(g, ref_wt)
 
 
 @pytest.mark.parametrize("seed", [None, 0, 3, 11], ids=["default", "s0", "s3", "s11"])
@@ -181,8 +190,26 @@ def test_check_graph_message_parity(name):
     assert str(exc.value) == message
 
 
+def _disjoint_union(a, b, origin_in_b, rng):
+    """Two valid graphs side by side under shuffled ids: valid but for connectivity."""
+    n = a.num_vertices + b.num_vertices
+    new_id = rng.sample(range(n), n)
+    rows, labels = [None] * n, [None] * n
+    for shift, tag, part in ((0, "a", a), (a.num_vertices, "b", b)):
+        for x, adj in enumerate(part.adjacency):
+            rows[new_id[shift + x]] = [new_id[shift + y] for y in adj]
+            labels[new_id[shift + x]] = f"{tag}{part.labels[x]}"
+    sinks = {new_id[s] for s in a.sinks} | {new_id[a.num_vertices + s] for s in b.sinks}
+    origin = new_id[a.num_vertices + b.origin] if origin_in_b else new_id[a.origin]
+    return graph_from_rows(rows, origin, sinks, labels)
+
+
 def test_check_graph_matches_scalar_loop_on_random_corruptions():
-    """Seeded edits of valid graphs; both checks must raise the same message or both pass."""
+    """Seeded edits of valid graphs; both checks must raise the same message or both pass.
+
+    Then seeded disjoint unions of a lattice ball and a tree or path, the
+    origin in either part: both must name the same lowest unreachable vertex.
+    """
     rng = random.Random(5)
     bases = [build_path(5), build_lattice_ball(2, 2), build_bary_tree(2, 3),
              load_edge_list(EDGE_LIST, "hub", EDGE_LIST_SINKS),
@@ -210,3 +237,9 @@ def test_check_graph_matches_scalar_loop_on_random_corruptions():
         assert _message(check_graph, g) == want, adj
         raised += want is not None
     assert raised > 1000
+    for k in range(60):
+        other = rng.choice([build_bary_tree(2, rng.randint(1, 3)), build_path(rng.randint(2, 7))])
+        g = _disjoint_union(build_lattice_ball(2, rng.randint(1, 3)), other, k % 2, rng)
+        want = _message(reference_check_graph, g)
+        assert want.startswith("graph is disconnected")
+        assert _message(check_graph, g) == want
