@@ -290,17 +290,20 @@ def build_lattice_ball(d: int, radius: int) -> Graph:
     if radius < 1:
         raise InvalidParameter(f"build_lattice_ball needs radius >= 1, got {radius}")
 
-    # the cube [-r-1, r+1]^d in lexicographic order, so a stable sort by
-    # norm gives (norm, coordinates) order; its margin holds every
-    # neighbour of the ball, and the table maps each cube cell to its
-    # vertex id, or to the sink outside the ball
+    # the L1 norms of the cube [-r-1, r+1]^d in lexicographic order, one
+    # np.add.outer per axis, so a stable sort by norm gives (norm,
+    # coordinates) order; the cube's margin holds every neighbour of the
+    # ball, and the index table maps each cube cell to its vertex id, or to
+    # the sink outside the ball
     side = 2 * radius + 3
-    cube = np.indices((side,) * d).reshape(d, -1).T - (radius + 1)
-    norm = np.abs(cube).sum(axis=1)
+    axis_norm = np.abs(np.arange(-radius - 1, radius + 2, dtype=np.int32))
+    norm = axis_norm
+    for _ in range(d - 1):
+        norm = np.add.outer(norm, axis_norm)
+    norm = norm.ravel()
     in_ball = np.flatnonzero(norm <= radius)
     in_ball = in_ball[np.argsort(norm[in_ball], kind="stable")]
-    points = cube[in_ball]
-    sink = len(points)
+    sink = in_ball.size
     index = np.full(side**d, sink, dtype=np.int64)
     index[in_ball] = np.arange(sink)
 
@@ -311,7 +314,11 @@ def build_lattice_ball(d: int, radius: int) -> Graph:
     keep = (j == sink) | (j > i)
     edges = np.stack([i[keep], j[keep]], axis=1)
 
-    labels = [",".join(map(str, p)) for p in points.tolist()] + ["sink"]
+    # "x,y,z" labels, one column of coordinate text per axis; a ball
+    # coordinate c sits at cube cell c + r + 1
+    text = np.array([str(c) for c in range(-radius, radius + 1)], dtype=object)
+    columns = (text[cell - 1].tolist() for cell in np.unravel_index(in_ball, (side,) * d))
+    labels = [*map(",".join, zip(*columns)), "sink"]
     return _graph_from_edges(edges, 0, {sink}, labels, name=f"lattice(d={d}, r={radius})")
 
 
@@ -426,8 +433,13 @@ def shuffled_mechanism(g: Graph, seed: int) -> RotorMechanism:
     rng = philox_generator(seed)
     live = ~g.is_sink
     deg = g.degrees[live]
-    # one rng.permutation per non-sink vertex, in id order: the goldens rest on these draws
-    entry = np.concatenate([rng.permutation(d) for d in deg.tolist()])
+    # one rng.permuted call per run of equal consecutive degrees, in id order:
+    # it shuffles the run's rows one after another with the draws of one
+    # rng.permutation(deg) per non-sink vertex, on which the goldens rest
+    starts = np.flatnonzero(np.diff(deg, prepend=-1))
+    runs = zip(deg[starts].tolist(), np.diff(starts, append=deg.size).tolist())
+    entry = np.concatenate([rng.permuted(np.broadcast_to(np.arange(d), (k, d)), axis=1).ravel()
+                            for d, k in runs])
     entry += np.repeat(g.adj_indptr[:-1][live], deg)
     indptr = np.concatenate(([0], np.cumsum(np.where(live, g.degrees, 0))))
     return RotorMechanism(indptr, g.adj_flat[entry], name=f"shuffled(seed={seed})")

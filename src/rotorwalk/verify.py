@@ -23,8 +23,6 @@ fail, demonstrating the checks have teeth.
 from __future__ import annotations
 
 import functools
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple
@@ -255,6 +253,8 @@ def _run_forked_job():
 
 def _fork_context():
     """The fork start method, or None on a platform without one."""
+    import multiprocessing  # here, so that a process that never verifies does not load it
+
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return None
@@ -276,6 +276,8 @@ def _overlapped(job: Callable) -> Iterator[Callable]:
     if ctx is None:
         yield job
         return
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(1, mp_context=ctx, initializer=_set_forked_job, initargs=(job,)) as pool:
         yield pool.submit(_run_forked_job).result
 

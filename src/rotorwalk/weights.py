@@ -92,7 +92,7 @@ def weight_table(g: Graph, mech: RotorMechanism, profile: HarmonicProfile) -> We
     indptr = mech.indptr
     deg = np.diff(indptr)
     values = np.zeros(int(indptr[-1]))
-    for d in np.unique(deg[deg > 0]).tolist():
+    for d in (np.flatnonzero(np.bincount(deg)[1:]) + 1).tolist():
         slots = indptr[:-1][deg == d, None] + np.arange(d)
         tv = v[mech.flat[slots]]
         j = np.arange(d, dtype=np.float64)[:, None]

@@ -9,6 +9,7 @@ plain data containers and the seeded Philox streams.
 """
 from __future__ import annotations
 
+import random
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import product
@@ -448,6 +449,32 @@ def reference_bary_tree(b, depth):
     return reference_graph_from_edges(
         edges, 0, sinks, [str(i) for i in range(n)], name=f"tree(b={b}, depth={depth})"
     )
+
+
+def random_edge_list(seed):
+    """(text, origin label, sink labels) of a seeded random connected graph for load_edge_list.
+
+    A random spanning tree on 5-39 vertices (each vertex after the first
+    joins an earlier one), then up to 2V extra edges, a random origin and
+    1-3 sinks.  An extra edge is dropped if it is a self-loop or repeats a
+    pair of live vertices; edges at a sink may repeat.  The edges are listed
+    in shuffled order and direction, so ids (first appearance) and degrees
+    follow no pattern.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(5, 39)
+    sinks = rng.sample(range(n), rng.randint(1, 3))
+    origin = rng.choice([x for x in range(n) if x not in sinks])
+    edges = [(rng.randrange(x), x) for x in range(1, n)]
+    pairs = {frozenset(e) for e in edges}
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v and (u in sinks or v in sinks or frozenset((u, v)) not in pairs):
+            edges.append((u, v))
+            pairs.add(frozenset((u, v)))
+    rng.shuffle(edges)
+    lines = [f"v{u} v{v}" if rng.random() < 0.5 else f"v{v} v{u}" for u, v in edges]
+    return "\n".join(lines) + "\n", f"v{origin}", [f"v{s}" for s in sinks]
 
 
 def reference_default_mechanism(g):

@@ -129,18 +129,30 @@ def test_stalled_solve_stops_on_its_residual(monkeypatch):
 
 
 def test_import_path_has_no_scipy():
-    """Importing the package, validating a graph and solving it load no scipy module."""
-    code = (
-        "import sys, rotorwalk\n"
-        "rotorwalk.solve_harmonic(rotorwalk.build_lattice_ball(3, 6))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-    )
+    """Importing the package and solving, or running, load no scipy, numpy.ma,
+    multiprocessing or concurrent.futures module."""
+    # a solve, and a shuffled run that meets fresh range vertices in its
+    # settle, after importing every layer module the benchmark imports
+    calls = {
+        "solve": "rotorwalk.solve_harmonic(rotorwalk.build_lattice_ball(3, 6))\n",
+        "run": (
+            "from rotorwalk import analysis, cli, experiment, graphs, harmonic, serialize, verify, weights\n"
+            "assert cli.main(['run', '--lattice', '3', '6', '--n', '50',"
+            " '--mechanism', 'shuffled', '--seed-mech', '1']) == 0\n"
+        ),
+    }
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120, check=True)
-    assert proc.stdout == "[]\n"
+    for name, call in calls.items():
+        code = (
+            "import sys, rotorwalk\n" + call
+            + "print(sorted(m for m in sys.modules if m.split('.')[0] in"
+            " ('scipy', 'multiprocessing', 'concurrent') or m.split('.')[:2] == ['numpy', 'ma']))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        assert proc.stdout.splitlines()[-1] == "[]", name
 
 
 def test_profile_arrays_frozen(p3):

@@ -30,6 +30,7 @@ from rotorwalk import (
 
 from oracles import (
     graph_from_rows,
+    random_edge_list,
     reference_bary_tree,
     reference_check_graph,
     reference_default_mechanism,
@@ -47,12 +48,12 @@ EDGE_LIST = "hub left\nleft right\nright hub\nleft out\nright out\nhub out\nout 
 EDGE_LIST_SINKS = ("out", "far")
 
 
-def _edge_list_reference():
+def _edge_list_reference(text, origin, sinks):
     ids: dict[str, int] = {}
     edges = [tuple(ids.setdefault(tok, len(ids)) for tok in line.split())
-             for line in EDGE_LIST.splitlines()]
+             for line in text.splitlines()]
     return reference_graph_from_edges(
-        edges, ids["hub"], {ids[s] for s in EDGE_LIST_SINKS}, list(ids), name="edge-list"
+        edges, ids[origin], {ids[s] for s in sinks}, list(ids), name="edge-list"
     )
 
 
@@ -62,12 +63,18 @@ CASES = {
     **{
         f"lattice({d},{r})": (lambda d=d, r=r: build_lattice_ball(d, r),
                               lambda d=d, r=r: reference_lattice_ball(d, r))
-        for d in (1, 2, 3, 4) for r in (1, 3, 5)
+        for d, r in [(d, r) for d in (1, 2, 3, 4) for r in (1, 3, 5)] + [(5, 3), (2, 40), (3, 22)]
     },
-    "lattice(2,40)": (lambda: build_lattice_ball(2, 40), lambda: reference_lattice_ball(2, 40)),
     "tree(2,6)": (lambda: build_bary_tree(2, 6), lambda: reference_bary_tree(2, 6)),
     "tree(3,8)": (lambda: build_bary_tree(3, 8), lambda: reference_bary_tree(3, 8)),
-    "edge-list": (lambda: load_edge_list(EDGE_LIST, "hub", EDGE_LIST_SINKS), _edge_list_reference),
+    "edge-list": (lambda: load_edge_list(EDGE_LIST, "hub", EDGE_LIST_SINKS),
+                  lambda: _edge_list_reference(EDGE_LIST, "hub", EDGE_LIST_SINKS)),
+    # irregular degrees: most runs of equal consecutive degree have length 1
+    **{
+        f"random-edge-list({seed})": (lambda seed=seed: load_edge_list(*random_edge_list(seed)),
+                                      lambda seed=seed: _edge_list_reference(*random_edge_list(seed)))
+        for seed in range(8)
+    },
 }
 
 
