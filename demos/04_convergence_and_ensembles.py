@@ -5,8 +5,7 @@ Escape-rate convergence, the two-sided squeeze, and random rotors
 Three quantitative claims come out of the machinery in the first three demos:
 
 1. With minimum-weight rotors the survivor fraction is at least alpha at
-   every step from t = n on, so the settled rate sits above alpha and the
-   gap shrinks as n grows.
+   every step from t = n on, so the settled rate sits above alpha.
 2. No configuration beats alpha in the limit, so for large n every random
    configuration lands near alpha from above as well.
 3. alpha itself is just the chance that a simple random walk never returns,
@@ -36,9 +35,9 @@ print(f"Z^3 ball R=6: {g.num_vertices} vertices, alpha = {alpha:.6f}")
 # Claim 1: theorem_check reads one escape_sweep with the invariant checked at
 # every event.  Survivors never increase during a run, so the settled rate is
 # the minimum of survivors/n over every t >= n and checking it at settle covers
-# every step; then it checks the gaps shrink along the n list.
+# every step.  Whether the gaps shrink along the n list is only reported.
 res = theorem_check(g, mech, [100, 1000, 10000])
-print("\nper-step lower bound + invariant + gap shrinkage:",
+print("\nper-step lower bound + invariant:",
       "pass" if res.ok else "FAIL")
 for n, rate, gap in zip(res.n_values, res.rates, res.gaps):
     print(f"  n = {n:5d}:  rate = {rate:.6f}  gap = {gap:.6f}")

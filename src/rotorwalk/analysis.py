@@ -6,11 +6,12 @@ sweep loop.  Every run settles on the round kernel, invariant checks and
 per-round observers (the CLI's trace) included: both go through one
 experiment.InvariantTracker per n.  theorem_check reads one
 escape_sweep and asserts the facts the minimizing configuration guarantees:
-conserved quantity constant, escaped fraction at or above the escape
+conserved quantity constant, and escaped fraction at or above the escape
 probability once every particle has moved (the gap rate - alpha is
-nonnegative), and final gaps non-increasing in n.  The lower bound is
-checked at settle: survivors never increase during a run, so the settled
-rate is the minimum of survivors/n over every t >= n.
+nonnegative).  The lower bound is checked at settle: survivors never
+increase during a run, so the settled rate is the minimum of survivors/n
+over every t >= n.  Whether the gaps fall as n grows is reported, not
+asserted: it is no theorem, and on path(5) the gap rises from n = 4 to 5.
 """
 from __future__ import annotations
 
@@ -87,6 +88,9 @@ class BoundViolation:
 
 @dataclass
 class TheoremCheckResult:
+    """One theorem_check sweep.  ok covers the invariant and the lower bound;
+    gaps_monotone_ok and the gap-increase violations are observations only."""
+
     alpha: float
     n_values: list[int]
     rates: list[float]
@@ -99,7 +103,7 @@ class TheoremCheckResult:
 
     @property
     def ok(self) -> bool:
-        return self.invariant_ok and self.lower_bound_ok and self.gaps_monotone_ok
+        return self.invariant_ok and self.lower_bound_ok
 
 
 def escape_sweep(
@@ -222,10 +226,13 @@ def theorem_check(
     settle time t.  Invariant: the sweep's worst absolute deviation, divided by
     the smallest n's target n*v(origin) (never looser than a per-n scale), must
     stay within invariant_tol; a failure is one violation at the smallest n
-    with t = -1.  Across n: final gaps are non-increasing; a nonnegative gap
-    is the lower bound itself.  A custom config exercises the same checks
-    without the guarantees; violations are then expected and are recorded
-    rather than raised.  profile and wt, if given, are passed on to escape_sweep.
+    with t = -1.  A nonnegative gap is the lower bound itself.  Across n, each
+    rise of the final gap is recorded as a gap-increase violation and clears
+    gaps_monotone_ok, but leaves ok alone: no theorem makes the gaps
+    non-increasing, and on path(5) the gap rises from n = 4 to 5.  A custom
+    config exercises the same checks without the guarantees; violations are
+    then expected and are recorded rather than raised.  profile and wt, if
+    given, are passed on to escape_sweep.
     """
     profile = solve_harmonic(graph) if profile is None else profile
     rep = escape_sweep(

@@ -14,6 +14,7 @@ orders are stored once, as read-only CSR arrays; tuple views are derived.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
@@ -178,8 +179,9 @@ def _check_adjacency(g: Graph) -> None:
 
     A valid adjacency is accepted from its sorted row*V+target keys alone:
     repeated keys must touch a sink, and the keys must equal their mirror
-    images target*V+row as a multiset.  Anything else goes to
-    _raise_first_fault for the message.
+    images target*V+row as a multiset.  A rejected one is scanned row by row
+    for the message: each row's distinct neighbours in first-appearance
+    order, then symmetry with multiplicity.
     """
     n = g.num_vertices
     flat = g.adj_flat
@@ -195,55 +197,25 @@ def _check_adjacency(g: Graph) -> None:
         sink = g.is_sink
         if (sink[repeated // n] | sink[repeated % n]).all() and np.array_equal(keys, mirror):
             return
-    _raise_first_fault(g, row)
 
-
-def _raise_first_fault(g: Graph, row: np.ndarray) -> None:
-    """Raise for the lowest failing vertex, as a scan of each row's distinct neighbours would.
-
-    Empty rows, out-of-range ids, self-loops and duplicate live pairs come
-    first, then symmetry with multiplicity.  The entries with one (x, y) pair
-    all fail alike, so the first failing entry of a row is the first
-    appearance of its neighbour.  Called only for an adjacency that
-    _check_adjacency rejected, so some entry fails.
-    """
-    n = g.num_vertices
-    deg = g.degrees
-    flat = g.adj_flat
-    sink = g.is_sink
-    in_range = (flat >= 0) & (flat < n)
-    # out-of-range entries get a key no valid entry has, so they cannot pose
-    # as a duplicate in a neighbouring row
-    keys = np.where(in_range, row * n + flat, -1)
-    sorted_keys = np.sort(keys)
-    mult = _count_in(sorted_keys, keys)
-    target = np.where(in_range, flat, row)
-    bad = ~in_range | (flat == row) | ((mult > 1) & ~sink[row] & ~sink[target])
-
-    empty = np.flatnonzero(deg == 0)
-    if empty.size and (not bad.any() or empty[0] < row[np.argmax(bad)]):
-        raise GraphInvalid(f"vertex {g.labels[empty[0]]} has no edges")
-    if bad.any():
-        e = int(np.argmax(bad))
-        x, y = int(row[e]), int(flat[e])
-        if not in_range[e]:
-            raise GraphInvalid(f"neighbor id {y} out of range at {g.labels[x]}")
-        if y == x:
-            raise GraphInvalid(f"self-loop at vertex {g.labels[x]}")
-        raise GraphInvalid(
-            f"duplicate edge between non-sink vertices {g.labels[x]} and {g.labels[y]}"
-        )
-
-    e = int(np.argmax(mult != _count_in(sorted_keys, flat * n + row)))
-    raise GraphInvalid(
-        f"asymmetric adjacency between {g.labels[row[e]]} and {g.labels[flat[e]]}"
-    )
-
-
-def _count_in(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Number of occurrences of each of keys in sorted_keys."""
-    return (np.searchsorted(sorted_keys, keys, side="right")
-            - np.searchsorted(sorted_keys, keys, side="left"))
+    sink = g.is_sink.tolist()
+    counts = [Counter(adj) for adj in g.adjacency]
+    for x, cx in enumerate(counts):
+        if not cx:
+            raise GraphInvalid(f"vertex {g.labels[x]} has no edges")
+        for y, c in cx.items():
+            if not (0 <= y < n):
+                raise GraphInvalid(f"neighbor id {y} out of range at {g.labels[x]}")
+            if y == x:
+                raise GraphInvalid(f"self-loop at vertex {g.labels[x]}")
+            if c > 1 and not (sink[x] or sink[y]):
+                raise GraphInvalid(
+                    f"duplicate edge between non-sink vertices {g.labels[x]} and {g.labels[y]}"
+                )
+    for x, cx in enumerate(counts):
+        for y, c in cx.items():
+            if counts[y][x] != c:
+                raise GraphInvalid(f"asymmetric adjacency between {g.labels[x]} and {g.labels[y]}")
 
 
 def _graph_from_edges(edges: np.ndarray, origin, sinks, labels, name="") -> Graph:
@@ -341,10 +313,6 @@ def build_bary_tree(b: int, depth: int) -> Graph:
     )
 
 
-def _normalize_label(value) -> str:
-    return value if isinstance(value, str) else str(value)
-
-
 def load_edge_list(source: str | IO[str] | Iterable[str], origin, sinks) -> Graph:
     """Parse whitespace-separated "u v" lines into a validated Graph.
 
@@ -379,8 +347,8 @@ def load_edge_list(source: str | IO[str] | Iterable[str], origin, sinks) -> Grap
     if not edges:
         raise GraphInvalid("edge list is empty")
 
-    sink_labels = {_normalize_label(s) for s in sinks}
-    origin_label = _normalize_label(origin)
+    sink_labels = {str(s) for s in sinks}
+    origin_label = str(origin)
     if origin_label not in label_ids:
         raise GraphInvalid(f"origin label {origin_label!r} does not appear in the edge list")
     unknown = sink_labels - label_ids.keys()

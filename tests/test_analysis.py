@@ -222,6 +222,18 @@ def test_theorem_check_records_gap_regression():
     assert res.max_invariant_dev <= 1e-10
 
 
+def test_theorem_check_ok_ignores_a_rising_gap():
+    # min-weight on path(5): the gap rises from 0 at n = 4 to 0.15 at n = 5,
+    # while the lower bound and the invariant, the guarantees, both hold
+    g = build_path(5)
+    res = theorem_check(g, default_mechanism(g), [4, 5])
+    assert res.gaps[0] == 0.0 and res.gaps[1] > 0.1
+    assert not res.gaps_monotone_ok
+    assert [v.kind for v in res.violations] == ["gap-increase"]
+    assert res.lower_bound_ok and res.invariant_ok
+    assert res.ok
+
+
 def test_ensemble_input_validation(p3):
     with pytest.raises(InvalidParameter):
         random_ensemble(p3, default_mechanism(p3), n=10, trials=0, seed=0)

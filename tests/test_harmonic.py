@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -69,6 +70,32 @@ def test_z3_large_ball_escape_near_limit():
     assert 0.6 < alpha < 0.7
     p, se = srw_escape_mc(g, 100_000, seed=7)
     assert abs(p - alpha) <= 3 * se
+
+
+def test_tree_closed_form():
+    # below the root of tree(b, h) the depth is a biased walk, down with
+    # probability b/(b+1) and up with 1/(b+1); gambler's ruin from depth 1
+    # to the leaves at depth h before the root gives (b-1) / (b (1 - b^-h))
+    for b in range(2, 6):
+        for h in range(1, 9):
+            if (b ** (h + 1) - 1) // (b - 1) > 10**5:
+                continue
+            alpha = solve_harmonic(build_bary_tree(b, h)).escape_probability
+            assert alpha == pytest.approx((b - 1) / (b * (1 - b**-h)), rel=1e-14, abs=0)
+
+
+def test_z3_ball_extrapolates_to_watson():
+    # Watson's integral: the simple random walk on Z^3 has Green's function
+    # G(0) = sqrt(6)/(32 pi^3) Gamma(1/24) Gamma(5/24) Gamma(7/24) Gamma(11/24)
+    # at the origin, and escapes forever with probability 1/G(0); a least
+    # squares fit a + b/(r+1) + c/(r+1)^2 to the balls' alpha extrapolates it
+    green = (math.sqrt(6) / (32 * math.pi**3)
+             * math.prod(math.gamma(k / 24) for k in (1, 5, 7, 11)))
+    radii = np.array([10, 15, 20, 25, 30])
+    alphas = [solve_harmonic(build_lattice_ball(3, int(r))).escape_probability for r in radii]
+    x = 1.0 / (radii + 1)
+    (a, _, _), *_ = np.linalg.lstsq(np.stack([np.ones_like(x), x, x**2], axis=1), alphas, rcond=None)
+    assert abs(a - 1 / green) <= 5e-5
 
 
 def test_matches_dense_oracle(small_graph):

@@ -2,11 +2,12 @@
 
 tests/oracles.py solves the voltage and evaluates the weight definition in
 fractions.Fraction, so the min-weight choice, its tie count and the escape
-lower bound are checked here with no tolerance.
+lower bound are checked here with no tolerance, on lattice balls, a path, a
+tree and seeded random edge lists.
 """
 import pytest
 
-from oracles import exact_voltage, exact_weights
+from oracles import exact_voltage, exact_weights, random_edge_list
 from rotorwalk import (
     build_bary_tree,
     build_lattice_ball,
@@ -14,6 +15,7 @@ from rotorwalk import (
     count_min_weight_ties,
     default_mechanism,
     init_experiment,
+    load_edge_list,
     min_weight_config,
     run_until_settled,
     shuffled_mechanism,
@@ -27,6 +29,9 @@ GRAPHS = {
     "lattice(2,3)": lambda: build_lattice_ball(2, 3),
     "lattice(2,4)": lambda: build_lattice_ball(2, 4),
     "lattice(3,3)": lambda: build_lattice_ball(3, 3),
+    # irregular degrees, several sinks, sink edges that repeat
+    **{f"random-edge-list({seed})": lambda seed=seed: load_edge_list(*random_edge_list(seed))
+       for seed in range(12)},
 }
 
 
