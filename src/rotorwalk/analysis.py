@@ -206,6 +206,10 @@ def random_ensemble(
     )
 
 
+INVARIANT_TOL = 1e-8  # relative deviation of the conserved quantity from n*v(origin)
+BOUND_SLACK = 1e-9  # roundoff allowed below the escape probability
+
+
 def theorem_check(
     graph: Graph,
     mechanism: RotorMechanism,
@@ -214,8 +218,8 @@ def theorem_check(
     config: Optional[RotorConfig] = None,
     profile: Optional[HarmonicProfile] = None,
     wt: Optional[WeightTable] = None,
-    invariant_tol: float = 1e-8,
-    bound_slack: float = 1e-9,
+    invariant_tol: float = INVARIANT_TOL,
+    bound_slack: float = BOUND_SLACK,
 ) -> TheoremCheckResult:
     """Verify the guarantees of the minimizing configuration across one sweep.
 

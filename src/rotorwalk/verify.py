@@ -6,15 +6,14 @@ weight table the engine reads (see weights.py), conserved-quantity
 constancy, the minimizing configuration's escaped-fraction lower bound, and
 Monte Carlo cross-checks of the harmonic quantities.  Each fixture is solved
 once and its mechanisms and weight tables built once; every check reads
-that Fixture.  Each check yields a CheckRecord with its worst deviation; the
-suite passes iff every record does.  The row sum stands where a cyclic sum of increments
-would not: that sum is zero for any table, corrupted or not.
+that Fixture.  Each check yields (deviation, where) pairs, and one reduction
+makes them its CheckRecord; the suite passes iff every record does.  The row
+sum stands where a cyclic sum of increments would not: that sum is zero for
+any table, corrupted or not.
 
-The Monte Carlo visit-count check, the longest, runs in a worker forked
-after the fixtures are built, while this process runs the other checks;
-the records come back in the same order and with the same values as when
-the checks run one after another.  Where the platform has no fork, every
-check runs in this process.
+The Monte Carlo visit-count check, the longest, runs in a child forked after
+the fixtures are built (see _overlapped), while this process runs the others;
+the records are the same as when the checks run one after another.
 
 With inject_corruption the suite adds negative controls: check_weight_increment
 and check_lower_bound run on corrupted weight tables and are expected to
@@ -23,28 +22,25 @@ fail, demonstrating the checks have teeth.
 from __future__ import annotations
 
 import functools
+import os
+import pickle
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .analysis import escape_sweep
-from .graphs import (
-    Graph,
-    RotorMechanism,
-    build_bary_tree,
-    build_lattice_ball,
-    build_path,
-    default_mechanism,
-    shuffled_mechanism,
-)
-from .harmonic import HarmonicProfile, mc_green, solve_harmonic, srw_escape_mc
+from .analysis import BOUND_SLACK, INVARIANT_TOL, escape_sweep
+from .graphs import (Graph, RotorMechanism, build_bary_tree, build_lattice_ball, build_path,
+                     default_mechanism, shuffled_mechanism)
+from .harmonic import DEFAULT_TOL, HarmonicProfile, mc_green, solve_harmonic, srw_escape_mc
 from .weights import WeightTable, random_config, weight_table
 
 _MECH_SEEDS = (11, 12)
 _CONFIG_SEEDS = (21, 22, 23)
 _MC_SEED = 20240801
+_WEIGHT_TOL = 1e-12
+_Z_MAX = 3.0  # standard errors a Monte Carlo estimate may lie from the solved value
 
 
 @dataclass
@@ -66,21 +62,12 @@ class Fixture(NamedTuple):
 
 
 def quick_fixtures() -> list[Graph]:
-    return [
-        build_path(3),
-        build_path(5),
-        build_lattice_ball(1, 3),
-        build_lattice_ball(2, 3),
-        build_bary_tree(2, 3),
-    ]
+    return [build_path(3), build_path(5), build_lattice_ball(1, 3), build_lattice_ball(2, 3),
+            build_bary_tree(2, 3)]
 
 
 def full_fixtures() -> list[Graph]:
-    return quick_fixtures() + [
-        build_lattice_ball(2, 5),
-        build_lattice_ball(3, 6),
-        build_bary_tree(2, 6),
-    ]
+    return quick_fixtures() + [build_lattice_ball(2, 5), build_lattice_ball(3, 6), build_bary_tree(2, 6)]
 
 
 def _fixture(g: Graph) -> Fixture:
@@ -114,107 +101,98 @@ def _weight_identity_devs(profile: HarmonicProfile, mech: RotorMechanism, values
     return inc_dev, row_dev
 
 
-def check_residual(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
-    worst, where = 0.0, ""
+def _reduced(name: str, tol: float):
+    """Turn a generator of (deviation, where) pairs into a check that returns the CheckRecord
+    of the largest deviation; the first of equal ones wins, and no pairs record 0.0."""
+    def decorate(pairs: Callable[..., Iterator[tuple[float, str]]]) -> Callable[..., CheckRecord]:
+        @functools.wraps(pairs)
+        def check(*args) -> CheckRecord:
+            worst, where = 0.0, ""
+            for dev, at in pairs(*args):
+                if dev > worst:
+                    worst, where = dev, at
+            return CheckRecord(name, worst <= tol, worst, tol, where)
+        return check
+    return decorate
+
+
+@_reduced("harmonic-residual", DEFAULT_TOL)
+def check_residual(fixtures: list[Fixture]):
     for g, profile, *_ in fixtures:
-        if profile.residual > worst:
-            worst, where = profile.residual, g.describe()
-    return CheckRecord("harmonic-residual", worst <= tol, worst, tol, where)
+        yield profile.residual, g.describe()
 
 
-def check_weight_increment(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
+@_reduced("weight-increment", _WEIGHT_TOL)
+def check_weight_increment(fixtures: list[Fixture]):
     """Table increment w(x, i+1) - w(x, i) must equal -v(next target) + neighbor-mean of v."""
-    worst, where = 0.0, ""
     for g, profile, mechs, tables in fixtures:
         for mech, wt in zip(mechs, tables):
             devs, _ = _weight_identity_devs(profile, mech, wt.values)
             e = int(np.argmax(devs))
-            if devs[e] > worst:
-                x = int(np.searchsorted(mech.indptr, e, side="right")) - 1
-                worst = float(devs[e])
-                where = f"{g.describe()} at {g.labels[x]}[{e - int(mech.indptr[x])}]"
-    return CheckRecord("weight-increment", worst <= tol, worst, tol, where)
+            x = int(np.searchsorted(mech.indptr, e, side="right")) - 1
+            yield float(devs[e]), f"{g.describe()} at {g.labels[x]}[{e - int(mech.indptr[x])}]"
 
 
-def check_telescope(fixtures: list[Fixture], tol: float = 1e-12) -> CheckRecord:
+@_reduced("weight-row-sum", _WEIGHT_TOL)
+def check_telescope(fixtures: list[Fixture]):
     """Row sum of w(x, .) must equal -(deg(x) - 1)/2 * sum of v over the neighbors of x."""
-    worst, where = 0.0, ""
     for g, profile, mechs, tables in fixtures:
         for mech, wt in zip(mechs, tables):
             _, devs = _weight_identity_devs(profile, mech, wt.values)
             x = int(np.argmax(devs))
-            if devs[x] > worst:
-                worst, where = float(devs[x]), f"{g.describe()} at {g.labels[x]}"
-    return CheckRecord("weight-row-sum", worst <= tol, worst, tol, where)
+            yield float(devs[x]), f"{g.describe()} at {g.labels[x]}"
 
 
-def check_invariant(fixtures: list[Fixture], n_values, tol: float = 1e-8) -> CheckRecord:
-    """Conserved quantity stays at n*v(origin), relatively within tol."""
-    worst, where = 0.0, ""
+@_reduced("invariant-constancy", INVARIANT_TOL)
+def check_invariant(fixtures: list[Fixture], n_values):
+    """Conserved quantity stays at n*v(origin), relatively within INVARIANT_TOL."""
     for g, profile, mechs, tables in fixtures:
         scale = max(1.0, profile.voltage[g.origin])
         for mech, wt in zip(mechs, tables):
             # None: the min-weight configuration, built inside escape_sweep
-            configs = [None] + [random_config(g, s) for s in _CONFIG_SEEDS]
-            for config in configs:
-                rep = escape_sweep(
-                    g, mech, config, n_values, profile=profile, wt=wt, check_invariant=True
-                )
-                dev = (rep.max_invariant_dev or 0.0) / scale
-                if dev > worst:
-                    worst, where = dev, f"{g.describe()} mech={mech.describe()}"
-    return CheckRecord("invariant-constancy", worst <= tol, worst, tol, where)
+            for config in [None] + [random_config(g, s) for s in _CONFIG_SEEDS]:
+                rep = escape_sweep(g, mech, config, n_values, profile=profile, wt=wt,
+                                   check_invariant=True)
+                yield (rep.max_invariant_dev or 0.0) / scale, f"{g.describe()} mech={mech.describe()}"
 
 
-def check_lower_bound(fixtures: list[Fixture], n_values, tol: float = 1e-9) -> CheckRecord:
-    """survivors/n >= alpha - tol at every t >= n under the minimizing config.
+@_reduced("min-config-lower-bound", BOUND_SLACK)
+def check_lower_bound(fixtures: list[Fixture], n_values):
+    """survivors/n >= alpha - BOUND_SLACK at every t >= n under the minimizing config.
 
     Survivors never increase during a run, so the settled rate is the minimum
     of survivors/n over t >= n: one unobserved escape_sweep per mechanism
     decides the check on the fast settle path.
     """
-    worst, where = 0.0, ""
     for g, profile, mechs, tables in fixtures:
         for mech, wt in zip(mechs, tables):
             rep = escape_sweep(g, mech, None, n_values, profile=profile, wt=wt)
-            short = max((rep.alpha - r for r in rep.rates if r < rep.alpha - tol), default=0.0)
-            if short > worst:
-                worst, where = short, f"{g.describe()} mech={mech.describe()}"
-    return CheckRecord("min-config-lower-bound", worst <= tol, worst, tol, where)
+            short = max((rep.alpha - r for r in rep.rates if r < rep.alpha - BOUND_SLACK), default=0.0)
+            yield short, f"{g.describe()} mech={mech.describe()}"
 
 
-def check_mc_green(fixtures: list[Fixture], walks: int, z_max: float = 3.0) -> CheckRecord:
-    """Monte Carlo visit counts within z_max standard errors of solved values."""
-    worst, where = 0.0, ""
+@_reduced("mc-green-zscore", _Z_MAX)
+def check_mc_green(fixtures: list[Fixture], walks: int):
+    """Monte Carlo visit counts within _Z_MAX standard errors of solved values."""
     for g, profile, *_ in fixtures:
         est = mc_green(g, walks, _MC_SEED)
         live = [x for x in range(g.num_vertices) if not g.is_sink[x]]
-        probes = sorted({live[0], live[len(live) // 2], live[-1], g.origin})
-        for x in probes:
+        for x in sorted({live[0], live[len(live) // 2], live[-1], g.origin}):
             se = est.stderr[x]
             diff = abs(est.visits[x] - profile.green[x])
-            if se == 0.0:
-                if diff > 0.0:
-                    worst, where = float("inf"), f"{g.describe()} at {g.labels[x]}"
-                continue
-            z = diff / se
-            if z > worst:
-                worst, where = z, f"{g.describe()} at {g.labels[x]}"
-    return CheckRecord("mc-green-zscore", worst <= z_max, worst, z_max, where)
+            # zero stderr: the estimate is exact, or infinitely far off
+            z = diff / se if se != 0.0 else (float("inf") if diff > 0.0 else 0.0)
+            yield z, f"{g.describe()} at {g.labels[x]}"
 
 
-def check_srw_escape(fixtures: list[Fixture], walks: int, z_max: float = 3.0) -> CheckRecord:
-    """Monte Carlo escape probability within z_max standard errors of 1/G(o)."""
-    worst, where = 0.0, ""
+@_reduced("srw-escape-zscore", _Z_MAX)
+def check_srw_escape(fixtures: list[Fixture], walks: int):
+    """Monte Carlo escape probability within _Z_MAX standard errors of 1/G(o)."""
     for g, profile, *_ in fixtures:
-        alpha = profile.escape_probability
         p, se = srw_escape_mc(g, walks, _MC_SEED)
         if se == 0.0:
             se = np.sqrt(0.25 / walks)  # conservative when p lands on 0 or 1
-        z = abs(p - alpha) / se
-        if z > worst:
-            worst, where = z, g.describe()
-    return CheckRecord("srw-escape-zscore", worst <= z_max, worst, z_max, where)
+        yield abs(p - profile.escape_probability) / se, g.describe()
 
 
 def _corruption_controls() -> list[CheckRecord]:
@@ -239,47 +217,49 @@ def _corruption_controls() -> list[CheckRecord]:
     ]
 
 
-_forked_job: Callable | None = None  # set only in the forked worker, by the pool's initializer
-
-
-def _set_forked_job(job: Callable) -> None:
-    global _forked_job
-    _forked_job = job
-
-
-def _run_forked_job():
-    return _forked_job()
-
-
-def _fork_context():
-    """The fork start method, or None on a platform without one."""
-    import multiprocessing  # here, so that a process that never verifies does not load it
-
-    if "fork" in multiprocessing.get_all_start_methods():
-        return multiprocessing.get_context("fork")
-    return None
-
-
 @contextmanager
 def _overlapped(job: Callable) -> Iterator[Callable]:
-    """Start job() in a forked one-worker pool; yields a callable that waits for its result.
+    """Start job() in a forked child; yields a callable that returns its result or raises.
 
-    The job crosses to the worker by fork, not by pickle: the worker
-    inherits it, and every module-level name it reads, as the pool forks;
-    only its result, or its exception, is pickled back.  fork, not the
-    platform default, because a spawned or forkserver worker would import
-    numpy and the package again; the executor forks its worker before it
-    starts its own thread.  The pool is shut down, its worker joined, on the way
-    out.  Without fork, the callable runs job() in this process.
+    The child inherits the job by fork, sends back its pickled (result,
+    exception) through a pipe and ends in os._exit, never returning into the
+    caller's frames.  On the way out the read end is closed, so a child still
+    writing gets EPIPE, and the child is reaped.  Without os.fork, the
+    callable runs job() in this process.
     """
-    ctx = _fork_context()
-    if ctx is None:
+    if not hasattr(os, "fork"):
         yield job
         return
-    from concurrent.futures import ProcessPoolExecutor
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                outcome = (job(), None)
+            except BaseException as exc:  # raised again in the parent
+                outcome = (None, exc)
+            with os.fdopen(write_fd, "wb") as out:
+                pickle.dump(outcome, out)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    reader = os.fdopen(read_fd, "rb")
 
-    with ProcessPoolExecutor(1, mp_context=ctx, initializer=_set_forked_job, initargs=(job,)) as pool:
-        yield pool.submit(_run_forked_job).result
+    def result():
+        try:
+            value, exc = pickle.load(reader)
+        except (EOFError, pickle.UnpicklingError):
+            raise ChildProcessError("the forked check exited without a result") from None
+        if exc is not None:
+            raise exc
+        return value
+
+    try:
+        yield result
+    finally:
+        reader.close()
+        os.waitpid(pid, 0)
 
 
 def run_verification(

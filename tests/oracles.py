@@ -201,10 +201,11 @@ def reference_invariant(g, voltage, weight_of, positions, rho, rho0, visited, t,
     """Conserved quantity from a raw snapshot.
 
     weight_of(x, i) gives the weight of edge i at vertex x; the rotor-weight
-    displacement is summed over visited non-sink vertices only.
+    displacement is summed over visited non-sink vertices only.  With
+    Fraction voltages and weights the sum is exact.
     """
     total = sum(voltage[p] for p in positions)
-    total += min(t, n) / len(g.adjacency[g.origin])
+    total += Fraction(min(t, n), len(g.adjacency[g.origin]))  # a float total stays float
     for x in visited:
         if x not in g.sinks:
             total += weight_of(x, rho[x]) - weight_of(x, rho0[x])

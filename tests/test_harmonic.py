@@ -75,13 +75,21 @@ def test_z3_large_ball_escape_near_limit():
 def test_tree_closed_form():
     # below the root of tree(b, h) the depth is a biased walk, down with
     # probability b/(b+1) and up with 1/(b+1); gambler's ruin from depth 1
-    # to the leaves at depth h before the root gives (b-1) / (b (1 - b^-h))
+    # to the leaves at depth h before the root gives (b-1) / (b (1 - b^-h)).
+    # A unit current from the root splits evenly, so the voltage at level l
+    # is the resistance sum_{j>l} b^-j down to the leaves, (b^-l - b^-h)/(b-1)
     for b in range(2, 6):
         for h in range(1, 9):
             if (b ** (h + 1) - 1) // (b - 1) > 10**5:
                 continue
-            alpha = solve_harmonic(build_bary_tree(b, h)).escape_probability
+            g = build_bary_tree(b, h)
+            profile = solve_harmonic(g)
+            alpha = profile.escape_probability
             assert alpha == pytest.approx((b - 1) / (b * (1 - b**-h)), rel=1e-14, abs=0)
+            ids = [int(label) for label in g.labels]
+            level = np.searchsorted(np.cumsum(b ** np.arange(h + 1)), ids, side="right")
+            voltage = (b ** (h - level) - 1) / ((b - 1) * b**h)  # integers below 2^53
+            assert profile.voltage == pytest.approx(voltage, rel=1e-14, abs=0)
 
 
 def test_z3_ball_extrapolates_to_watson():
@@ -156,8 +164,8 @@ def test_stalled_solve_stops_on_its_residual(monkeypatch):
 
 
 def test_import_path_has_no_scipy():
-    """Importing the package and solving, or running, load no scipy, numpy.ma,
-    multiprocessing or concurrent.futures module."""
+    """Importing the package and solving, running or verifying, load no scipy,
+    numpy.ma, multiprocessing or concurrent.futures module."""
     # a solve, and a shuffled run that meets fresh range vertices in its
     # settle, after importing every layer module the benchmark imports
     calls = {
@@ -166,6 +174,11 @@ def test_import_path_has_no_scipy():
             "from rotorwalk import analysis, cli, experiment, graphs, harmonic, serialize, verify, weights\n"
             "assert cli.main(['run', '--lattice', '3', '6', '--n', '50',"
             " '--mechanism', 'shuffled', '--seed-mech', '1']) == 0\n"
+        ),
+        # a verify forks its Monte Carlo check without a process pool
+        "verify": (
+            "from rotorwalk import cli\n"
+            "assert cli.main(['verify', '--quick']) == 0\n"
         ),
     }
     env = dict(os.environ)

@@ -1,13 +1,16 @@
 """The float engine against exact rationals on small graphs.
 
 tests/oracles.py solves the voltage and evaluates the weight definition in
-fractions.Fraction, so the min-weight choice, its tie count and the escape
-lower bound are checked here with no tolerance, on lattice balls, a path, a
-tree and seeded random edge lists.
+fractions.Fraction, so the min-weight choice, its tie count, the escape
+lower bound and the conserved quantity are checked here with no tolerance,
+on lattice balls, a path, a tree and seeded random edge lists.
 """
+from fractions import Fraction
+
 import pytest
 
-from oracles import exact_voltage, exact_weights, random_edge_list
+from oracles import exact_voltage, exact_weights, random_edge_list, reference_invariant
+from stepwise import settle_stepwise
 from rotorwalk import (
     build_bary_tree,
     build_lattice_ball,
@@ -17,6 +20,7 @@ from rotorwalk import (
     init_experiment,
     load_edge_list,
     min_weight_config,
+    random_config,
     run_until_settled,
     shuffled_mechanism,
     solve_harmonic,
@@ -65,3 +69,48 @@ def test_min_weight_config_and_lower_bound_hold_exactly(solved, mech_seed):
         state = init_experiment(g, mech, config, n)
         run_until_settled(state)
         assert state.survivors * green_o >= n, f"n={n}"
+
+
+@pytest.mark.parametrize("mech_seed", [None, 3], ids=["default", "shuffled3"])
+@pytest.mark.parametrize("config_seed", [None, 5], ids=["min-weight", "random5"])
+def test_conserved_quantity_is_exact_after_every_move(solved, mech_seed, config_seed):
+    """sum v(positions) + min(t, n)/deg(o) + sum over the visited live x of
+    w(rho(x)) - w(rho0(x)) equals n v(o) exactly, before and after every move."""
+    g, profile, v = solved
+    mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
+    exact = exact_weights(g, mech, v)
+    if config_seed is None:
+        config = min_weight_config(g, weight_table(g, mech, profile))
+    else:
+        config = random_config(g, config_seed)
+
+    for n in (1, 7, 20):
+        def check(state):
+            value = reference_invariant(
+                g, v, lambda x, i: exact[x][i], state.positions, state.rho, state.rho0,
+                state.range_order.tolist(), state.t, n,
+            )
+            assert value == n * v[g.origin], f"n={n} t={state.t}"
+
+        state = init_experiment(g, mech, config, n)
+        check(state)
+        settle_stepwise(state, observer=check)
+        assert state.settled
+
+
+def test_tree_voltage_by_level_exactly():
+    """On tree(b, h) a unit current from the root splits evenly, so the voltage at
+    level l is the resistance sum_{j>l} b^-j down to the leaves, (b^-l - b^-h)/(b - 1)."""
+    checked = 0
+    for b in range(2, 6):
+        for h in range(1, 9):
+            level_starts = [(b**level - 1) // (b - 1) for level in range(h + 2)]
+            if level_starts[-1] > 400:
+                continue
+            by_id = [(Fraction(1, b**level) - Fraction(1, b**h)) / (b - 1)
+                     for level in range(h + 1)
+                     for _ in range(level_starts[level], level_starts[level + 1])]
+            g = build_bary_tree(b, h)
+            assert exact_voltage(g) == [by_id[int(label)] for label in g.labels], g.describe()
+            checked += 1
+    assert checked == 19

@@ -1,5 +1,5 @@
-import multiprocessing
 import os
+import signal
 from collections import Counter
 
 import numpy as np
@@ -102,24 +102,47 @@ def test_negative_controls_run_the_shipped_checks(monkeypatch):
     ]
 
 
+def test_reduction_keeps_the_first_of_equal_deviations():
+    @verify._reduced("pairs", 0.5)
+    def pairs(devs):
+        for k, dev in enumerate(devs):
+            yield dev, f"at {k}"
+
+    def record(ok, max_dev, detail):
+        return verify.CheckRecord("pairs", ok, max_dev, 0.5, detail)
+
+    assert pairs([0.0, 0.25, 0.75, 0.75, 0.5]) == record(False, 0.75, "at 2")
+    assert pairs([0.0, 0.5, 0.5]) == record(True, 0.5, "at 1")
+    # nothing above the starting 0.0: no where, and inf is a deviation like any other
+    assert pairs([0.0, 0.0]) == record(True, 0.0, "")
+    assert pairs([float("inf"), float("inf")]) == record(False, float("inf"), "at 0")
+
+
 def _pid_record(fixtures, walks):
     return verify.CheckRecord("mc-green-zscore", True, 0.0, 3.0, str(os.getpid()))
+
+
+def _assert_no_child():
+    """No child of this process is left running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_mc_green_check_runs_in_a_forked_worker(monkeypatch):
     monkeypatch.setattr(verify, "check_mc_green", _pid_record)
     records = verify.run_verification(quick=True)
     assert records[5].detail != str(os.getpid())
-    monkeypatch.setattr(verify, "_fork_context", lambda: None)
+    _assert_no_child()
+    monkeypatch.delattr(os, "fork")
     records = verify.run_verification(quick=True)
     assert records[5].detail == str(os.getpid())
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
 def test_records_equal_with_and_without_the_worker(monkeypatch):
     forked = verify.run_verification(quick=True, inject_corruption=True)
-    assert multiprocessing.active_children() == []
-    monkeypatch.setattr(verify, "_fork_context", lambda: None)
+    _assert_no_child()
+    monkeypatch.delattr(os, "fork")
     assert verify.run_verification(quick=True, inject_corruption=True) == forked
     assert [r.name for r in forked] == [
         "harmonic-residual", "weight-increment", "weight-row-sum", "invariant-constancy",
@@ -136,7 +159,51 @@ def test_mc_green_check_failure_reaches_the_caller(monkeypatch, forked):
     # the forked worker inherits the patched module attribute
     monkeypatch.setattr(verify, "check_mc_green", fail)
     if not forked:
-        monkeypatch.setattr(verify, "_fork_context", lambda: None)
+        monkeypatch.delattr(os, "fork")
     with pytest.raises(AbortedMaxSteps, match="walk cap reached in check_mc_green"):
         verify.run_verification(quick=True)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+@pytest.fixture
+def deadline():
+    """Turn a hang into a failure: SIGALRM raises TimeoutError in the test after 30 s."""
+    def expire(signum, frame):
+        raise TimeoutError("still waiting after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_worker_that_exits_without_a_result_raises(monkeypatch, deadline, forked):
+    """A child that dies before it sends an outcome is an error in the caller, not a hang."""
+    caller = os.getpid()
+
+    def exit_in_child(fixtures, walks):
+        if os.getpid() != caller:
+            os._exit(1)
+        return _pid_record(fixtures, walks)
+
+    monkeypatch.setattr(verify, "check_mc_green", exit_in_child)
+    if forked:
+        with pytest.raises(ChildProcessError, match="exited without a result"):
+            verify.run_verification(quick=True)
+    else:
+        monkeypatch.delattr(os, "fork")
+        assert verify.run_verification(quick=True)[5].detail == str(caller)
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("forked", [True, False])
+def test_caller_failure_does_not_wait_on_a_writing_worker(monkeypatch, deadline, forked):
+    """A result larger than a pipe's buffer, never read: the child gets EPIPE and is reaped."""
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(KeyError, match="before the result is read"):
+        with verify._overlapped(lambda: bytes(1 << 22)):
+            raise KeyError("before the result is read")
+    _assert_no_child()
