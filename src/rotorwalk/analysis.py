@@ -16,7 +16,6 @@ asserted: it is no theorem, and on path(5) the gap rises from n = 4 to 5.
 from __future__ import annotations
 
 import logging
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -57,7 +56,6 @@ class EscapeReport:
     gaps: list[float]
     steps: list[int]
     max_invariant_dev: Optional[float]
-    runtime_s: float
 
 
 @dataclass
@@ -135,7 +133,6 @@ def escape_sweep(
         raise InvalidParameter("n_values must be non-empty")
     if any(n < 1 for n in n_values):
         raise InvalidParameter("all particle counts must be >= 1")
-    t0 = time.perf_counter()
     profile = solve_harmonic(graph) if profile is None else profile
     wt = weight_table(graph, mechanism, profile) if wt is None else wt
     alpha = profile.escape_probability
@@ -175,8 +172,10 @@ def escape_sweep(
         gaps=gaps,
         steps=steps,
         max_invariant_dev=worst,
-        runtime_s=time.perf_counter() - t0,
     )
+
+
+ENSEMBLE_EPS = 0.05  # frac_at_alpha counts the rates within this of alpha
 
 
 def random_ensemble(
@@ -187,14 +186,13 @@ def random_ensemble(
     seed: int,
     *,
     profile: Optional[HarmonicProfile] = None,
-    eps: float = 0.05,
 ) -> EnsembleSummary:
     """Escape rates at fixed n of random_config(graph, seed + k), k < trials, settled together."""
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     alpha = (solve_harmonic(graph) if profile is None else profile).escape_probability
     configs = (random_config(graph, seed + k) for k in range(trials))
-    rates = [s / n for s in settle_trials(graph, mechanism, configs, n)[0]]
+    rates = [s / n for s in settle_trials(graph, mechanism, configs, n)]
 
     arr = np.asarray(rates)
     return EnsembleSummary(
@@ -202,7 +200,7 @@ def random_ensemble(
         alpha=alpha, rates=rates, min_rate=float(arr.min()), max_rate=float(arr.max()),
         mean_rate=float(arr.mean()),
         stderr=float(arr.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
-        frac_at_alpha=float(np.mean(np.abs(arr - alpha) <= eps)), eps=eps,
+        frac_at_alpha=float(np.mean(np.abs(arr - alpha) <= ENSEMBLE_EPS)), eps=ENSEMBLE_EPS,
     )
 
 
@@ -218,18 +216,16 @@ def theorem_check(
     config: Optional[RotorConfig] = None,
     profile: Optional[HarmonicProfile] = None,
     wt: Optional[WeightTable] = None,
-    invariant_tol: float = INVARIANT_TOL,
-    bound_slack: float = BOUND_SLACK,
 ) -> TheoremCheckResult:
     """Verify the guarantees of the minimizing configuration across one sweep.
 
     Reads a single escape_sweep with invariant checks.  Lower bound: survivors
     never increase during a run, so the settled rate is the minimum of
     survivors/n over every t >= n; one lower-bound violation is recorded per n
-    whose settled rate is below escape probability minus bound_slack, at its
+    whose settled rate is below escape probability minus BOUND_SLACK, at its
     settle time t.  Invariant: the sweep's worst absolute deviation, divided by
     the smallest n's target n*v(origin) (never looser than a per-n scale), must
-    stay within invariant_tol; a failure is one violation at the smallest n
+    stay within INVARIANT_TOL; a failure is one violation at the smallest n
     with t = -1.  A nonnegative gap is the lower bound itself.  Across n, each
     rise of the final gap is recorded as a gap-increase violation and clears
     gaps_monotone_ok, but leaves ok alone: no theorem makes the gaps
@@ -247,19 +243,19 @@ def theorem_check(
     violations = [
         BoundViolation(n, t, "lower-bound", rate, alpha)
         for n, t, rate in zip(rep.n_values, rep.steps, rep.rates)
-        if rate < alpha - bound_slack
+        if rate < alpha - BOUND_SLACK
     ]
     lower_ok = not violations
     scale = max(1.0, min(n_values) * float(profile.voltage[graph.origin]))
     max_dev = rep.max_invariant_dev / scale
-    inv_ok = max_dev <= invariant_tol
+    inv_ok = max_dev <= INVARIANT_TOL
     if not inv_ok:
-        violations.append(BoundViolation(min(n_values), -1, "invariant", max_dev, invariant_tol))
-        logger.warning("conserved quantity deviated beyond %g", invariant_tol)
+        violations.append(BoundViolation(min(n_values), -1, "invariant", max_dev, INVARIANT_TOL))
+        logger.warning("conserved quantity deviated beyond %g", INVARIANT_TOL)
 
-    monotone = all(gaps[k + 1] <= gaps[k] + bound_slack for k in range(len(gaps) - 1))
+    monotone = all(gaps[k + 1] <= gaps[k] + BOUND_SLACK for k in range(len(gaps) - 1))
     violations += [BoundViolation(n_values[k + 1], -1, "gap-increase", gaps[k + 1], gaps[k])
-                   for k in range(len(gaps) - 1) if gaps[k + 1] > gaps[k] + bound_slack]
+                   for k in range(len(gaps) - 1) if gaps[k + 1] > gaps[k] + BOUND_SLACK]
 
     return TheoremCheckResult(
         alpha=alpha,

@@ -245,6 +245,7 @@ class _TraceWriter:
     _CHANGES = np.array(["", "returned", "absorbed", "left-origin"], dtype=object)
 
     def __init__(self, base: Path, multiple: bool):
+        base.parent.mkdir(parents=True, exist_ok=True)  # as --out-dir is created
         self._base = base
         self._multiple = multiple
         self._n = None

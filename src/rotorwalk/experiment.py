@@ -22,10 +22,11 @@ only when a particle leaves its vertex, and every live particle moves
 exactly once per round.  So the particles leaving x in a round are the ones
 at x when the round starts, in turn order, and the k-th of them (k = 0, 1,
 ...) takes mechanism position (rho(x) + k + 1) mod deg(x).  settle_trials
-settles a group of independent runs from t = 0 on the same kernel, exactly:
-a particle at x in trial j sorts under the key j·V + x into one flat rho of
-the group's rotors, so no two trials share a key, and the stable sort keeps
-each trial's turn order among the leavers of its rotor.
+settles a group of independent runs from t = 0 on the same kernel and
+gives each run's survivors, exactly: a particle at x in trial j sorts under
+the key j·V + x into one flat rho of the group's rotors, so no two trials
+share a key, and the stable sort keeps each trial's turn order among the
+leavers of its rotor.
 
 The state is held in numpy arrays, which step() and the round kernel both
 write in place.  compute_invariant recomputes the quantity in whole arrays
@@ -313,12 +314,11 @@ def _leave_together(
 
 def settle_trials(
     graph: Graph, mechanism: RotorMechanism, configs: Iterable[RotorConfig], n: int,
-    max_steps: int = DEFAULT_MAX_STEPS,
-) -> tuple[list[int], list[int]]:
-    """Settle n particles from each configuration; return every run's survivors and final t.
+) -> list[int]:
+    """Settle n particles from each configuration; return every run's survivors.
 
-    Each run, or the error of the first that does not settle within
-    max_steps, is run_until_settled's from t = 0.  configs is read and
+    Each run's survivors are run_until_settled's from t = 0.  Every run
+    ends: each particle reaches the origin or a sink.  configs is read and
     settled in groups of max(1, _TRIAL_ELEMENTS // max(n, V)).
     """
     if n < 1:
@@ -327,32 +327,22 @@ def settle_trials(
     num_vertices, origin = graph.num_vertices, graph.origin
     deg = np.diff(mechanism.indptr)
     stays = ~graph.is_sink & (np.arange(num_vertices) != origin)  # arriving there leaves it live
-    turn_end = np.roll(np.arange(1, n + 1), 1)  # t after particle i's move, less its round's start
-    survivors, steps, configs = [], [], iter(configs)
+    survivors, configs = [], iter(configs)
     while group := list(islice(configs, max(1, _TRIAL_ELEMENTS // max(n, num_vertices)))):
         for config in group:
             check_config(graph, config)
         rho = np.concatenate([config.pos for config in group]).astype(np.int64, copy=False)
         positions = np.full(len(group) * n, origin, dtype=np.min_scalar_type(num_vertices - 1))
-        started = np.empty(positions.size, dtype=np.int64)  # start of each particle's last round
         # particle i of trial j is j*n + i; each trial's particles in turn order, trial after trial
         live = (np.arange(len(group))[:, None] * n + np.roll(np.arange(n), -1)).ravel()
-        t = 0
-        while live.size and t < max_steps:
+        while live.size:
             x = positions[live]
             key = (live // n * num_vertices + x).astype(np.min_scalar_type(rho.size - 1))
             y = _leave_together(key, x, rho, deg, mechanism)
             positions[live] = y
-            started[live] = t
             live = live[stays[y]]
-            t += n
-        started[live] = t  # still live: its next turn is at or past max_steps
-        ends = (started.reshape(-1, n) + turn_end).max(axis=1)
-        if (late := ends > max_steps).any():  # the first run to move at or past max_steps fails
-            run_until_settled(ExperimentState(graph, mechanism, group[late.argmax()], n), max_steps)
         survivors += (n - np.count_nonzero(positions.reshape(-1, n) == origin, axis=1)).tolist()
-        steps += ends.tolist()
-    return survivors, steps
+    return survivors
 
 
 def compute_invariant(state: ExperimentState, profile: HarmonicProfile, wt: WeightTable) -> float:

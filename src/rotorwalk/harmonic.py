@@ -60,9 +60,9 @@ class VisitEstimates:
     walks: int
 
 
-def residual(g: Graph, profile) -> float:
-    """Max defect of the neighbor-averaging equations over non-sink vertices."""
-    v = profile.voltage if isinstance(profile, HarmonicProfile) else np.asarray(profile, dtype=np.float64)
+def residual(g: Graph, voltage: np.ndarray) -> float:
+    """Max defect of the neighbor-averaging equations over non-sink vertices, at a voltage array."""
+    v = np.asarray(voltage, dtype=np.float64)
     if v.shape != (g.num_vertices,):
         raise DimensionMismatch(
             f"profile has {v.shape} entries for a graph with {g.num_vertices} vertices"
@@ -76,23 +76,21 @@ def residual(g: Graph, profile) -> float:
     return float(np.max(np.abs(defect)))
 
 
-def solve_harmonic(g: Graph, tol: float = DEFAULT_TOL) -> HarmonicProfile:
-    """Solve the voltage system to max residual <= tol.
+def solve_harmonic(g: Graph) -> HarmonicProfile:
+    """Solve the voltage system to max residual <= DEFAULT_TOL.
 
     Conjugate gradients on deg(x) v(x) - sum of v over the neighbours of x =
     1{x=origin}, which is symmetric positive definite on the non-sink
     vertices of a connected graph, preconditioned by the degrees, with v
     held at 0 on sinks.  Every 10 iterations the iterate is checked with
-    residual(); the solve goes on past tol, to 1e-3 * tol, and stops early
-    when the preconditioned residual is exactly zero (paths reach it) or
-    when the residual stops improving: no better than the best check so
+    residual(); the solve goes on past DEFAULT_TOL, to 1e-3 of it, and stops
+    early when the preconditioned residual is exactly zero (paths reach it)
+    or when the residual stops improving: no better than the best check so
     far while the recurrence's own residual is 1000 times smaller, so that
     rounding, not the iteration, sets it.  Returns the best checked iterate;
-    raises NonConvergence if its residual is above tol.
+    raises NonConvergence if its residual is above DEFAULT_TOL.
     """
-    if tol <= 0:
-        raise InvalidParameter(f"tol must be positive, got {tol}")
-
+    tol = DEFAULT_TOL
     deg = g.degrees.astype(np.float64)
     starts, flat = g.adj_indptr[:-1], g.adj_flat
     sinks = np.flatnonzero(g.is_sink)
@@ -139,16 +137,12 @@ def solve_harmonic(g: Graph, tol: float = DEFAULT_TOL) -> HarmonicProfile:
     )
 
 
-def _check_walk_args(walks: int, max_steps: int) -> None:
+def _check_walk_args(walks: int) -> None:
     if walks < 1:
         raise InvalidParameter(f"walks must be >= 1, got {walks}")
-    if max_steps < 1:
-        raise InvalidParameter(f"max_steps must be >= 1, got {max_steps}")
 
 
-def _walk_steps(
-    g: Graph, m: int, seed: int, first_stream: int, chunk: int, stop: np.ndarray, max_steps: int
-):
+def _walk_steps(g: Graph, m: int, seed: int, first_stream: int, chunk: int, stop: np.ndarray):
     """Advance m simple random walks from the origin until each steps onto a `stop` vertex.
 
     Yields once per step: the target of every walk that moved, then the ids
@@ -159,7 +153,7 @@ def _walk_steps(
     many streams advance together.  One random(a + b) gives the doubles of
     random(a) then random(b), so each stream fills its row of one draw
     buffer in blocks and keeps a cursor into it.  Raises AbortedMaxSteps
-    only if a walk is still running after max_steps steps.
+    only if a walk is still running after DEFAULT_WALK_CAP steps.
     """
     indptr, flat = g.adj_indptr, g.adj_flat
     # u * deg as the int degrees give it, without a cast.  u <= 1 - 2**-53, so
@@ -176,7 +170,7 @@ def _walk_steps(
     draws = np.empty((streams, width))
     cursor = [width] * streams
     ends = np.arange(1, streams + 1) * chunk  # one past the last walk of each stream
-    for _ in range(max_steps):
+    for _ in range(DEFAULT_WALK_CAP):
         # ids ascend, so the running walks of each stream are one run of ids
         run_ends = np.searchsorted(ids, ends).tolist() if streams > 1 else [ids.size]
         parts, run_start = [], 0
@@ -200,10 +194,10 @@ def _walk_steps(
         yield nxt, ids, pos
         if not ids.size:
             return
-    raise AbortedMaxSteps(f"a walk exceeded {max_steps} steps before absorption")
+    raise AbortedMaxSteps(f"a walk exceeded {DEFAULT_WALK_CAP} steps before absorption")
 
 
-def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP) -> VisitEstimates:
+def mc_green(g: Graph, walks: int, seed: int) -> VisitEstimates:
     """Estimate visit counts from independent absorbed walks started at the origin.
 
     Walks run until they step onto a sink; the arrival at the sink is not
@@ -213,9 +207,9 @@ def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP)
     cells of one flat array, so the steps at the tail of one chunk's walks
     move the other chunks' walks too.  Walks run on _walk_steps, shared with
     srw_escape_mc, which raises AbortedMaxSteps only if a walk is still
-    running after max_steps.
+    running after DEFAULT_WALK_CAP steps.
     """
-    _check_walk_args(walks, max_steps)
+    _check_walk_args(walks)
 
     nv = g.num_vertices
     total = np.zeros(nv)
@@ -229,7 +223,7 @@ def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP)
         counts = cells[: m * nv]
         counts.fill(0)
         counts[g.origin :: nv] = 1
-        steps = _walk_steps(g, m, seed, start // _MC_CHUNK, _MC_CHUNK, g.is_sink, max_steps)
+        steps = _walk_steps(g, m, seed, start // _MC_CHUNK, _MC_CHUNK, g.is_sink)
         for _, rows, pos in steps:
             counts[rows * nv + pos] += 1
         counts = counts.reshape(m, nv)
@@ -246,21 +240,16 @@ def mc_green(g: Graph, walks: int, seed: int, max_steps: int = DEFAULT_WALK_CAP)
     return VisitEstimates(visits=mean, stderr=stderr, walks=walks)
 
 
-def srw_escape_mc(
-    graph: Graph,
-    walks: int,
-    seed: int,
-    *,
-    max_steps: int = DEFAULT_WALK_CAP,
-) -> tuple[float, float]:
+def srw_escape_mc(graph: Graph, walks: int, seed: int) -> tuple[float, float]:
     """Monte Carlo estimate of the simple-random-walk escape probability.
 
     Fraction of walks from the origin that reach a sink before returning to
     the origin.  Returns (estimate, standard error).  Walk i draws from
     Philox stream i // 4096.  Walks run on mc_green's step kernel, stopped at
-    sinks and at the origin: AbortedMaxSteps only if one outlives max_steps.
+    sinks and at the origin: AbortedMaxSteps only if one outlives
+    DEFAULT_WALK_CAP steps.
     """
-    _check_walk_args(walks, max_steps)
+    _check_walk_args(walks)
     stop = graph.is_sink.copy()
     stop[graph.origin] = True
 
@@ -268,7 +257,7 @@ def srw_escape_mc(
     chunk = 4096
     for start in range(0, walks, chunk):
         m = min(chunk, walks - start)
-        for nxt, _, _ in _walk_steps(graph, m, seed, start // chunk, chunk, stop, max_steps):
+        for nxt, _, _ in _walk_steps(graph, m, seed, start // chunk, chunk, stop):
             escaped += int(np.count_nonzero(graph.is_sink[nxt]))
 
     p = escaped / walks

@@ -2,7 +2,7 @@
 
 Everything is emitted as a string; callers decide where it goes.  Numbers
 are written with repr-precision so identical inputs give byte-identical
-output (run timings are therefore excluded from reports by default).
+output (reports hold no run timings).
 """
 from __future__ import annotations
 
@@ -90,9 +90,9 @@ def load_config_csv(g: Graph, source: str | IO[str]) -> RotorConfig:
     return config
 
 
-def report_dict(report: EscapeReport, include_runtime: bool = False) -> dict:
-    """JSON-compatible document; runtime excluded by default for reproducibility."""
-    doc = {
+def report_dict(report: EscapeReport) -> dict:
+    """JSON-compatible document of a sweep report."""
+    return {
         "graph": report.graph,
         "mechanism": report.mechanism,
         "config": report.config,
@@ -111,13 +111,10 @@ def report_dict(report: EscapeReport, include_runtime: bool = False) -> dict:
         ],
         "max_invariant_dev": report.max_invariant_dev,
     }
-    if include_runtime:
-        doc["runtime_s"] = report.runtime_s
-    return doc
 
 
-def report_json(report: EscapeReport, include_runtime: bool = False) -> str:
-    return json.dumps(report_dict(report, include_runtime), indent=2, sort_keys=True) + "\n"
+def report_json(report: EscapeReport) -> str:
+    return json.dumps(report_dict(report), indent=2, sort_keys=True) + "\n"
 
 
 def report_csv(report: EscapeReport) -> str:

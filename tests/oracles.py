@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from rotorwalk.errors import AbortedMaxSteps, GraphInvalid
+from rotorwalk.errors import GraphInvalid
 from rotorwalk.graphs import Graph, RotorMechanism
 from rotorwalk.harmonic import HarmonicProfile
 from rotorwalk.rng import philox_generator
@@ -127,42 +127,33 @@ def reference_run(g, mech, config, n, max_steps=10**7) -> ReferenceRun:
     return ReferenceRun(positions, returned, rho, t, history, visited)
 
 
-def reference_ensemble(g, mech, n, trials, seed, max_steps=10**9):
-    """Survivors and final t of `trials` runs of n particles, one run after another.
+def reference_ensemble(g, mech, n, trials, seed):
+    """Survivors of `trials` runs of n particles, one run after another.
 
     Run k starts from one Philox draw below deg(x) per non-sink vertex x in
     id order, stream seed + k (the package's random_config).  Each round,
-    every live particle moves once, in turn order 1, ..., n-1, 0, particle i
-    at turn round_start + (i-1) mod n; one that reaches the origin or a sink
-    stops.  t ends one past the last move.  A live turn at or past max_steps
-    raises AbortedMaxSteps naming that turn, so the first run that does not
-    settle raises.
+    every live particle moves once, in turn order 1, ..., n-1, 0; one that
+    reaches the origin or a sink stops.
     """
     order = mech.order
-    survivors, steps = [], []
+    survivors = []
     for k in range(trials):
         rng = philox_generator(seed + k)
         rho = [-1 if x in g.sinks else int(rng.integers(0, len(order[x])))
                for x in range(g.num_vertices)]
         positions = [g.origin] * n
         live = [i % n for i in range(1, n + 1)]
-        round_start = 0
         while live:
             still = []
             for i in live:
-                turn = round_start + (i - 1) % n
-                if turn >= max_steps:
-                    raise AbortedMaxSteps(f"experiment not settled after {turn} steps")
                 x = positions[i]
                 rho[x] = (rho[x] + 1) % len(order[x])
                 positions[i] = y = order[x][rho[x]]
                 if y != g.origin and y not in g.sinks:
                     still.append(i)
             live = still
-            round_start += n
         survivors.append(n - positions.count(g.origin))
-        steps.append(turn + 1)
-    return survivors, steps
+    return survivors
 
 
 def reference_settle_any_order(g, mech, config, n, seed):

@@ -102,7 +102,7 @@ def test_2_min_config_lower_bound(capsys):
     ok = True
     detail = []
     for g in graphs:
-        res = theorem_check(g, default_mechanism(g), [10, 100, 1000], bound_slack=1e-9)
+        res = theorem_check(g, default_mechanism(g), [10, 100, 1000])
         if not (res.lower_bound_ok and res.invariant_ok):
             ok = False
             first = res.violations[0]

@@ -436,6 +436,15 @@ def test_run_trace_matches_golden(capsys, tmp_path):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / fname).read_bytes()
 
 
+def test_trace_creates_its_directory(capsys, tmp_path):
+    """As --out-dir does, --trace creates the directories its files go in."""
+    sub = tmp_path / "new" / "sub"
+    code, _, _ = run_cli(capsys, "run", *LATTICE_2_4, "--n", "2,7", "--trace", str(sub / "trace.csv"))
+    assert code == 0
+    for fname in ("trace-n2.csv", "trace-n7.csv"):
+        assert (sub / fname).read_bytes() == (GOLDEN / fname).read_bytes()
+
+
 def test_trace_in_blocks_matches_golden(monkeypatch, capsys, tmp_path):
     """Rounds of up to 60 moves, evaluated four moves to a block, some visiting new vertices
     mid-round: the trace and report recorded from the stepwise engine, byte for byte."""

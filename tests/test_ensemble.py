@@ -1,21 +1,21 @@
 """random_ensemble's trials settled together, in groups, on one round kernel.
 
-experiment.settle_trials must give every trial the survivors and t of its
-own run, whatever the group size, and fail as the one-run-at-a-time loop
-fails: reference_ensemble in oracles.py is that loop.
+experiment.settle_trials must give every trial the survivors of its own
+run, whatever the group size: reference_ensemble in oracles.py is the
+one-run-at-a-time loop.
 """
 import tracemalloc
 
 import pytest
 
 from rotorwalk import (
-    AbortedMaxSteps,
     GraphInvalid,
     InvalidParameter,
     build_bary_tree,
     build_lattice_ball,
     build_path,
     default_mechanism,
+    load_edge_list,
     random_config,
     random_ensemble,
     shuffled_mechanism,
@@ -24,10 +24,14 @@ from rotorwalk import (
 from rotorwalk import experiment
 from rotorwalk.experiment import settle_trials
 
-from oracles import mechanism_from_rows, reference_ensemble
+from oracles import mechanism_from_rows, random_edge_list, reference_ensemble
 
+# paths, trees and lattice balls have one or two degree classes; the random
+# edge lists mix many degrees in one group's flat rotor array
 GRAPHS = [build_path(7), build_bary_tree(2, 5), build_bary_tree(3, 4),
-          build_lattice_ball(2, 6), build_lattice_ball(3, 4)]
+          build_lattice_ball(2, 6), build_lattice_ball(3, 4),
+          *(load_edge_list(*random_edge_list(seed)) for seed in range(3))]
+GRAPH_IDS = [g.describe() for g in GRAPHS[:5]] + [f"random-edge-list({s})" for s in range(3)]
 TRIALS = 23  # a multiple of no group size below
 
 
@@ -43,14 +47,14 @@ def _group_of(monkeypatch, g, n, size):
 @pytest.mark.parametrize("seed", [0, 9])
 @pytest.mark.parametrize("n", [1, 7, 200])
 @pytest.mark.parametrize("mech_seed", [None, 5], ids=["default", "shuffled5"])
-@pytest.mark.parametrize("g", GRAPHS, ids=[g.describe() for g in GRAPHS])
+@pytest.mark.parametrize("g", GRAPHS, ids=GRAPH_IDS)
 def test_settle_trials_equals_reference(monkeypatch, g, mech_seed, n, seed):
     mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
-    survivors, steps = reference_ensemble(g, mech, n, TRIALS, seed)
-    assert settle_trials(g, mech, _configs(g, seed), n) == (survivors, steps)
+    survivors = reference_ensemble(g, mech, n, TRIALS, seed)
+    assert settle_trials(g, mech, _configs(g, seed), n) == survivors
     for size in (1, 2, 3):
         _group_of(monkeypatch, g, n, size)
-        assert settle_trials(g, mech, _configs(g, seed), n) == (survivors, steps)
+        assert settle_trials(g, mech, _configs(g, seed), n) == survivors
     rates = random_ensemble(g, mech, n, TRIALS, seed).rates
     assert rates == [s / n for s in survivors]
     assert all(type(r) is float for r in rates)
@@ -75,34 +79,10 @@ def test_random_ensemble_validates_once(monkeypatch):
     assert calls == {"check_mechanism": 1, "check_config": TRIALS}
 
 
-@pytest.mark.parametrize("size", [1, 2, 3, 100])
-@pytest.mark.parametrize("g", [build_bary_tree(3, 4), build_lattice_ball(2, 6)],
-                         ids=["tree", "lattice"])
-def test_abort_names_the_lowest_unsettled_trial(monkeypatch, g, size):
-    mech = shuffled_mechanism(g, 5)
-    n = 7
-    steps = reference_ensemble(g, mech, n, TRIALS, 4)[1]
-    # a trial settles iff its t is within max_steps; pick bounds that
-    # stop the first trial, a later one only, or one mid-round
-    later = sorted(steps)[TRIALS // 2]
-    bounds = [1, n - 1, n, n + 3, steps[0] - 1, later, later + n // 2]
-    _group_of(monkeypatch, g, n, size)
-    for max_steps in bounds:
-        with pytest.raises(AbortedMaxSteps) as want:
-            reference_ensemble(g, mech, n, TRIALS, 4, max_steps=max_steps)
-        with pytest.raises(AbortedMaxSteps) as got:
-            settle_trials(g, mech, _configs(g, 4), n, max_steps=max_steps)
-        assert str(got.value) == str(want.value)
-    # a bound every trial settles within is not reached
-    assert settle_trials(g, mech, _configs(g, 4), n, max_steps=max(steps))[1] == steps
-
-
 def test_ensemble_rejects_zero_particles():
     g = build_path(5)
     with pytest.raises(InvalidParameter, match=r"^particle count must be >= 1, got 0$"):
         random_ensemble(g, default_mechanism(g), n=0, trials=3, seed=0)
-    with pytest.raises(InvalidParameter, match=r"^max_steps must be >= 1, got 0$"):
-        settle_trials(g, default_mechanism(g), _configs(g, 0), 5, max_steps=0)
 
 
 def test_bad_mechanism_raises_before_any_trial_settles(monkeypatch):

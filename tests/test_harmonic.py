@@ -140,11 +140,10 @@ def test_residual_rejects_bad_shape(p3):
         residual(p3, np.zeros(5))
 
 
-def test_solver_parameter_validation(p3):
-    with pytest.raises(InvalidParameter):
-        solve_harmonic(p3, tol=0.0)
+def test_solve_below_reach_of_rounding_does_not_converge(monkeypatch):
+    monkeypatch.setattr(harmonic, "DEFAULT_TOL", 1e-30)
     with pytest.raises(NonConvergence):
-        solve_harmonic(build_lattice_ball(2, 4), tol=1e-30)
+        solve_harmonic(build_lattice_ball(2, 4))
 
 
 def test_stalled_solve_stops_on_its_residual(monkeypatch):
@@ -153,13 +152,14 @@ def test_stalled_solve_stops_on_its_residual(monkeypatch):
     70 checks here, or to the iteration cap of 10 per vertex."""
     calls = []
 
-    def counting_residual(g, profile):
+    def counting_residual(g, voltage):
         calls.append(1)
-        return residual(g, profile)
+        return residual(g, voltage)
 
     monkeypatch.setattr(harmonic, "residual", counting_residual)
+    monkeypatch.setattr(harmonic, "DEFAULT_TOL", 1e-30)
     with pytest.raises(NonConvergence):
-        solve_harmonic(build_lattice_ball(3, 12), tol=1e-30)
+        solve_harmonic(build_lattice_ball(3, 12))
     assert 0 < len(calls) <= 20
 
 
@@ -225,11 +225,12 @@ def test_mc_green_single_walk(p3):
     assert est.visits[p3.origin] >= 1
 
 
-def test_mc_green_input_validation(p3):
+def test_mc_green_input_validation(monkeypatch, p3):
     with pytest.raises(InvalidParameter):
         mc_green(p3, 0, seed=0)
+    monkeypatch.setattr(harmonic, "DEFAULT_WALK_CAP", 2)
     with pytest.raises(AbortedMaxSteps):
-        mc_green(build_path(6), 32, seed=0, max_steps=2)
+        mc_green(build_path(6), 32, seed=0)
 
 
 MC_GRAPHS = [build_path(5), build_lattice_ball(2, 5), build_lattice_ball(3, 6), build_bary_tree(2, 6)]
@@ -277,23 +278,15 @@ def test_mc_green_memory_stays_bounded():
     assert peak <= 2 * harmonic._WALK_CELLS * 8
 
 
-def test_walks_ending_on_the_last_allowed_step_do_not_abort():
-    """The cap aborts only walks still running after max_steps, for both estimators."""
+def test_walks_ending_on_the_last_allowed_step_do_not_abort(monkeypatch):
+    """The cap aborts only walks still running after DEFAULT_WALK_CAP steps, for both estimators."""
     g = build_path(2)  # every walk steps onto the sink at once
-    assert srw_escape_mc(g, 10, 0, max_steps=1) == (1.0, 0.0)
-    assert mc_green(g, 10, 0, max_steps=1).visits[g.origin] == 1.0
+    monkeypatch.setattr(harmonic, "DEFAULT_WALK_CAP", 1)
+    assert srw_escape_mc(g, 10, 0) == (1.0, 0.0)
+    assert mc_green(g, 10, 0).visits[g.origin] == 1.0
+    monkeypatch.setattr(harmonic, "DEFAULT_WALK_CAP", 2)
     with pytest.raises(AbortedMaxSteps):
-        srw_escape_mc(build_path(6), 32, 0, max_steps=2)
-
-
-@pytest.mark.parametrize("max_steps", [0, -1])
-def test_walk_cap_below_one_is_a_usage_error(max_steps):
-    """As in run_until_settled, a cap below one step is an InvalidParameter, not an abort."""
-    g = build_path(2)
-    with pytest.raises(InvalidParameter, match="max_steps must be >= 1"):
-        mc_green(g, 10, 0, max_steps=max_steps)
-    with pytest.raises(InvalidParameter, match="max_steps must be >= 1"):
-        srw_escape_mc(g, 10, 0, max_steps=max_steps)
+        srw_escape_mc(build_path(6), 32, 0)
 
 
 def test_largest_uniform_never_picks_past_the_last_edge():

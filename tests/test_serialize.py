@@ -69,7 +69,6 @@ def test_report_documents(p3_solved):
     assert [run["n"] for run in doc["runs"]] == [2, 4]
     assert [run["escaped"] for run in doc["runs"]] == [1, 2]
     assert "runtime_s" not in doc
-    assert "runtime_s" in report_dict(rep, include_runtime=True)
 
     parsed = json.loads(report_json(rep))
     assert parsed == doc
