@@ -21,12 +21,14 @@ rotors and range order as step().  That is exact because a rotor changes
 only when a particle leaves its vertex, and every live particle moves
 exactly once per round.  So the particles leaving x in a round are the ones
 at x when the round starts, in turn order, and the k-th of them (k = 0, 1,
-...) takes mechanism position (rho(x) + k + 1) mod deg(x).  settle_trials
-settles a group of independent runs from t = 0 on the same kernel and
-gives each run's survivors, exactly: a particle at x in trial j sorts under
-the key j·V + x into one flat rho of the group's rotors, so no two trials
-share a key, and the stable sort keeps each trial's turn order among the
-leavers of its rotor.
+...) takes mechanism position (rho(x) + k + 1) mod deg(x).  Each live
+particle is one unsigned key x << b | u, u its turn in the round, so one
+in-place sort of the unique keys puts each vertex's leavers together in
+turn order; a move rewrites the vertex bits and keeps the turn.
+settle_trials settles a group of independent runs from t = 0 on the same
+round step and gives each run's survivors, exactly: a particle at x in
+trial j has the key (x << c | j) << b | u, and x << c | j indexes one flat
+rho of the group's rotors, so no two trials share a rotor.
 
 The state is held in numpy arrays, which step() and the round kernel both
 write in place.  compute_invariant recomputes the quantity in whole arrays
@@ -64,7 +66,7 @@ _BLOCK_ELEMENTS = 1 << 15
 # evaluates every move; above it, about once per round
 _EVENT_CHECK_BUDGET = 10**6
 
-# particles (or rotors, if more) in a settle_trials group of several trials; keys fit in 16 bits
+# particles (or rotors, if more) in a settle_trials group of several trials
 _TRIAL_ELEMENTS = 1 << 16
 
 # the round kernel's per-round hook: movers, turns, from, to, positions taken, arrival statuses
@@ -105,8 +107,7 @@ class ExperimentState:
         self.n = n
         self.t = 0
         num_vertices = graph.num_vertices
-        # the smallest vertex type: with V <= 65536 it is uint16, which the
-        # round kernel's stable argsort sorts by radix
+        # the narrowest type that holds every vertex
         self.positions = np.full(n, graph.origin, dtype=np.min_scalar_type(num_vertices - 1))
         self.status = np.full(n, _AT_ORIGIN, dtype=np.int8)
         self.rho = config.pos.astype(np.int64)
@@ -204,68 +205,88 @@ def run_until_settled(
     the state's arrays (t, survivors and remaining are written when the
     settle ends) with the round's movers in turn order, their turns, the
     vertices they left and reached, the mechanism positions they took and
-    their statuses on arrival.
+    their statuses on arrival.  Without it, positions and statuses are
+    written once, when the settle ends or stops.
     """
     if max_steps < 1:
         raise InvalidParameter(f"max_steps must be >= 1, got {max_steps}")
-    n, mech, num_vertices = state.n, state.mechanism, state.graph.num_vertices
+    n, mech, origin = state.n, state.mechanism, state._origin
+    num_vertices = state.graph.num_vertices
     deg = np.diff(mech.indptr)
     # status of a particle that has just arrived at each vertex
     arrival = np.full(num_vertices, _ACTIVE, dtype=np.int8)
     arrival[state.graph.is_sink] = _ABSORBED
-    arrival[state._origin] = _RETURNED
-    positions, status, rho, range_mask = (
-        state.positions, state.status, state.rho, state._range_mask)
+    arrival[origin] = _RETURNED
+    goes_on = (arrival == _ACTIVE)[mech.flat]  # a particle leaving through each slot stays live
+    positions, status, rho = state.positions, state.status, state.rho
+    b, _, slot_key = _key_layout(num_vertices, mech, n, 1)
+    turn_bits = (1 << b) - 1
+    ranks = np.arange(1, n + 1)
+    if on_round is not None:  # each flat slot's vertex and mechanism position
+        slot_x = np.repeat(np.arange(num_vertices), deg)
+        slot_pos = np.arange(slot_x.size) - mech.indptr[slot_x]
 
-    # turn order 1, 2, ..., n-1, 0; particle i moves at round_start + (i-1) mod n
-    live = np.roll(np.arange(n), -1)
-    live = live[status[live] < _RETURNED]
+    # each live particle's key, vertex << b | turn (turn u is particle (u + 1) mod n);
+    # those whose turns in this round have passed wait
+    key = np.roll(positions, -1).astype(slot_key.dtype) << b
+    key |= np.arange(n, dtype=slot_key.dtype)
+    alive = np.roll(status, -1) < _RETURNED
     t = state.t
-    wait = live[: np.searchsorted((live - 1) % n, t % n)]  # turns passed in this round
-    live = live[wait.size :]
-    if wait.size and not live.size:  # nobody left to move in this round
-        live, wait, t = wait, live, t - t % n + n
+    wait, key = key[: t % n][alive[: t % n]], key[t % n :][alive[t % n :]]
+    if wait.size and not key.size:  # nobody left to move in this round
+        key, wait, t = wait, key, t - t % n + n
+    ended, done = np.empty(n, dtype=slot_key.dtype), 0  # ended[:done]: finished keys, on arrival
     try:
-        while live.size:
+        while key.size:
             round_start = t - t % n
-            last_turn = round_start + (int(live[-1]) - 1) % n
             over = None  # the first turn at or past max_steps, if this round reaches it
-            if last_turn >= max_steps:
+            if round_start + n > max_steps:
                 # as step() does, move the particles whose turns come first
-                turns = round_start + (live - 1) % n
-                k = int(np.searchsorted(turns, max_steps))
-                over = int(turns[k])
-                if k == 0:
-                    raise AbortedMaxSteps(f"experiment not settled after {over} steps")
-                live, last_turn = live[:k], int(turns[k - 1])
-            x = positions[live]
-            taken = None if on_round is None else np.empty(live.size, dtype=np.intp)
-            y = _leave_together(x, x, rho, deg, mech, taken)
-            positions[live] = y
-
-            seen = state._num_visited
-            if seen < num_vertices:
-                fresh = y[~range_mask[y]]
-                if fresh.size:
-                    _, first = np.unique(fresh, return_index=True)
-                    fresh = fresh[np.sort(first)]
-                    range_mask[fresh] = True
-                    state._visits[seen : seen + fresh.size] = fresh
-                    state._num_visited = seen + fresh.size
-
-            arrived = arrival[y]
-            status[live] = arrived
-            if on_round is not None:
-                on_round(live, round_start + (live - 1) % n, x, y, taken, arrived)
-            live = live[arrived == _ACTIVE]
-            if wait.size:  # the waiting particles' turns come first in the next round
-                live, wait = np.concatenate((wait, live)), wait[:0]
+                turns = key & turn_bits
+                late = turns >= max(max_steps - round_start, 0)
+                if late.any():
+                    over = round_start + int(turns[late].min())
+                    if late.all():
+                        raise AbortedMaxSteps(f"experiment not settled after {over} steps")
+                    wait = np.concatenate((wait, key[late]))
+                    key, last_turn = key[~late], round_start + int(turns[~late].max())
+            slot, nxt = _round_step(key, b, 0, rho, deg, mech.indptr, slot_key, ranks)
+            if state._num_visited < num_vertices:
+                _visit_first(state, nxt, b)
+            goes = goes_on[slot]
+            key = nxt[goes]
+            if on_round is not None:  # write every mover, then report them in turn order
+                turns = np.bitwise_and(nxt, turn_bits, dtype=np.intp)
+                order = np.argsort(turns)
+                turns, slot = turns[order], slot[order]
+                movers = turns + 1
+                if movers[-1] == n:  # turns ascend: only the last can be n - 1, particle 0
+                    movers[-1] = 0
+                x, y, taken = slot_x[slot], mech.flat[slot], slot_pos[slot]
+                arrived = arrival[y]
+                positions[movers] = y
+                status[movers] = arrived
+                on_round(movers, round_start + turns, x, y, taken, arrived)
+            elif key.size < nxt.size:
+                ended[done : done + nxt.size - key.size] = nxt[~goes]
+                done += nxt.size - key.size
+            if wait.size:  # the particles that did not move in this round move in the next
+                key, wait = np.concatenate((wait, key)), wait[:0]
             # t after the round: its end, or one past the last mover if all
             # finished or the round stops short of max_steps
-            t = round_start + n if live.size and over is None else last_turn + 1
-            if over is not None:
+            if over is None:
+                t = round_start + n if key.size else round_start + int((nxt & turn_bits).max()) + 1
+            else:
+                t = last_turn + 1
                 raise AbortedMaxSteps(f"experiment not settled after {over} steps")
     finally:
+        keys = np.concatenate((ended[:done], key, wait))
+        y = (keys >> b).astype(np.intp)
+        arrived = arrival[y]
+        arrived[done:][y[done:] == origin] = _AT_ORIGIN  # a live particle there has not moved
+        movers = ((keys & turn_bits) + 1) % n
+        positions[movers] = y
+        status[movers] = arrived
         state.t = t
         state.survivors = n - int(np.count_nonzero(status == _RETURNED))
         state.remaining = int(np.count_nonzero(status < _RETURNED))
@@ -273,43 +294,65 @@ def run_until_settled(
     return state
 
 
-def _leave_together(
-    key: np.ndarray, x: np.ndarray, rho: np.ndarray, deg: np.ndarray, mech: RotorMechanism,
-    taken: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Move one round's particles, at vertices x in turn order; return their targets.
+def _key_layout(num_vertices: int, mechanism: RotorMechanism, n: int, group: int):
+    """The bit widths b and c of a settle's particle keys, and each flat slot's key.
 
-    key is each particle's index into rho: its vertex in a single run, which
-    passes x itself (no extra gather), or trial·V + vertex in settle_trials.
-    A stable sort of key groups each rotor's leavers in turn order; the k-th
-    of them takes position (rho + k + 1) mod deg, and the last one's
-    position is the new rotor (rho is updated in place).  If taken is given,
-    the positions taken are written to it in turn order.
+    A particle of turn u at vertex x, in trial j of a group of runs, is the
+    key (x << c | j) << b | u, where b and c are the bit lengths of n - 1 and
+    group - 1, in the narrowest unsigned type that holds the largest key.
+    Its rotor is key >> b.  Leaving x through flat slot s, it takes the key
+    slot_key[s] | (key & low), low being the b + c low bits.
     """
-    order = np.argsort(key, kind="stable")
-    ks = key[order].astype(np.intp)
-    xs = ks if key is x else x[order]
-    m = ks.size
-    # each rotor's leavers form a run of ks: k minus the run's start is the rank
-    run_edge = np.empty(m + 1, dtype=bool)
-    run_edge[0] = run_edge[m] = True
-    np.not_equal(ks[1:], ks[:-1], out=run_edge[1:m])
-    k = np.arange(m)
-    r = np.where(run_edge[:m], k, 0)
-    np.maximum.accumulate(r, out=r)
-    np.subtract(k, r, out=r)
-    # r: rank, then the mechanism position taken, then its flat index
-    r += rho[ks]
-    r += 1
-    r %= deg[xs]
-    last = np.flatnonzero(run_edge[1:])  # the last leaver sets the rotor
-    rho[ks[last]] = r[last]
-    if taken is not None:
-        taken[order] = r
-    r += mech.indptr[xs]
-    y = np.empty(m, dtype=np.intp)
-    y[order] = mech.flat[r]
-    return y
+    b, c = (n - 1).bit_length(), (group - 1).bit_length()
+    top = ((num_vertices - 1) << c | (group - 1)) << b | (n - 1)
+    return b, c, mechanism.flat.astype(np.min_scalar_type(top)) << (b + c)
+
+
+def _round_step(key, b, c, rho, deg, indptr, slot_key, ranks):
+    """Move one round's particles, given as keys; return their slots taken and next keys.
+
+    Both are in the order of key, which is sorted in place: that groups each
+    rotor's leavers in turn order (keys are unique).  The leaver at index k
+    of a group starting at index start takes mechanism position
+    (rho + k - start + 1) mod deg, and the group's last leaver's position is
+    the new rotor (rho is indexed by rotor and written in place; its type
+    must hold rho - key.size).  ranks is 1, 2, ..., at least key.size long.
+    """
+    key.sort()
+    rotor = (key >> b).astype(np.intp)
+    x = rotor >> c if c else rotor
+    end = (rotor[1:] != rotor[:-1]).nonzero()[0]  # each group's last index, but the last group's
+    start = end + 1
+    # rho - start, for one gather; every rotor moved here is set again below
+    rho[rotor[start]] -= start
+    slot = ranks[: key.size] + rho[rotor]
+    slot %= deg[x]
+    rho[rotor[end]] = slot[end]
+    rho[rotor.item(-1)] = slot.item(-1)
+    slot += indptr[x]
+    nxt = slot_key[slot]
+    nxt |= key & ((1 << (b + c)) - 1)  # the turn and the trial carry over
+    return slot, nxt
+
+
+def _visit_first(state: ExperimentState, key: np.ndarray, b: int) -> None:
+    """Add the unvisited vertices that keys vertex << b | turn reach to the range, by first arrival.
+
+    key is in vertex order, not turn order: the vertices are ordered by
+    their smallest arriving turn.
+    """
+    y = np.right_shift(key, b, dtype=np.intp)
+    seen = state._range_mask[y]
+    if seen.all():
+        return
+    fresh = ~seen
+    y = y[fresh][np.argsort(key[fresh] & ((1 << b) - 1))]
+    _, first = np.unique(y, return_index=True)
+    y = y[np.sort(first)]
+    state._range_mask[y] = True
+    count = state._num_visited
+    state._visits[count : count + y.size] = y
+    state._num_visited = count + y.size
 
 
 def settle_trials(
@@ -319,7 +362,8 @@ def settle_trials(
 
     Each run's survivors are run_until_settled's from t = 0.  Every run
     ends: each particle reaches the origin or a sink.  configs is read and
-    settled in groups of max(1, _TRIAL_ELEMENTS // max(n, V)).
+    settled in groups of max(1, _TRIAL_ELEMENTS // max(n, V)), on the round
+    step of run_until_settled with each run's trial bits in its keys.
     """
     if n < 1:
         raise InvalidParameter(f"particle count must be >= 1, got {n}")
@@ -327,21 +371,31 @@ def settle_trials(
     num_vertices, origin = graph.num_vertices, graph.origin
     deg = np.diff(mechanism.indptr)
     stays = ~graph.is_sink & (np.arange(num_vertices) != origin)  # arriving there leaves it live
+    goes_on = stays[mechanism.flat]
     survivors, configs = [], iter(configs)
     while group := list(islice(configs, max(1, _TRIAL_ELEMENTS // max(n, num_vertices)))):
         for config in group:
             check_config(graph, config)
-        rho = np.concatenate([config.pos for config in group]).astype(np.int64, copy=False)
-        positions = np.full(len(group) * n, origin, dtype=np.min_scalar_type(num_vertices - 1))
-        # particle i of trial j is j*n + i; each trial's particles in turn order, trial after trial
-        live = (np.arange(len(group))[:, None] * n + np.roll(np.arange(n), -1)).ravel()
-        while live.size:
-            x = positions[live]
-            key = (live // n * num_vertices + x).astype(np.min_scalar_type(rho.size - 1))
-            y = _leave_together(key, x, rho, deg, mechanism)
-            positions[live] = y
-            live = live[stays[y]]
-        survivors += (n - np.count_nonzero(positions.reshape(-1, n) == origin, axis=1)).tolist()
+        b, c, slot_key = _key_layout(num_vertices, mechanism, n, len(group))
+        # rotor x << c | j is vertex x's rotor in trial j.  int32 holds every
+        # position and, in a round step, rho - start for any group of fewer
+        # than 2^31 particles
+        rho = np.empty((num_vertices, 1 << c), dtype=np.int32)
+        for j, config in enumerate(group):
+            rho[:, j] = config.pos
+        rho = rho.ravel()
+        key = (((origin << c | np.arange(len(group))) << b)[:, None] | np.arange(n)).ravel()
+        key = key.astype(slot_key.dtype)
+        ranks, done = np.arange(1, key.size + 1), []
+        while key.size:
+            slot, nxt = _round_step(key, b, c, rho, deg, mechanism.indptr, slot_key, ranks)
+            goes = goes_on[slot]
+            done.append(nxt[~goes])
+            key = nxt[goes]
+        done = np.concatenate(done)
+        back = done[done >> (b + c) == origin]
+        returned = np.bincount(((back >> b) & ((1 << c) - 1)).astype(np.intp), minlength=len(group))
+        survivors += (n - returned).tolist()
     return survivors
 
 

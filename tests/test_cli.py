@@ -401,15 +401,21 @@ def test_precompute_outputs_match_golden(capsys, tmp_path, name, argv, files):
 
 
 @pytest.mark.parametrize("name, argv", [
-    ("rho-min", (*LATTICE_2_4, "--n", "20,100", "--config", "rho-min")),
-    ("random-5", (*LATTICE_2_4, "--n", "20,100", "--config", "random", "--seed-config", "5")),
-    ("config-csv", (*LATTICE_2_4, "--n", "20,100", "--config", str(GOLDEN / "config.csv"))),
+    ("rho-min", (*LATTICE_2_4, "--n", "20,100", "--config", "rho-min", "--check-invariant")),
+    ("random-5", (*LATTICE_2_4, "--n", "20,100", "--config", "random", "--seed-config", "5",
+                  "--check-invariant")),
+    ("config-csv", (*LATTICE_2_4, "--n", "20,100", "--config", str(GOLDEN / "config.csv"),
+                    "--check-invariant")),
     # n·V = 1.31M, above the per-move budget: the invariant is sampled about once per round
     ("sampled-lattice-2-40-n400",
-     ("--lattice", "2", "40", "--n", "400", "--mechanism", "shuffled", "--seed-mech", "5")),
+     ("--lattice", "2", "40", "--n", "400", "--mechanism", "shuffled", "--seed-mech", "5",
+      "--check-invariant")),
+    # the benchmark's settle workload at seed 3, unchecked: no hook, 283,505,659 steps
+    ("settle-lattice-2-40-n50000",
+     ("--lattice", "2", "40", "--n", "50000", "--mechanism", "shuffled", "--seed-mech", "3")),
 ])
 def test_run_reports_match_golden(capsys, tmp_path, name, argv):
-    code, _, _ = run_cli(capsys, "run", *argv, "--check-invariant", "--out-dir", str(tmp_path))
+    code, _, _ = run_cli(capsys, "run", *argv, "--out-dir", str(tmp_path))
     assert code == 0
     for fname in ("report.json", "report.csv"):
         assert (tmp_path / fname).read_bytes() == (GOLDEN / name / fname).read_bytes()

@@ -91,7 +91,7 @@ def test_bad_mechanism_raises_before_any_trial_settles(monkeypatch):
     rows[1] = (rows[1][0],) * 2  # not a permutation of vertex 1's two neighbours
     bad = mechanism_from_rows(rows)
     moved = []
-    monkeypatch.setattr(experiment, "_leave_together", lambda *args: moved.append(args))
+    monkeypatch.setattr(experiment, "_round_step", lambda *args: moved.append(args))
     drawn = []
     configs = (drawn.append(k) or random_config(g, k) for k in range(TRIALS))
     with pytest.raises(GraphInvalid):

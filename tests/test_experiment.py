@@ -26,10 +26,12 @@ from rotorwalk import (
 
 from oracles import (
     reference_compute_invariant,
+    reference_ensemble,
     reference_invariant,
     reference_run,
     reference_settle_any_order,
 )
+from rotorwalk.experiment import settle_trials
 from stepwise import settle_stepwise
 
 
@@ -251,7 +253,12 @@ def settled_fields(state):
 @pytest.mark.parametrize("mech_seed", [None, 11])
 @pytest.mark.parametrize("config_kind", ["min", "random"])
 def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
-    """The kernel moves whole rounds at once; settle_stepwise goes through step()."""
+    """The kernel moves whole rounds at once; settle_stepwise goes through step().
+
+    Its keys are uint16 at n = 100 (and on lattice(3,3) at n = 1000) and
+    uint32 otherwise; test_mid_round_resume_matches_stepwise gives uint8
+    keys at n = 1 and 2 (and on path(5) at n = 7).
+    """
     g = CROSS_GRAPHS[graph_name]
     mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
     if config_kind == "min":
@@ -455,16 +462,22 @@ def test_round_invariants_resume_after_abort():
     assert np.concatenate(got).tobytes() == expected[t >= resumed_at].tobytes()
 
 
-def _mutant_leave_together(kind):
-    """_leave_together with one seeded fault; the stepwise engine must disagree with it."""
+def _mutant_round_step(kind, calls):
+    """experiment._round_step with one seeded fault, counting its calls in `calls`.
 
-    def leave(key, x, rho, deg, mech, taken=None):
-        order = np.argsort(key, kind="stable")
-        ks = key[order].astype(np.intp)
-        xs = x[order].astype(np.intp)
-        m = xs.size
+    The ranks come from a running maximum over the group starts, not from
+    per-rotor offsets, so the fault-free parts are a second implementation
+    of the step.
+    """
+
+    def round_step(key, b, c, rho, deg, indptr, slot_key, ranks):
+        calls.append(key.size)
+        key.sort()
+        rotor = (key >> b).astype(np.intp)
+        x = rotor >> c
+        m = key.size
         run_edge = np.ones(m + 1, dtype=bool)
-        run_edge[1:m] = ks[1:] != ks[:-1]
+        run_edge[1:m] = rotor[1:] != rotor[:-1]
         k = np.arange(m)
         start = np.maximum.accumulate(np.where(run_edge[:m], k, 0))
         rank = k - start
@@ -473,31 +486,55 @@ def _mutant_leave_together(kind):
         elif kind == "rank-reversed":      # leavers take the positions in reverse turn order
             end = np.flatnonzero(run_edge[1:])[np.cumsum(run_edge[:m]) - 1]
             rank = end - k
-        r = (rho[ks] + rank + 1) % deg[xs]
+        r = (rho[rotor] + rank + 1) % deg[x]
         # the leaver of the highest rank sets the rotor, or the first one
         first = kind in ("first-sets-rotor", "rank-reversed")
         setter = np.flatnonzero(run_edge[:m] if first else run_edge[1:])
-        rho[ks[setter]] = r[setter]
+        rho[rotor[setter]] = r[setter]
         if kind == "rotor-overshoots":     # the rotor ends one position past the last leaver's
-            rho[ks[setter]] = (r[setter] + 1) % deg[xs[setter]]
-        if taken is not None:
-            taken[order] = r
-        y = np.empty(m, dtype=np.intp)
-        y[order] = mech.flat[r + mech.indptr[xs]]
-        return y
+            rho[rotor[setter]] = (r[setter] + 1) % deg[x[setter]]
+        slot = r + indptr[x]
+        # the next key carries the turn and the trial, or the turn only
+        carried = (1 << (b if kind == "trial-bits-dropped" else b + c)) - 1
+        return slot, slot_key[slot] | (key & carried)
 
-    return leave
+    return round_step
+
+
+def _visit_in_key_order(state, key, b):
+    """experiment._visit_first with a seeded fault: fresh vertices in key order, not by first arrival."""
+    y = (key >> b).astype(np.intp)
+    y = y[~state._range_mask[y]]
+    _, first = np.unique(y, return_index=True)
+    y = y[np.sort(first)]
+    state._range_mask[y] = True
+    state._visits[state._num_visited : state._num_visited + y.size] = y
+    state._num_visited += y.size
+
+
+TRIALS = 5
+
+
+def _trial_survivors(g, mech, n):
+    """settle_trials' survivors of TRIALS random configurations, and the reference's."""
+    got = settle_trials(g, mech, (random_config(g, 21 + k) for k in range(TRIALS)), n)
+    return got, reference_ensemble(g, mech, n, TRIALS, 21)
 
 
 @pytest.mark.parametrize("kind", ["rank-dropped", "rank-reversed", "first-sets-rotor",
                                   "rotor-overshoots"])
 def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
-    """Each seeded kernel fault differs from the stepwise engine and breaks the checked invariant.
+    """Each seeded round-step fault differs from the stepwise engine and breaks the checked invariant.
 
     rank-reversed leaves every round's end state conserved; only the
-    per-move values inside the round show it.
+    per-move values inside the round show it.  settle_trials runs the same
+    step: every fault but rank-reversed changes some run's survivors there,
+    while rank-reversed only swaps which of a rotor's leavers takes which
+    move, which survivors cannot see.
     """
-    monkeypatch.setattr(experiment, "_leave_together", _mutant_leave_together(kind))
+    calls = []
+    monkeypatch.setattr(experiment, "_round_step", _mutant_round_step(kind, calls))
+    survivors_differ = False
     for g in CROSS_GRAPHS.values():
         for mech in (default_mechanism(g), shuffled_mechanism(g, 11)):
             profile = solve_harmonic(g)
@@ -513,6 +550,101 @@ def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
                                    max_steps=10**7)
                 target = n * profile.voltage[g.origin]
                 assert rep.max_invariant_dev > 1e-8 * target
+
+            calls.clear()
+            got, expected = _trial_survivors(g, mech, 20)
+            assert calls  # settle_trials moved its rounds on the faulty step
+            survivors_differ |= got != expected
+    assert survivors_differ is (kind != "rank-reversed")
+
+
+def test_trial_bits_mutation_fails_the_ensemble(monkeypatch):
+    """Next keys that keep the turn but drop the trial move every run onto trial 0's rotors.
+
+    settle_trials' survivors then differ from the reference's.  A single
+    run has no trial bits, so run_until_settled, on the same faulty step,
+    still equals the stepwise engine.
+    """
+    calls = []
+    monkeypatch.setattr(experiment, "_round_step", _mutant_round_step("trial-bits-dropped", calls))
+    for g in CROSS_GRAPHS.values():
+        mech = shuffled_mechanism(g, 11)
+        got, expected = _trial_survivors(g, mech, 20)
+        assert got != expected
+        calls.clear()
+        config = random_config(g, 21)
+        batched = run_until_settled(init_experiment(g, mech, config, 100))
+        assert calls
+        assert settled_fields(batched) == settled_fields(settle_stepwise(init_experiment(g, mech, config, 100)))
+
+
+def test_range_order_mutation_fails_stepwise(monkeypatch):
+    """Fresh vertices recorded in key order, not by their first arrival turn, break range_order only.
+
+    The keys of a round are in vertex order, so the fault shows against
+    settle_stepwise.  Everything else the kernel writes still equals the
+    stepwise engine's, and settle_trials, which records no range, still
+    gives the reference survivors.
+    """
+    monkeypatch.setattr(experiment, "_visit_first", _visit_in_key_order)
+    order_differs = False
+    for g in CROSS_GRAPHS.values():
+        mech = shuffled_mechanism(g, 11)
+        for config in (random_config(g, 21), min_weight_config(g, weight_table(g, mech, solve_harmonic(g)))):
+            batched = settled_fields(run_until_settled(init_experiment(g, mech, config, 100)))
+            stepwise = settled_fields(settle_stepwise(init_experiment(g, mech, config, 100)))
+            assert batched[:6] == stepwise[:6] and batched[7] == stepwise[7]
+            order_differs |= batched[6] != stepwise[6]
+        got, expected = _trial_survivors(g, mech, 20)
+        assert got == expected
+    assert order_differs
+
+
+def test_uint64_keys_settle_as_the_narrow_ones(monkeypatch):
+    """The round step on keys widened to uint64 reaches the narrow keys' end state.
+
+    The key type is the narrowest unsigned type that holds the largest key;
+    the cross tests cover uint8, uint16 and uint32 (checked here, see
+    test_batched_settle_matches_stepwise).  uint64 keys need (V - 1)·2^b >=
+    2^32, which no test graph reaches cheaply, so _key_layout is patched to
+    widen the slot keys, and with them every particle key: a settle, an
+    abort and a hooked resume, and settle_trials, must end as with narrow keys.
+    """
+    layout = experiment._key_layout
+    for name, n, width in [("path(5)", 7, np.uint8), ("lattice(2,6)", 100, np.uint16),
+                           ("lattice(3,3)", 1000, np.uint16), ("lattice(2,6)", 1000, np.uint32)]:
+        g = EXACT_GRAPHS.get(name) or CROSS_GRAPHS[name]
+        assert layout(g.num_vertices, default_mechanism(g), n, 1)[2].dtype == width
+
+    g = CROSS_GRAPHS["lattice(2,6)"]
+    mech = shuffled_mechanism(g, 11)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    config = random_config(g, 21)
+    n = 100
+
+    def settle_all():
+        full = run_until_settled(init_experiment(g, mech, config, n))
+        state = init_experiment(g, mech, config, n)
+        with pytest.raises(AbortedMaxSteps) as exc:
+            run_until_settled(state, max_steps=full.t // 2 + 7)
+        aborted = (str(exc.value), settled_fields(state))
+        invariants = []
+        tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: invariants.append(
+            moves.invariant))
+        run_until_settled(state, on_round=tracker.on_round)
+        return (settled_fields(full), aborted, settled_fields(state),
+                np.concatenate(invariants).tobytes(), _trial_survivors(g, mech, 20)[0])
+
+    narrow = settle_all()
+    widths = []
+    step_ = experiment._round_step
+    monkeypatch.setattr(experiment, "_key_layout",
+                        lambda *args: (*layout(*args)[:2], layout(*args)[2].astype(np.uint64)))
+    monkeypatch.setattr(experiment, "_round_step",
+                        lambda key, *args: widths.append(key.dtype) or step_(key, *args))
+    assert settle_all() == narrow
+    assert set(widths) == {np.dtype(np.uint64)}
 
 
 @pytest.mark.parametrize("graph_name", EXACT_GRAPHS)
