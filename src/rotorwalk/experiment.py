@@ -59,9 +59,6 @@ from .weights import RotorConfig, WeightTable, check_config
 
 DEFAULT_MAX_STEPS = 10**9
 
-# elements in each block matrix of InvariantTracker; larger rounds are split
-_BLOCK_ELEMENTS = 1 << 15
-
 # up to this many (particles x vertices) an unobserved InvariantTracker
 # evaluates every move; above it, about once per round
 _EVENT_CHECK_BUDGET = 10**6
@@ -456,20 +453,17 @@ class InvariantTracker:
 
     The rotor-weight terms of the live range, in first-visit order, are
     carried from round to round (read from the state's rotors after each
-    round).  For the evaluated moves it builds, per block of moves, two
-    matrices with one row per move:
-
-    - v at every particle's position after that move, summed with
-      np.sum(axis=1), which on contiguous rows is the pairwise sum np.sum
-      takes of each row alone;
-    - that sum plus min(t, n)/deg(origin), then the live range's
-      rotor-weight terms, folded left to right with np.add.accumulate.
-
-    A vertex first visited during a round had no particle at the round's
-    start (or, in a partial first round, when this was built), so none
-    leaves it in that round: its term is +0.0, which leaves the running
-    total's bits unchanged, so every row may use the range at the round's
-    end.  Each block matrix holds at most _BLOCK_ELEMENTS elements.
+    round) in one row after a running total.  Each evaluated move, in turn
+    order, sets its particle's voltage and its vertex's term, sets the total
+    to the voltages' sum plus min(t, n)/deg(origin) and folds the row with
+    np.add.accumulate.  Those are compute_invariant's float64 operations:
+    the voltages are one contiguous array of length n, so their sum is the
+    pairwise np.sum it takes of v[positions], and Python's float + and true
+    division of ints below 2^53 are numpy's.  A vertex first visited during
+    a round had no particle at the round's start (or, in a partial first
+    round, when this was built), so none leaves it in that round: its term
+    is +0.0, which leaves the running total's bits unchanged, so every move
+    may use the range at the round's end.
     """
 
     def __init__(self, state: ExperimentState, profile: HarmonicProfile, wt: WeightTable,
@@ -489,11 +483,11 @@ class InvariantTracker:
         o = state._origin
         self._deg_origin = int(self._indptr[o + 1] - self._indptr[o])
         self._col = np.full(num_vertices, -1, dtype=np.intp)  # column of each live range vertex
-        self._terms = np.empty(num_vertices)  # rotor-weight term of each column
+        self._row = np.empty(num_vertices + 1)  # a running total, then the columns' terms
+        self._terms = self._row[1:]  # rotor-weight term of each column
+        self._folded = np.empty(num_vertices + 1)  # the row's left fold
         self._cols = 0
         self._seen = 0  # entries of range_order given their column
-        self._slot = np.empty(num_vertices, dtype=np.intp)  # scratch: a block's move per column
-        self._tri = np.ones((0, 0), dtype=bool)
         self._add_range()
 
     def _fold(self, values) -> None:
@@ -546,44 +540,20 @@ class InvariantTracker:
             self._observer(st, RoundMoves(turns, movers, source, target, arrived, left, out))
 
     def _evaluate(self, movers, turns, source, target, moved_terms, cols, first, stop, out):
-        v, n = self._v, self._state.n
-        # the live range's terms and the particle voltages before move `first`
-        terms = self._terms[: self._cols].copy()
+        v, n, deg_origin, terms = self._v, self._state.n, self._deg_origin, self._terms
+        row, folded = self._row[: self._cols + 1], self._folded[: self._cols + 1]
+        # the live range's terms (edited in place: on_round resets every moved
+        # column after) and the particle voltages before move `first`
         if first:
             done = cols[:first][::-1]
             _, last = np.unique(done, return_index=True)  # each column's last move
             terms[done[last]] = moved_terms[first - 1 - last]
         vpos = v[self._state.positions]
         vpos[movers[first:]] = v[source[first:]]
-        vtarget = v[target]
-
-        rows = max(1, _BLOCK_ELEMENTS // max(n, self._cols + 1))
-        if self._tri.shape[0] < min(rows, stop - first):
-            self._tri = np.tri(min(rows, stop - first), dtype=bool)
-        for a in range(first, stop, rows):
-            b = min(a + rows, stop)
-            k = b - a
-            moved = self._tri[:k, :k]  # row r is after moves a..a+r: moved[r, j] is j <= r
-            m = movers[a:b]
-            pv = np.empty((k, n))
-            pv[:] = vpos
-            pv[:, m] = np.where(moved, vtarget[a:b], vpos[m])
-            total = np.empty((k, self._cols + 1))
-            np.add(pv.sum(axis=1), np.minimum(turns[a:b] + 1, n) / self._deg_origin,
-                   out=total[:, 0])
-            total[:, 1:] = terms
-            # a column's term in row r is its latest move's up to r; the moves
-            # of one column share one slot j, and latest[r, j] is that move
-            c = cols[a:b]
-            ks = np.arange(k)
-            self._slot[c] = ks
-            slot = self._slot[c]
-            latest = np.empty((k, k), dtype=np.intp)
-            latest.fill(-1)
-            latest[ks, slot] = ks
-            np.maximum.accumulate(latest, axis=0, out=latest)
-            now = np.where(latest >= 0, moved_terms[a:b][latest], terms[c])[:, slot]
-            total[:, 1 + c] = now
-            out[a - first : b - first] = np.add.accumulate(total, axis=1)[:, -1]
-            vpos[m] = vtarget[a:b]
-            terms[c] = now[-1]
+        moves = (a[first:stop].tolist() for a in (movers, v[target], cols, moved_terms, turns + 1))
+        for k, (i, vy, col, term, t) in enumerate(zip(*moves)):
+            vpos[i] = vy
+            terms[col] = term
+            row[0] = float(vpos.sum()) + min(t, n) / deg_origin
+            np.add.accumulate(row, out=folded)
+            out[k] = folded[-1]

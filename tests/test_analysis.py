@@ -288,11 +288,12 @@ def test_sampled_invariant_follows_the_stepwise_rule(monkeypatch, g, mech_seed, 
 
     for n in [1, 7, 50, 500]:
         checked.clear()
-        rep = escape_sweep(g, mech, config, [n], profile=profile, check_invariant=True)
         samples = reference_sampled_invariants(
             init_experiment(g, mech, config, n), profile, wt,
             lambda st, observe: settle_stepwise(st, observer=observe),
         )
+        rep = escape_sweep(g, mech, config, [n], profile=profile, check_invariant=True,
+                           max_steps=samples[-1][0] + n)
         assert checked == samples[1:-1]
         target = float(n * profile.voltage[g.origin])
         assert rep.max_invariant_dev == max(abs(value - target) for _, value in samples)

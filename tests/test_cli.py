@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import signal
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from rotorwalk import build_bary_tree, experiment
+from rotorwalk import build_bary_tree
 from rotorwalk.cli import _parse_graph_spec, main
 
 
@@ -70,6 +71,17 @@ def test_integer_options_take_no_keys(capsys, flag):
                            "--config", "random", flag, "x=2")
     assert code == 2
     assert err == "error: expected an integer, got 'x=2'\n"
+
+
+@pytest.mark.parametrize("argv", [("--seed-mech", "-1"), ("--seed-mech=-1",),
+                                  ("--seed-mech", str(1 << 128))])
+def test_seed_outside_128_bits_exits_2(capsys, tmp_path, argv):
+    """A seed that would alias an in-range one once masked to 128 bits is a usage error."""
+    code, _, err = run_cli(capsys, "rho-min", "--lattice", "2", "3", "--mechanism", "shuffled",
+                           *argv, "--out-dir", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: seed must be in [0, 2^128), got ")
+    assert not (tmp_path / "weights.csv").exists()
 
 
 def test_green_missing_edges_file(capsys):
@@ -451,10 +463,9 @@ def test_trace_creates_its_directory(capsys, tmp_path):
         assert (sub / fname).read_bytes() == (GOLDEN / fname).read_bytes()
 
 
-def test_trace_in_blocks_matches_golden(monkeypatch, capsys, tmp_path):
-    """Rounds of up to 60 moves, evaluated four moves to a block, some visiting new vertices
-    mid-round: the trace and report recorded from the stepwise engine, byte for byte."""
-    monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", 256)
+def test_trace_of_long_rounds_matches_golden(capsys, tmp_path):
+    """Rounds of up to 60 moves, some visiting new vertices mid-round: the trace and
+    report recorded from the stepwise engine, byte for byte."""
     code, _, _ = run_cli(
         capsys, "run", "--lattice", "2", "4", "--n", "60", "--mechanism", "shuffled",
         "--seed-mech", "7", "--check-invariant", "--trace", str(tmp_path / "trace.csv"),
@@ -464,6 +475,20 @@ def test_trace_in_blocks_matches_golden(monkeypatch, capsys, tmp_path):
     for fname in ("trace.csv", "report.json"):
         golden = GOLDEN / "trace-lattice-2-4-n60" / fname
         assert (tmp_path / fname).read_bytes() == golden.read_bytes()
+
+
+def test_observe_trace_matches_its_digest(capsys, tmp_path):
+    """The benchmark's traced observe run: 8,070 moves in rounds of up to 500, every one
+    evaluated.  The trace's sha256, in sha256sum's format, was recorded with the earlier
+    block-matrix evaluator, which split these rounds into many blocks."""
+    code, _, _ = run_cli(
+        capsys, "run", "--lattice", "3", "8", "--n", "500", "--mechanism", "shuffled",
+        "--seed-mech", "3", "--check-invariant", "--trace", str(tmp_path / "trace.csv"),
+        "--out-dir", str(tmp_path),
+    )
+    assert code == 0
+    digest, name = (GOLDEN / "observe-trace-lattice-3-8-n500.sha256").read_text().split()
+    assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 def test_aborted_trace_matches_golden(capsys, tmp_path):

@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -100,7 +102,7 @@ def test_engine_matches_reference(small_graph, n, mech_seed, config_kind):
 
     ref = reference_run(g, mech, config, n)
     state = init_experiment(g, mech, config, n)
-    run_until_settled(state)
+    run_until_settled(state, max_steps=ref.t + n)
 
     assert state.t == ref.t
     assert state.positions.tolist() == ref.positions
@@ -193,7 +195,8 @@ def test_on_round_sees_every_move_after_a_mid_round_resume(small_graph):
         for _ in range(resume):
             step(state)
         turns = []
-        run_until_settled(state, on_round=lambda movers, t, *rest: turns.extend(t.tolist()))
+        run_until_settled(state, max_steps=ref.t + n,
+                          on_round=lambda movers, t, *rest: turns.extend(t.tolist()))
         assert turns == [t for t in acting if t >= resume]
 
 
@@ -266,8 +269,9 @@ def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
     else:
         config = random_config(g, 21)
 
-    batched = run_until_settled(init_experiment(g, mech, config, n))
     stepwise = settle_stepwise(init_experiment(g, mech, config, n))
+    # a kernel fault that leaves particles cycling aborts one round past the stepwise steps
+    batched = run_until_settled(init_experiment(g, mech, config, n), max_steps=stepwise.t + n)
 
     assert batched.settled
     assert settled_fields(batched) == settled_fields(stepwise)
@@ -280,7 +284,7 @@ def test_abort_leaves_the_stepwise_state(graph_name):
     mech = shuffled_mechanism(g, 11)
     config = random_config(g, 21)
     n = 100
-    full = run_until_settled(init_experiment(g, mech, config, n))
+    full = settle_stepwise(init_experiment(g, mech, config, n))
     for cap in (1, n - 1, n, n + 37, full.t // 3, full.t // 2 + 1, full.t - 1):
         aborted = []
         for settle in (run_until_settled, settle_stepwise):
@@ -306,7 +310,7 @@ def test_abort_then_resume_equals_uninterrupted(graph_name):
     assert state.survivors == sum(s != ParticleStatus.RETURNED for s in state.status)
     assert state.remaining == sum(s < ParticleStatus.RETURNED for s in state.status)
 
-    run_until_settled(state)
+    run_until_settled(state, max_steps=full.t + n)
     assert settled_fields(state) == settled_fields(full)
 
 
@@ -333,7 +337,7 @@ def test_run_until_settled_never_calls_step(monkeypatch):
 
     monkeypatch.setattr(experiment, "step", refuse)
     for state in states:
-        run_until_settled(state)
+        run_until_settled(state, max_steps=full.t + n)
         assert settled_fields(state) == settled_fields(full)
 
 
@@ -378,10 +382,11 @@ def test_invariant_equals_scalar_loop_after_every_move(graph_name, mech_seed, co
     assert settled_fields(resumed) == settled_fields(state)
 
 
-def _round_kernel_moves(g, mech, config, n, profile):
+def _round_kernel_moves(g, mech, config, n, profile, max_steps):
     """Every move of an escape_sweep observer's rounds, as stacked columns."""
     rounds = []
-    escape_sweep(g, mech, config, [n], profile=profile, observer=lambda st, moves: rounds.append(moves))
+    escape_sweep(g, mech, config, [n], profile=profile, max_steps=max_steps,
+                 observer=lambda st, moves: rounds.append(moves))
     return [np.concatenate(column) for column in zip(*rounds)]
 
 
@@ -412,15 +417,10 @@ EVALUATOR_GRAPHS = {
 @pytest.mark.parametrize("mech_seed", [None, 11])
 @pytest.mark.parametrize("config_kind", ["min", "random"])
 @pytest.mark.parametrize("n", [1, 2, 7, 50, 500])
-def test_round_invariants_equal_compute_invariant_after_every_move(
-    monkeypatch, graph_name, mech_seed, config_kind, n
-):
+def test_round_invariants_equal_compute_invariant_after_every_move(graph_name, mech_seed, config_kind, n):
     """The round kernel's per-move values are compute_invariant's, bit for bit.
 
-    At the default block size and in smaller blocks: with 64 elements a
-    block is one move or a few, with 4096 up to a few dozen, so rounds split
-    into many blocks, and blocks hold moves both before and after first
-    visits to new vertices.
+    Rounds of one move up to 500 moves, some visiting new vertices mid-round.
     """
     g = EVALUATOR_GRAPHS[graph_name]
     mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
@@ -429,14 +429,13 @@ def test_round_invariants_equal_compute_invariant_after_every_move(
     config = min_weight_config(g, wt) if config_kind == "min" else random_config(g, 21)
 
     *expected_moves, expected = _stepwise_moves(g, mech, config, n, profile, wt)
-    for budget in (experiment._BLOCK_ELEMENTS, 64, 4096):
-        monkeypatch.setattr(experiment, "_BLOCK_ELEMENTS", budget)
-        t, mover, source, target, status, survivors, invariant = _round_kernel_moves(
-            g, mech, config, n, profile)
-        for got, want in zip((t, mover, source, target, status, survivors), expected_moves):
-            assert np.array_equal(got, want)
-        assert invariant.dtype == expected.dtype
-        assert invariant.tobytes() == expected.tobytes()
+    # one round past the stepwise run's last move
+    t, mover, source, target, status, survivors, invariant = _round_kernel_moves(
+        g, mech, config, n, profile, max_steps=int(expected_moves[0][-1]) + 1 + n)
+    for got, want in zip((t, mover, source, target, status, survivors), expected_moves):
+        assert np.array_equal(got, want)
+    assert invariant.dtype == expected.dtype
+    assert invariant.tobytes() == expected.tobytes()
 
 
 def test_round_invariants_resume_after_abort():
@@ -458,7 +457,7 @@ def test_round_invariants_resume_after_abort():
     assert resumed_at == cap > 0
     got = []
     tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: got.append(moves.invariant))
-    run_until_settled(state, on_round=tracker.on_round)
+    run_until_settled(state, max_steps=int(t[-1]) + 1 + n, on_round=tracker.on_round)
     assert np.concatenate(got).tobytes() == expected[t >= resumed_at].tobytes()
 
 
@@ -490,6 +489,8 @@ def _mutant_round_step(kind, calls):
         # the leaver of the highest rank sets the rotor, or the first one
         first = kind in ("first-sets-rotor", "rank-reversed")
         setter = np.flatnonzero(run_edge[:m] if first else run_edge[1:])
+        if kind == "last-write-dropped":   # the last group's rotor keeps its old position
+            setter = setter[:-1]
         rho[rotor[setter]] = r[setter]
         if kind == "rotor-overshoots":     # the rotor ends one position past the last leaver's
             rho[rotor[setter]] = (r[setter] + 1) % deg[x[setter]]
@@ -522,40 +523,49 @@ def _trial_survivors(g, mech, n):
 
 
 @pytest.mark.parametrize("kind", ["rank-dropped", "rank-reversed", "first-sets-rotor",
-                                  "rotor-overshoots"])
+                                  "rotor-overshoots", "last-write-dropped"])
 def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
     """Each seeded round-step fault differs from the stepwise engine and breaks the checked invariant.
 
-    rank-reversed leaves every round's end state conserved; only the
-    per-move values inside the round show it.  settle_trials runs the same
-    step: every fault but rank-reversed changes some run's survivors there,
-    while rank-reversed only swaps which of a rotor's leavers takes which
-    move, which survivors cannot see.
+    The kernel may run one round past the stepwise steps, so a fault that
+    leaves particles cycling, as last-write-dropped does, aborts at once; an
+    abort counts as differing.  rank-reversed leaves every round's end state
+    conserved; only the per-move values inside the round show it.
+    settle_trials runs the same step: every fault but rank-reversed changes
+    some run's survivors there, while rank-reversed only swaps which of a
+    rotor's leavers takes which move, which survivors cannot see.
+    settle_trials takes no max_steps, so last-write-dropped is not run there.
     """
     calls = []
     monkeypatch.setattr(experiment, "_round_step", _mutant_round_step(kind, calls))
+    trials_end = kind != "last-write-dropped"
     survivors_differ = False
     for g in CROSS_GRAPHS.values():
         for mech in (default_mechanism(g), shuffled_mechanism(g, 11)):
             profile = solve_harmonic(g)
-            for config in (None, random_config(g, 21)):
-                if config is None:
-                    config = min_weight_config(g, weight_table(g, mech, profile))
+            wt = weight_table(g, mech, profile)
+            for config in (min_weight_config(g, wt), random_config(g, 21)):
                 n = 100
-                batched = run_until_settled(init_experiment(g, mech, config, n), max_steps=10**7)
                 stepwise = settle_stepwise(init_experiment(g, mech, config, n))
+                cap = stepwise.t + n
+                batched = init_experiment(g, mech, config, n)
+                with contextlib.suppress(AbortedMaxSteps):
+                    run_until_settled(batched, max_steps=cap)
                 assert settled_fields(batched) != settled_fields(stepwise)
 
-                rep = escape_sweep(g, mech, config, [n], profile=profile, check_invariant=True,
-                                   max_steps=10**7)
-                target = n * profile.voltage[g.origin]
-                assert rep.max_invariant_dev > 1e-8 * target
+                checked = init_experiment(g, mech, config, n)
+                tracker = experiment.InvariantTracker(checked, profile, wt)
+                with contextlib.suppress(AbortedMaxSteps):
+                    run_until_settled(checked, max_steps=cap, on_round=tracker.on_round)
+                assert tracker.finish() > 1e-8 * tracker.target
 
-            calls.clear()
-            got, expected = _trial_survivors(g, mech, 20)
-            assert calls  # settle_trials moved its rounds on the faulty step
-            survivors_differ |= got != expected
-    assert survivors_differ is (kind != "rank-reversed")
+            if trials_end:
+                calls.clear()
+                got, expected = _trial_survivors(g, mech, 20)
+                assert calls  # settle_trials moved its rounds on the faulty step
+                survivors_differ |= got != expected
+    if trials_end:
+        assert survivors_differ is (kind != "rank-reversed")
 
 
 def test_trial_bits_mutation_fails_the_ensemble(monkeypatch):
@@ -573,9 +583,10 @@ def test_trial_bits_mutation_fails_the_ensemble(monkeypatch):
         assert got != expected
         calls.clear()
         config = random_config(g, 21)
-        batched = run_until_settled(init_experiment(g, mech, config, 100))
+        stepwise = settle_stepwise(init_experiment(g, mech, config, 100))
+        batched = run_until_settled(init_experiment(g, mech, config, 100), max_steps=stepwise.t + 100)
         assert calls
-        assert settled_fields(batched) == settled_fields(settle_stepwise(init_experiment(g, mech, config, 100)))
+        assert settled_fields(batched) == settled_fields(stepwise)
 
 
 def test_range_order_mutation_fails_stepwise(monkeypatch):
@@ -591,8 +602,10 @@ def test_range_order_mutation_fails_stepwise(monkeypatch):
     for g in CROSS_GRAPHS.values():
         mech = shuffled_mechanism(g, 11)
         for config in (random_config(g, 21), min_weight_config(g, weight_table(g, mech, solve_harmonic(g)))):
-            batched = settled_fields(run_until_settled(init_experiment(g, mech, config, 100)))
-            stepwise = settled_fields(settle_stepwise(init_experiment(g, mech, config, 100)))
+            stepwise = settle_stepwise(init_experiment(g, mech, config, 100))
+            batched = settled_fields(run_until_settled(init_experiment(g, mech, config, 100),
+                                                       max_steps=stepwise.t + 100))
+            stepwise = settled_fields(stepwise)
             assert batched[:6] == stepwise[:6] and batched[7] == stepwise[7]
             order_differs |= batched[6] != stepwise[6]
         got, expected = _trial_survivors(g, mech, 20)
@@ -673,7 +686,7 @@ def test_mid_round_resume_matches_stepwise(graph_name, config_kind, n):
         got = []
         tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: got.extend(
             zip(moves.t.tolist(), moves.mover.tolist(), moves.invariant.tolist())))
-        run_until_settled(state, on_round=tracker.on_round)
+        run_until_settled(state, max_steps=stepwise.t + n, on_round=tracker.on_round)
         assert settled_fields(state) == settled_fields(stepwise)
         assert got == expected
 
@@ -725,12 +738,12 @@ def test_tracker_on_a_resumed_state_equals_compute_invariant(calls):
     config = random_config(g, 21)
     n = 100
     expected = []
-    settle_stepwise(_resumed(g, mech, config, n, calls),
-                    observer=lambda st: expected.append(compute_invariant(st, profile, wt)))
+    stepwise = settle_stepwise(_resumed(g, mech, config, n, calls),
+                               observer=lambda st: expected.append(compute_invariant(st, profile, wt)))
 
     state = _resumed(g, mech, config, n, calls)
     got = []
     tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: got.append(moves.invariant))
-    run_until_settled(state, on_round=tracker.on_round)
+    run_until_settled(state, max_steps=stepwise.t + n, on_round=tracker.on_round)
     assert np.concatenate(got).tobytes() == np.array(expected).tobytes()
     assert tracker.finish() <= 1e-8 * tracker.target

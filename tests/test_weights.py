@@ -3,6 +3,7 @@ import pytest
 
 from rotorwalk import (
     DimensionMismatch,
+    InvalidParameter,
     RotorConfig,
     build_bary_tree,
     build_lattice_ball,
@@ -174,6 +175,23 @@ def test_random_config_matches_scalar_draws(g):
         pos = [-1 if g.is_sink[x] else int(rng.integers(0, g.degree(x)))
                for x in range(g.num_vertices)]
         assert random_config(g, seed).pos.tolist() == pos
+
+
+@pytest.mark.parametrize("seed, stream", [(-1, 0), (1 << 128, 0), (0, -1), (0, 1 << 128)])
+def test_philox_rejects_seeds_and_streams_outside_128_bits(seed, stream):
+    """A seed or stream the 128-bit key or counter cannot hold is an error, not an alias
+    of the value it would be masked to."""
+    with pytest.raises(InvalidParameter, match=r"must be in \[0, 2\^128\)"):
+        philox_generator(seed, stream)
+
+
+def test_philox_takes_both_128_bit_boundaries():
+    """Seed and stream 0 and 2^128 - 1 give four different streams, each reproducible."""
+    top = (1 << 128) - 1
+    pairs = [(0, 0), (top, 0), (0, top), (top, top)]
+    draws = [philox_generator(seed, stream).random(4).tobytes() for seed, stream in pairs]
+    assert len(set(draws)) == 4
+    assert [philox_generator(seed, stream).random(4).tobytes() for seed, stream in pairs] == draws
 
 
 def test_random_config_uniform_marginal(p3):
