@@ -31,18 +31,19 @@ trial j has the key (x << c | j) << b | u, and x << c | j indexes one flat
 rho of the group's rotors, so no two trials share a rotor.
 
 The state is held in numpy arrays, which step() and the round kernel both
-write in place.  compute_invariant recomputes the quantity in whole arrays
-with the scalar definition's floating-point operations: the rotor-weight
-terms are added one at a time in first-visit order (np.add.accumulate), not
-pairwise as np.sum adds, so each value is bit for bit the scalar sum's.
+write in place, the kernel positions and statuses once, as a settle ends.
+compute_invariant recomputes the quantity in whole arrays with the scalar
+definition's floating-point operations: the rotor-weight terms are added
+one at a time in first-visit order (np.add.accumulate), not pairwise as
+np.sum adds, so each value is bit for bit the scalar sum's.
 
 step() is the single-move engine and the reference the kernel is tested
 against; run_until_settled never calls it.  The kernel reports each round,
 a partial first round included, through an optional hook (its movers,
 turns, from and to vertices, mechanism positions taken and arrival
-statuses), from which InvariantTracker gives the conserved quantity after
-each of the round's moves, bit for bit what compute_invariant gives after
-the same move of step().
+statuses), from which InvariantTracker, carrying each particle's voltage
+itself, gives the conserved quantity after each of the round's moves, bit
+for bit what compute_invariant gives after the same move of step().
 """
 from __future__ import annotations
 
@@ -66,7 +67,8 @@ _EVENT_CHECK_BUDGET = 10**6
 # particles (or rotors, if more) in a settle_trials group of several trials
 _TRIAL_ELEMENTS = 1 << 16
 
-# the round kernel's per-round hook: movers, turns, from, to, positions taken, arrival statuses
+# the round kernel's per-round hook: movers, turns, from, to, positions taken, arrival
+# statuses (the state's positions and statuses are written when the settle ends)
 RoundHook = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
 
 
@@ -190,20 +192,19 @@ def run_until_settled(
 
     Each round's moves are made at once in numpy, reaching the state step()
     would reach (t, positions, rotors, statuses and the range in first-visit
-    order; the module docstring says why) in the state's own arrays.  From
-    part-way through a round, the live particles whose turns in it have
-    passed wait and lead the next round.  A round whose turns reach
-    max_steps moves only the particles whose turns come first, then raises
-    AbortedMaxSteps, naming the first live turn at or past max_steps, with t
-    one past its last move; it can be resumed.
+    order; the module docstring says why) in the state's own arrays, hooked
+    or not: positions and statuses, like t, survivors and remaining, are
+    written when the settle ends or stops; rotors and the range are updated
+    each round.  From part-way through a round, the live particles whose
+    turns in it have passed wait and lead the next round.  A round whose
+    turns reach max_steps moves only the particles whose turns come first,
+    then raises AbortedMaxSteps, naming the first live turn at or past
+    max_steps, with t one past its last move; it can be resumed.
 
     on_round, if given, sees every move made after this call: it is called
-    after each round, a partial first round included, has been written to
-    the state's arrays (t, survivors and remaining are written when the
-    settle ends) with the round's movers in turn order, their turns, the
-    vertices they left and reached, the mechanism positions they took and
-    their statuses on arrival.  Without it, positions and statuses are
-    written once, when the settle ends or stops.
+    after each round, a partial first round included, with the round's
+    movers in turn order, their turns, the vertices they left and reached,
+    the mechanism positions they took and their statuses on arrival.
     """
     if max_steps < 1:
         raise InvalidParameter(f"max_steps must be >= 1, got {max_steps}")
@@ -219,9 +220,6 @@ def run_until_settled(
     b, _, slot_key = _key_layout(num_vertices, mech, n, 1)
     turn_bits = (1 << b) - 1
     ranks = np.arange(1, n + 1)
-    if on_round is not None:  # each flat slot's vertex and mechanism position
-        slot_x = np.repeat(np.arange(num_vertices), deg)
-        slot_pos = np.arange(slot_x.size) - mech.indptr[slot_x]
 
     # each live particle's key, vertex << b | turn (turn u is particle (u + 1) mod n);
     # those whose turns in this round have passed wait
@@ -251,22 +249,20 @@ def run_until_settled(
             if state._num_visited < num_vertices:
                 _visit_first(state, nxt, b)
             goes = goes_on[slot]
+            x = None if on_round is None else np.right_shift(key, b, dtype=np.intp)  # in slot's order
             key = nxt[goes]
-            if on_round is not None:  # write every mover, then report them in turn order
+            if key.size < nxt.size:
+                ended[done : done + nxt.size - key.size] = nxt[~goes]
+                done += nxt.size - key.size
+            if on_round is not None:  # report the round's moves in turn order
                 turns = np.bitwise_and(nxt, turn_bits, dtype=np.intp)
                 order = np.argsort(turns)
                 turns, slot = turns[order], slot[order]
                 movers = turns + 1
                 if movers[-1] == n:  # turns ascend: only the last can be n - 1, particle 0
                     movers[-1] = 0
-                x, y, taken = slot_x[slot], mech.flat[slot], slot_pos[slot]
-                arrived = arrival[y]
-                positions[movers] = y
-                status[movers] = arrived
-                on_round(movers, round_start + turns, x, y, taken, arrived)
-            elif key.size < nxt.size:
-                ended[done : done + nxt.size - key.size] = nxt[~goes]
-                done += nxt.size - key.size
+                x, y = x[order], mech.flat[slot]
+                on_round(movers, round_start + turns, x, y, slot - mech.indptr[x], arrival[y])
             if wait.size:  # the particles that did not move in this round move in the next
                 key, wait = np.concatenate((wait, key)), wait[:0]
             # t after the round: its end, or one past the last mover if all
@@ -449,21 +445,24 @@ class InvariantTracker:
     if an observer is given or particles x vertices is within
     _EVENT_CHECK_BUDGET; above it, about once per round: the first move whose
     t reaches the next check, which is then that t + n.  observer, if given,
-    is called after each round with the state and the round's RoundMoves.
+    is called after each round with the state, whose positions and statuses
+    the settle writes as it ends, and the round's RoundMoves.
 
-    The rotor-weight terms of the live range, in first-visit order, are
-    carried from round to round (read from the state's rotors after each
-    round) in one row after a running total.  Each evaluated move, in turn
-    order, sets its particle's voltage and its vertex's term, sets the total
-    to the voltages' sum plus min(t, n)/deg(origin) and folds the row with
-    np.add.accumulate.  Those are compute_invariant's float64 operations:
-    the voltages are one contiguous array of length n, so their sum is the
-    pairwise np.sum it takes of v[positions], and Python's float + and true
-    division of ints below 2^53 are numpy's.  A vertex first visited during
-    a round had no particle at the round's start (or, in a partial first
-    round, when this was built), so none leaves it in that round: its term
-    is +0.0, which leaves the running total's bits unchanged, so every move
-    may use the range at the round's end.
+    Each particle's voltage is read from the state's positions at
+    construction and set from every round's targets after.  The rotor-weight
+    terms of the live range, in first-visit order, are carried from round to
+    round (read from the state's rotors after each round) in one row after a
+    running total.  Each evaluated move, in turn order, sets its particle's
+    voltage and its vertex's term, sets the total to the voltages' sum plus
+    min(t, n)/deg(origin) and folds the row with np.add.accumulate.  Those
+    are compute_invariant's float64 operations: the voltages are one
+    contiguous array of length n, so their sum is the pairwise np.sum it
+    takes of v[positions], and Python's float + and true division of ints
+    below 2^53 are numpy's.  A vertex first visited during a round had no
+    particle at the round's start (or, in a partial first round, when this
+    was built), so none leaves it in that round: its term is +0.0, which
+    leaves the running total's bits unchanged, so every move may use the
+    range at the round's end.
     """
 
     def __init__(self, state: ExperimentState, profile: HarmonicProfile, wt: WeightTable,
@@ -471,6 +470,7 @@ class InvariantTracker:
         self._state, self._profile, self._wt, self._observer = state, profile, wt, observer
         value = compute_invariant(state, profile, wt)  # checks the dimensions before any lookup
         self._v = profile.voltage
+        self._vpos = self._v[state.positions]  # each particle's voltage, advanced every round
         self.target = float(state.n * self._v[state.graph.origin])
         self.max_dev = 0.0
         self._fold(value)
@@ -524,15 +524,15 @@ class InvariantTracker:
                 self._next_check = int(turns[first]) + 1 + st.n
         self._add_range()  # vertices first visited in this round: none of them was left
 
-        cols = self._col[source]
-        base = self._indptr[source]
+        cols, base = self._col[source], self._indptr[source]
         w0 = values[base + st.rho0[source]]
         out = np.empty(stop - first)
         if out.size:
             self._evaluate(movers, turns, source, target, values[base + taken] - w0, cols,
                            first, stop, out)
             self._fold(out)
-        # the rotors the round left behind, as compute_invariant reads them
+        # the voltages and rotors the round left behind, as compute_invariant reads them
+        self._vpos[movers] = self._v[target]
         self._terms[cols] = values[base + st.rho[source]] - w0
         if self._observer is not None:
             left = self._survivors - np.cumsum(arrived == _RETURNED)
@@ -540,16 +540,15 @@ class InvariantTracker:
             self._observer(st, RoundMoves(turns, movers, source, target, arrived, left, out))
 
     def _evaluate(self, movers, turns, source, target, moved_terms, cols, first, stop, out):
-        v, n, deg_origin, terms = self._v, self._state.n, self._deg_origin, self._terms
+        v, n, deg_origin, terms, vpos = self._v, self._state.n, self._deg_origin, self._terms, self._vpos
         row, folded = self._row[: self._cols + 1], self._folded[: self._cols + 1]
-        # the live range's terms (edited in place: on_round resets every moved
-        # column after) and the particle voltages before move `first`
+        # the live range's terms and the particle voltages before move `first`
+        # (edited in place: on_round resets every moved column and mover after)
         if first:
             done = cols[:first][::-1]
             _, last = np.unique(done, return_index=True)  # each column's last move
             terms[done[last]] = moved_terms[first - 1 - last]
-        vpos = v[self._state.positions]
-        vpos[movers[first:]] = v[source[first:]]
+            vpos[movers[:first]] = v[target[:first]]
         moves = (a[first:stop].tolist() for a in (movers, v[target], cols, moved_terms, turns + 1))
         for k, (i, vy, col, term, t) in enumerate(zip(*moves)):
             vpos[i] = vy

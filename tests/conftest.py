@@ -1,3 +1,5 @@
+import signal
+
 import pytest
 
 from rotorwalk import (
@@ -42,3 +44,27 @@ def p3_solved(p3):
     profile = solve_harmonic(g)
     wt = weight_table(g, mech, profile)
     return g, mech, profile, wt
+
+
+def pytest_configure(config):
+    config.addinivalue_line("markers", "deadline(seconds): fail the test if it runs longer than that")
+
+
+@pytest.fixture(autouse=True)
+def deadline(request):
+    """Turn a hang into a failure: in a test marked deadline(seconds), SIGALRM raises
+    TimeoutError after that many seconds.  Unmarked tests run without an alarm."""
+    marker = request.node.get_closest_marker("deadline")
+    if marker is None:
+        yield
+        return
+    seconds = marker.args[0]
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -57,6 +57,9 @@ def all_fixtures():
     ]
 
 
+# tests 1-4 and 7 settle with no step cap: a deadline well above each one's
+# passing time turns a kernel fault that leaves particles cycling into a failure
+@pytest.mark.deadline(30)
 def test_1_conserved_quantity_constant(capsys):
     """Max relative drift of the conserved quantity across randomized cases."""
     budget_s = 120.0
@@ -89,6 +92,7 @@ def test_1_conserved_quantity_constant(capsys):
           ok, f"{cases} cases, max relative drift {worst:.2e}, {elapsed:.1f}s")
 
 
+@pytest.mark.deadline(5)
 def test_2_min_config_lower_bound(capsys):
     """survivors/n >= alpha - 1e-9 at every step t >= n for the minimizer."""
     budget_s = 60.0
@@ -114,6 +118,7 @@ def test_2_min_config_lower_bound(capsys):
     _emit(capsys, 2, "escaped fraction never below its floor", ok, ", ".join(detail))
 
 
+@pytest.mark.deadline(5)
 def test_3_gap_closes_with_more_particles(capsys):
     """Gap to alpha nonnegative, non-increasing, and small by n = 10^4."""
     budget_s = 300.0
@@ -142,6 +147,7 @@ def test_3_gap_closes_with_more_particles(capsys):
     _emit(capsys, 3, "escape rate converges to alpha from above", ok, ", ".join(details))
 
 
+@pytest.mark.deadline(5)
 def test_4_three_vertex_path_exact(capsys):
     """Hand-checked fixture: every number exact, not approximate."""
     g = build_path(3)
@@ -226,6 +232,7 @@ def test_6_weight_identities(capsys):
           f"max increment dev {worst_inc:.2e}, max row-sum dev {worst_row:.2e}")
 
 
+@pytest.mark.deadline(5)
 def test_7_random_configs_stay_near_alpha(capsys):
     """Upper-side sanity at n = 10^4: reported, only range errors fail."""
     g = build_lattice_ball(3, 6)

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 
 import numpy as np
 import pytest
@@ -246,9 +247,26 @@ CROSS_GRAPHS = {
 
 
 def settled_fields(state):
-    return (state.t, state.positions.tolist(), state.rho.tolist(), state.status.tolist(),
-            state.survivors, state.remaining, state.range_order.tolist(),
-            bytes(state._range_mask))
+    """The fields a settle writes, by name, copied."""
+    return {"t": state.t, "positions": state.positions.copy(), "rho": state.rho.copy(),
+            "status": state.status.copy(), "survivors": state.survivors,
+            "remaining": state.remaining, "range_order": state.range_order.copy(),
+            "range mask": state._range_mask.copy()}
+
+
+def assert_fields_equal(got, want):
+    """Assert two settled_fields equal, one named field at a time.
+
+    Arrays are compared with np.array_equal, so a failure names its field
+    and is quick to print however long the arrays are.
+    """
+    assert got.keys() == want.keys()
+    for name, value in got.items():
+        assert np.array_equal(value, want[name]), f"{name} differs"
+
+
+def _no_hook(*round_moves):
+    """An on_round that does nothing: a hooked settle must write what an unhooked one does."""
 
 
 @pytest.mark.parametrize("graph_name", CROSS_GRAPHS)
@@ -256,7 +274,7 @@ def settled_fields(state):
 @pytest.mark.parametrize("mech_seed", [None, 11])
 @pytest.mark.parametrize("config_kind", ["min", "random"])
 def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
-    """The kernel moves whole rounds at once; settle_stepwise goes through step().
+    """The kernel moves whole rounds at once, hooked or not; settle_stepwise goes through step().
 
     Its keys are uint16 at n = 100 (and on lattice(3,3) at n = 1000) and
     uint32 otherwise; test_mid_round_resume_matches_stepwise gives uint8
@@ -270,29 +288,34 @@ def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
         config = random_config(g, 21)
 
     stepwise = settle_stepwise(init_experiment(g, mech, config, n))
-    # a kernel fault that leaves particles cycling aborts one round past the stepwise steps
-    batched = run_until_settled(init_experiment(g, mech, config, n), max_steps=stepwise.t + n)
-
-    assert batched.settled
-    assert settled_fields(batched) == settled_fields(stepwise)
+    for on_round in (None, _no_hook):
+        # a kernel fault that leaves particles cycling aborts one round past the stepwise steps
+        batched = run_until_settled(init_experiment(g, mech, config, n), max_steps=stepwise.t + n,
+                                    on_round=on_round)
+        assert batched.settled
+        assert_fields_equal(settled_fields(batched), settled_fields(stepwise))
 
 
 @pytest.mark.parametrize("graph_name", ["lattice(2,6)", "tree(3,4)"])
 def test_abort_leaves_the_stepwise_state(graph_name):
-    """A cap inside a round: the kernel moves the particles whose turns come first, as step() does."""
+    """A cap inside a round: the kernel, hooked or not, moves the particles whose turns come
+    first, as step() does."""
     g = CROSS_GRAPHS[graph_name]
     mech = shuffled_mechanism(g, 11)
     config = random_config(g, 21)
     n = 100
     full = settle_stepwise(init_experiment(g, mech, config, n))
+    hooked = functools.partial(run_until_settled, on_round=_no_hook)
     for cap in (1, n - 1, n, n + 37, full.t // 3, full.t // 2 + 1, full.t - 1):
         aborted = []
-        for settle in (run_until_settled, settle_stepwise):
+        for settle in (settle_stepwise, run_until_settled, hooked):
             state = init_experiment(g, mech, config, n)
             with pytest.raises(AbortedMaxSteps) as exc:
                 settle(state, max_steps=cap)
             aborted.append((str(exc.value), settled_fields(state)))
-        assert aborted[0] == aborted[1]
+        for message, fields in aborted[1:]:
+            assert message == aborted[0][0]
+            assert_fields_equal(fields, aborted[0][1])
 
 
 @pytest.mark.parametrize("graph_name", ["lattice(2,6)", "tree(3,4)"])
@@ -311,7 +334,7 @@ def test_abort_then_resume_equals_uninterrupted(graph_name):
     assert state.remaining == sum(s < ParticleStatus.RETURNED for s in state.status)
 
     run_until_settled(state, max_steps=full.t + n)
-    assert settled_fields(state) == settled_fields(full)
+    assert_fields_equal(settled_fields(state), settled_fields(full))
 
 
 def _resumed(g, mech, config, n, k):
@@ -338,7 +361,7 @@ def test_run_until_settled_never_calls_step(monkeypatch):
     monkeypatch.setattr(experiment, "step", refuse)
     for state in states:
         run_until_settled(state, max_steps=full.t + n)
-        assert settled_fields(state) == settled_fields(full)
+        assert_fields_equal(settled_fields(state), settled_fields(full))
 
 
 EXACT_GRAPHS = {
@@ -379,7 +402,7 @@ def test_invariant_equals_scalar_loop_after_every_move(graph_name, mech_seed, co
     assert 0 < resumed.t < state.t
     check(resumed)
     settle_stepwise(resumed, observer=check)
-    assert settled_fields(resumed) == settled_fields(state)
+    assert_fields_equal(settled_fields(resumed), settled_fields(state))
 
 
 def _round_kernel_moves(g, mech, config, n, profile, max_steps):
@@ -551,7 +574,8 @@ def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
                 batched = init_experiment(g, mech, config, n)
                 with contextlib.suppress(AbortedMaxSteps):
                     run_until_settled(batched, max_steps=cap)
-                assert settled_fields(batched) != settled_fields(stepwise)
+                with pytest.raises(AssertionError):
+                    assert_fields_equal(settled_fields(batched), settled_fields(stepwise))
 
                 checked = init_experiment(g, mech, config, n)
                 tracker = experiment.InvariantTracker(checked, profile, wt)
@@ -586,7 +610,7 @@ def test_trial_bits_mutation_fails_the_ensemble(monkeypatch):
         stepwise = settle_stepwise(init_experiment(g, mech, config, 100))
         batched = run_until_settled(init_experiment(g, mech, config, 100), max_steps=stepwise.t + 100)
         assert calls
-        assert settled_fields(batched) == settled_fields(stepwise)
+        assert_fields_equal(settled_fields(batched), settled_fields(stepwise))
 
 
 def test_range_order_mutation_fails_stepwise(monkeypatch):
@@ -606,8 +630,8 @@ def test_range_order_mutation_fails_stepwise(monkeypatch):
             batched = settled_fields(run_until_settled(init_experiment(g, mech, config, 100),
                                                        max_steps=stepwise.t + 100))
             stepwise = settled_fields(stepwise)
-            assert batched[:6] == stepwise[:6] and batched[7] == stepwise[7]
-            order_differs |= batched[6] != stepwise[6]
+            order_differs |= not np.array_equal(batched.pop("range_order"), stepwise.pop("range_order"))
+            assert_fields_equal(batched, stepwise)
         got, expected = _trial_survivors(g, mech, 20)
         assert got == expected
     assert order_differs
@@ -641,23 +665,26 @@ def test_uint64_keys_settle_as_the_narrow_ones(monkeypatch):
         state = init_experiment(g, mech, config, n)
         with pytest.raises(AbortedMaxSteps) as exc:
             run_until_settled(state, max_steps=full.t // 2 + 7)
-        aborted = (str(exc.value), settled_fields(state))
+        aborted = settled_fields(state)
         invariants = []
         tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: invariants.append(
             moves.invariant))
         run_until_settled(state, on_round=tracker.on_round)
-        return (settled_fields(full), aborted, settled_fields(state),
-                np.concatenate(invariants).tobytes(), _trial_survivors(g, mech, 20)[0])
+        return ((settled_fields(full), aborted, settled_fields(state)),
+                (str(exc.value), np.concatenate(invariants).tobytes(), _trial_survivors(g, mech, 20)[0]))
 
-    narrow = settle_all()
+    narrow_fields, narrow = settle_all()
     widths = []
     step_ = experiment._round_step
     monkeypatch.setattr(experiment, "_key_layout",
                         lambda *args: (*layout(*args)[:2], layout(*args)[2].astype(np.uint64)))
     monkeypatch.setattr(experiment, "_round_step",
                         lambda key, *args: widths.append(key.dtype) or step_(key, *args))
-    assert settle_all() == narrow
+    wide_fields, wide = settle_all()
     assert set(widths) == {np.dtype(np.uint64)}
+    assert wide == narrow
+    for got, want in zip(wide_fields, narrow_fields):
+        assert_fields_equal(got, want)
 
 
 @pytest.mark.parametrize("graph_name", EXACT_GRAPHS)
@@ -687,7 +714,7 @@ def test_mid_round_resume_matches_stepwise(graph_name, config_kind, n):
         tracker = experiment.InvariantTracker(state, profile, wt, lambda st, moves: got.extend(
             zip(moves.t.tolist(), moves.mover.tolist(), moves.invariant.tolist())))
         run_until_settled(state, max_steps=stepwise.t + n, on_round=tracker.on_round)
-        assert settled_fields(state) == settled_fields(stepwise)
+        assert_fields_equal(settled_fields(state), settled_fields(stepwise))
         assert got == expected
 
         round_end = start - start % n + n
@@ -702,9 +729,11 @@ def test_mid_round_resume_matches_stepwise(graph_name, config_kind, n):
                 except AbortedMaxSteps as exc:
                     message = str(exc)
                 aborted.append((message, settled_fields(resumed)))
-            assert aborted[0] == aborted[1]
+            assert aborted[0][0] == aborted[1][0]
+            assert_fields_equal(aborted[0][1], aborted[1][1])
 
 
+@pytest.mark.deadline(5)  # the any-order oracle gives no step count to cap the settle
 @pytest.mark.parametrize("graph_name", EXACT_GRAPHS)
 @pytest.mark.parametrize("mech_seed", [None, 11])
 @pytest.mark.parametrize("config_kind", ["min", "random"])

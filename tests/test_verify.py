@@ -1,5 +1,4 @@
 import os
-import signal
 from collections import Counter
 
 import numpy as np
@@ -165,21 +164,9 @@ def test_mc_green_check_failure_reaches_the_caller(monkeypatch, forked):
     _assert_no_child()
 
 
-@pytest.fixture
-def deadline():
-    """Turn a hang into a failure: SIGALRM raises TimeoutError in the test after 30 s."""
-    def expire(signum, frame):
-        raise TimeoutError("still waiting after 30 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(30)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
+@pytest.mark.deadline(30)
 @pytest.mark.parametrize("forked", [True, False])
-def test_worker_that_exits_without_a_result_raises(monkeypatch, deadline, forked):
+def test_worker_that_exits_without_a_result_raises(monkeypatch, forked):
     """A child that dies before it sends an outcome is an error in the caller, not a hang."""
     caller = os.getpid()
 
@@ -198,8 +185,9 @@ def test_worker_that_exits_without_a_result_raises(monkeypatch, deadline, forked
     _assert_no_child()
 
 
+@pytest.mark.deadline(30)
 @pytest.mark.parametrize("forked", [True, False])
-def test_caller_failure_does_not_wait_on_a_writing_worker(monkeypatch, deadline, forked):
+def test_caller_failure_does_not_wait_on_a_writing_worker(monkeypatch, forked):
     """A result larger than a pipe's buffer, never read: the child gets EPIPE and is reaped."""
     if not forked:
         monkeypatch.delattr(os, "fork")
