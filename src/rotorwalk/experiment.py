@@ -23,8 +23,10 @@ exactly once per round.  So the particles leaving x in a round are the ones
 at x when the round starts, in turn order, and the k-th of them (k = 0, 1,
 ...) takes mechanism position (rho(x) + k + 1) mod deg(x).  Each live
 particle is one unsigned key x << b | u, u its turn in the round, so one
-in-place sort of the unique keys puts each vertex's leavers together in
-turn order; a move rewrites the vertex bits and keeps the turn.
+in-place sort of a round's keys puts each vertex's leavers together in turn
+order; a move rewrites the vertex bits and keeps the turn.  An arrival at a
+sink or the origin has a code above every live vertex id (_key_layout), so
+the sort of a round's arrivals also puts the finished ones last.
 settle_trials settles a group of independent runs from t = 0 on the same
 round step and gives each run's survivors, exactly: a particle at x in
 trial j has the key (x << c | j) << b | u, and x << c | j indexes one flat
@@ -196,10 +198,11 @@ def run_until_settled(
     or not: positions and statuses, like t, survivors and remaining, are
     written when the settle ends or stops; rotors and the range are updated
     each round.  From part-way through a round, the live particles whose
-    turns in it have passed wait and lead the next round.  A round whose
-    turns reach max_steps moves only the particles whose turns come first,
-    then raises AbortedMaxSteps, naming the first live turn at or past
-    max_steps, with t one past its last move; it can be resumed.
+    turns in it have passed wait and lead the next round (their keys, merged
+    in, make its only second sort).  A round whose turns reach max_steps
+    moves only the particles whose turns come first, then raises
+    AbortedMaxSteps, naming the first live turn at or past max_steps, with t
+    one past its last move; it can be resumed.
 
     on_round, if given, sees every move made after this call: it is called
     after each round, a partial first round included, with the round's
@@ -215,11 +218,9 @@ def run_until_settled(
     arrival = np.full(num_vertices, _ACTIVE, dtype=np.int8)
     arrival[state.graph.is_sink] = _ABSORBED
     arrival[origin] = _RETURNED
-    goes_on = (arrival == _ACTIVE)[mech.flat]  # a particle leaving through each slot stays live
     positions, status, rho = state.positions, state.status, state.rho
-    b, _, slot_key = _key_layout(num_vertices, mech, n, 1)
-    turn_bits = (1 << b) - 1
-    ranks = np.arange(1, n + 1)
+    b, _, slot_key, first, finished = _key_layout(state.graph, mech, n, 1)
+    fin, turn_bits = slot_key.dtype.type(first << b), (1 << b) - 1
 
     # each live particle's key, vertex << b | turn (turn u is particle (u + 1) mod n);
     # those whose turns in this round have passed wait
@@ -230,6 +231,7 @@ def run_until_settled(
     wait, key = key[: t % n][alive[: t % n]], key[t % n :][alive[t % n :]]
     if wait.size and not key.size:  # nobody left to move in this round
         key, wait, t = wait, key, t - t % n + n
+    _, rotor, start = _sort_keys(key, b, fin)
     ended, done = np.empty(n, dtype=slot_key.dtype), 0  # ended[:done]: finished keys, on arrival
     try:
         while key.size:
@@ -245,36 +247,35 @@ def run_until_settled(
                         raise AbortedMaxSteps(f"experiment not settled after {over} steps")
                     wait = np.concatenate((wait, key[late]))
                     key, last_turn = key[~late], round_start + int(turns[~late].max())
-            slot, nxt = _round_step(key, b, 0, rho, deg, mech.indptr, slot_key, ranks)
-            if state._num_visited < num_vertices:
-                _visit_first(state, nxt, b)
-            goes = goes_on[slot]
-            x = None if on_round is None else np.right_shift(key, b, dtype=np.intp)  # in slot's order
-            key = nxt[goes]
-            if key.size < nxt.size:
-                ended[done : done + nxt.size - key.size] = nxt[~goes]
-                done += nxt.size - key.size
-            if on_round is not None:  # report the round's moves in turn order
+                    _, rotor, start = _sort_keys(key, b, fin)  # still sorted
+            slot, nxt = _round_step(key, rotor, start, b, 0, rho, deg, mech.indptr, slot_key)
+            if on_round is not None:  # the round's moves in turn order, read before the sort
                 turns = np.bitwise_and(nxt, turn_bits, dtype=np.intp)
                 order = np.argsort(turns)
-                turns, slot = turns[order], slot[order]
-                movers = turns + 1
-                if movers[-1] == n:  # turns ascend: only the last can be n - 1, particle 0
-                    movers[-1] = 0
-                x, y = x[order], mech.flat[slot]
-                on_round(movers, round_start + turns, x, y, slot - mech.indptr[x], arrival[y])
+                turns, slot, x = turns[order], slot[order], rotor[order]
+                y = mech.flat[slot]
+                moves = (turns + 1) % n, round_start + turns, x, y, slot - mech.indptr[x], arrival[y]
+            del slot, rotor  # freed before the next round's rotors are made
+            live, rotor, start = _sort_keys(nxt, b, fin)
+            ended[done : done + nxt.size - live] = nxt[live:]
+            done += nxt.size - live
+            key = nxt[:live]
+            if state._num_visited < num_vertices:
+                _visit_first(state, nxt, start, b, first, finished)
+            if on_round is not None:
+                on_round(*moves)
+            if over is not None:
+                t = last_turn + 1  # one past the last mover: the round stops short of max_steps
+                raise AbortedMaxSteps(f"experiment not settled after {over} steps")
             if wait.size:  # the particles that did not move in this round move in the next
                 key, wait = np.concatenate((wait, key)), wait[:0]
-            # t after the round: its end, or one past the last mover if all
-            # finished or the round stops short of max_steps
-            if over is None:
-                t = round_start + n if key.size else round_start + int((nxt & turn_bits).max()) + 1
-            else:
-                t = last_turn + 1
-                raise AbortedMaxSteps(f"experiment not settled after {over} steps")
+                _, rotor, start = _sort_keys(key, b, fin)
+            # t after the round: its end, or one past the last mover if all finished
+            t = round_start + n if key.size else round_start + int((nxt & turn_bits).max()) + 1
     finally:
         keys = np.concatenate((ended[:done], key, wait))
         y = (keys >> b).astype(np.intp)
+        y[:done] = finished[y[:done] - first]  # the finished codes
         arrived = arrival[y]
         arrived[done:][y[done:] == origin] = _AT_ORIGIN  # a live particle there has not moved
         movers = ((keys & turn_bits) + 1) % n
@@ -287,38 +288,47 @@ def run_until_settled(
     return state
 
 
-def _key_layout(num_vertices: int, mechanism: RotorMechanism, n: int, group: int):
-    """The bit widths b and c of a settle's particle keys, and each flat slot's key.
+def _key_layout(graph: Graph, mechanism: RotorMechanism, n: int, group: int):
+    """The bit widths b and c of a settle's particle keys, each flat slot's key, and the finished codes.
 
-    A particle of turn u at vertex x, in trial j of a group of runs, is the
-    key (x << c | j) << b | u, where b and c are the bit lengths of n - 1 and
-    group - 1, in the narrowest unsigned type that holds the largest key.
-    Its rotor is key >> b.  Leaving x through flat slot s, it takes the key
-    slot_key[s] | (key & low), low being the b + c low bits.
+    A particle of turn u at vertex code x, in trial j of a group of runs, is
+    the key (x << c | j) << b | u, where b and c are the bit lengths of n - 1
+    and group - 1, in the narrowest unsigned type that holds the largest key.
+    Its rotor is key >> b.  Leaving through flat slot s, it takes the key
+    slot_key[s] | (key & low), low being the b + c low bits.  A live vertex
+    is its own code; code first + k, first being one past every live id, is
+    an arrival at finished[k]: the k-th sink (which keeps its id if all the
+    sinks come last) or, last, the origin.
     """
+    num_vertices = graph.num_vertices
+    finished = np.append(np.flatnonzero(graph.is_sink), graph.origin).astype(
+        np.min_scalar_type(num_vertices - 1))
+    first = num_vertices - int(graph.is_sink[::-1].argmin())  # one past the last live id
     b, c = (n - 1).bit_length(), (group - 1).bit_length()
-    top = ((num_vertices - 1) << c | (group - 1)) << b | (n - 1)
-    return b, c, mechanism.flat.astype(np.min_scalar_type(top)) << (b + c)
+    top = ((first + finished.size - 1) << c | (group - 1)) << b | (n - 1)
+    code = np.arange(num_vertices, dtype=np.min_scalar_type(top))
+    code[finished] = np.arange(first, first + finished.size, dtype=code.dtype)
+    slot_key = code[mechanism.flat]
+    slot_key <<= b + c
+    return b, c, slot_key, first, finished
 
 
-def _round_step(key, b, c, rho, deg, indptr, slot_key, ranks):
-    """Move one round's particles, given as keys; return their slots taken and next keys.
+def _round_step(key, rotor, start, b, c, rho, deg, indptr, slot_key):
+    """Move one round's particles, given as sorted keys; return their slots taken and next keys.
 
-    Both are in the order of key, which is sorted in place: that groups each
-    rotor's leavers in turn order (keys are unique).  The leaver at index k
-    of a group starting at index start takes mechanism position
-    (rho + k - start + 1) mod deg, and the group's last leaver's position is
-    the new rotor (rho is indexed by rotor and written in place; its type
-    must hold rho - key.size).  ranks is 1, 2, ..., at least key.size long.
+    rotor and start are _sort_keys(key, ...)'s: sorted, each rotor's leavers
+    are together in turn order.  The leaver at index k of a group starting at
+    index start takes mechanism position (rho + k - start + 1) mod deg, and
+    the group's last leaver's position is the new rotor (rho is indexed by
+    rotor and written in place; its type must hold rho - key.size).
     """
-    key.sort()
-    rotor = (key >> b).astype(np.intp)
     x = rotor >> c if c else rotor
-    end = (rotor[1:] != rotor[:-1]).nonzero()[0]  # each group's last index, but the last group's
-    start = end + 1
+    start = start[: start.searchsorted(key.size)]  # start may run on into a finished tail
+    end = start - 1
     # rho - start, for one gather; every rotor moved here is set again below
     rho[rotor[start]] -= start
-    slot = ranks[: key.size] + rho[rotor]
+    slot = np.arange(1, key.size + 1)  # k - start + 1, once rho - start is added
+    slot += rho[rotor]
     slot %= deg[x]
     rho[rotor[end]] = slot[end]
     rho[rotor.item(-1)] = slot.item(-1)
@@ -328,24 +338,29 @@ def _round_step(key, b, c, rho, deg, indptr, slot_key, ranks):
     return slot, nxt
 
 
-def _visit_first(state: ExperimentState, key: np.ndarray, b: int) -> None:
-    """Add the unvisited vertices that keys vertex << b | turn reach to the range, by first arrival.
+def _sort_keys(key, b, fin):
+    """Sort keys in place, finished ones (from fin on) last; return the live count, the live
+    keys' rotors and, over all the keys, the start of every group of one rotor but the first."""
+    key.sort()
+    live = int(key.searchsorted(fin))
+    rotor = (key >> b).astype(np.intp)
+    return live, rotor[:live], (rotor[1:] != rotor[:-1]).nonzero()[0] + 1
 
-    key is in vertex order, not turn order: the vertices are ordered by
-    their smallest arriving turn.
+
+def _visit_first(state: ExperimentState, arrivals, start, b, first, finished) -> None:
+    """Add the unvisited vertices a round's sorted arrivals reach to the range, by first arrival.
+
+    start indexes every group of arrivals at one code but the first: each
+    group's first key holds its smallest turn, which orders the vertices.
     """
-    y = np.right_shift(key, b, dtype=np.intp)
-    seen = state._range_mask[y]
-    if seen.all():
-        return
-    fresh = ~seen
-    y = y[fresh][np.argsort(key[fresh] & ((1 << b) - 1))]
-    _, first = np.unique(y, return_index=True)
-    y = y[np.sort(first)]
+    heads = arrivals[np.concatenate(([0], start))]
+    y = (heads >> b).astype(np.intp)
+    y[y >= first] = finished[y[y >= first] - first]  # the finished codes
+    fresh = ~state._range_mask[y]
+    y = y[fresh][np.argsort(heads[fresh] & ((1 << b) - 1))]
     state._range_mask[y] = True
-    count = state._num_visited
-    state._visits[count : count + y.size] = y
-    state._num_visited = count + y.size
+    state._visits[state._num_visited : state._num_visited + y.size] = y
+    state._num_visited += y.size
 
 
 def settle_trials(
@@ -356,20 +371,20 @@ def settle_trials(
     Each run's survivors are run_until_settled's from t = 0.  Every run
     ends: each particle reaches the origin or a sink.  configs is read and
     settled in groups of max(1, _TRIAL_ELEMENTS // max(n, V)), on the round
-    step of run_until_settled with each run's trial bits in its keys.
+    step of run_until_settled with each run's trial bits in its keys; each
+    round's returns, the top of its sorted arrivals, are counted by trial.
     """
     if n < 1:
         raise InvalidParameter(f"particle count must be >= 1, got {n}")
     check_mechanism(graph, mechanism)
     num_vertices, origin = graph.num_vertices, graph.origin
     deg = np.diff(mechanism.indptr)
-    stays = ~graph.is_sink & (np.arange(num_vertices) != origin)  # arriving there leaves it live
-    goes_on = stays[mechanism.flat]
     survivors, configs = [], iter(configs)
     while group := list(islice(configs, max(1, _TRIAL_ELEMENTS // max(n, num_vertices)))):
         for config in group:
             check_config(graph, config)
-        b, c, slot_key = _key_layout(num_vertices, mechanism, n, len(group))
+        b, c, slot_key, first, finished = _key_layout(graph, mechanism, n, len(group))
+        fin, back = np.array([first, first + finished.size - 1], slot_key.dtype) << (b + c)
         # rotor x << c | j is vertex x's rotor in trial j.  int32 holds every
         # position and, in a round step, rho - start for any group of fewer
         # than 2^31 particles
@@ -379,15 +394,15 @@ def settle_trials(
         rho = rho.ravel()
         key = (((origin << c | np.arange(len(group))) << b)[:, None] | np.arange(n)).ravel()
         key = key.astype(slot_key.dtype)
-        ranks, done = np.arange(1, key.size + 1), []
+        _, rotor, start = _sort_keys(key, b, fin)
+        returned = np.zeros(len(group), dtype=np.intp)
         while key.size:
-            slot, nxt = _round_step(key, b, c, rho, deg, mechanism.indptr, slot_key, ranks)
-            goes = goes_on[slot]
-            done.append(nxt[~goes])
-            key = nxt[goes]
-        done = np.concatenate(done)
-        back = done[done >> (b + c) == origin]
-        returned = np.bincount(((back >> b) & ((1 << c) - 1)).astype(np.intp), minlength=len(group))
+            nxt = _round_step(key, rotor, start, b, c, rho, deg, mechanism.indptr, slot_key)[1]
+            del rotor  # freed before the next round's rotors are made
+            live, rotor, start = _sort_keys(nxt, b, fin)
+            trial = (nxt[nxt.searchsorted(back) :] >> b) & ((1 << c) - 1)
+            returned += np.bincount(trial.astype(np.intp), minlength=len(group))
+            key = nxt[:live]
         survivors += (n - returned).tolist()
     return survivors
 

@@ -425,6 +425,10 @@ def test_precompute_outputs_match_golden(capsys, tmp_path, name, argv, files):
     # the benchmark's settle workload at seed 3, unchecked: no hook, 283,505,659 steps
     ("settle-lattice-2-40-n50000",
      ("--lattice", "2", "40", "--n", "50000", "--mechanism", "shuffled", "--seed-mech", "3")),
+    # 729 sinks, each with its own finished code: three unchecked settles, steps included
+    ("tree-3-6",
+     ("--tree", "3", "6", "--n", "100,1000,5000", "--mechanism", "shuffled", "--seed-mech", "4",
+      "--config", "random", "--seed-config", "4")),
 ])
 def test_run_reports_match_golden(capsys, tmp_path, name, argv):
     code, _, _ = run_cli(capsys, "run", *argv, "--out-dir", str(tmp_path))

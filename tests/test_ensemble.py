@@ -15,9 +15,11 @@ from rotorwalk import (
     build_lattice_ball,
     build_path,
     default_mechanism,
+    init_experiment,
     load_edge_list,
     random_config,
     random_ensemble,
+    run_until_settled,
     shuffled_mechanism,
     solve_harmonic,
 )
@@ -58,6 +60,20 @@ def test_settle_trials_equals_reference(monkeypatch, g, mech_seed, n, seed):
     rates = random_ensemble(g, mech, n, TRIALS, seed).rates
     assert rates == [s / n for s in survivors]
     assert all(type(r) is float for r in rates)
+
+
+def test_settle_trials_equals_single_runs_with_many_sinks(monkeypatch):
+    """On tree(3,5) every leaf is a sink, 243 finished codes: each trial's survivors are its own
+    run_until_settled's, in one group or several."""
+    g = build_bary_tree(3, 5)
+    mech = shuffled_mechanism(g, 4)
+    configs = [random_config(g, 30 + k) for k in range(TRIALS)]
+    n = 300
+    survivors = [run_until_settled(init_experiment(g, mech, config, n)).survivors for config in configs]
+    assert settle_trials(g, mech, configs, n) == survivors
+    for size in (2, 3):
+        _group_of(monkeypatch, g, n, size)
+        assert settle_trials(g, mech, configs, n) == survivors
 
 
 def test_random_ensemble_validates_once(monkeypatch):
@@ -115,3 +131,24 @@ def test_ensemble_memory_does_not_grow_with_trials():
         finally:
             tracemalloc.stop()
     assert max(peaks) <= 1.25 * min(peaks), peaks
+
+
+def test_settle_memory_per_particle():
+    """An unhooked settle of many more particles than vertices holds at most 40 bytes per particle.
+
+    Its arrays per particle are the key, the finished keys and, in a round,
+    the rotors, the slots and one gather; the per-settle tables scale with
+    the graph, here 50,000 particles on 3,282 vertices.
+    """
+    g = build_lattice_ball(2, 40)
+    mech = shuffled_mechanism(g, 7)
+    n = 50_000
+    state = init_experiment(g, mech, random_config(g, 7), n)
+    tracemalloc.start()
+    try:
+        run_until_settled(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert state.settled
+    assert peak <= 40 * n, peak / n

@@ -18,6 +18,7 @@ from rotorwalk import (
     default_mechanism,
     escape_sweep,
     init_experiment,
+    load_edge_list,
     min_weight_config,
     random_config,
     run_until_settled,
@@ -276,9 +277,10 @@ def _no_hook(*round_moves):
 def test_batched_settle_matches_stepwise(graph_name, n, mech_seed, config_kind):
     """The kernel moves whole rounds at once, hooked or not; settle_stepwise goes through step().
 
-    Its keys are uint16 at n = 100 (and on lattice(3,3) at n = 1000) and
-    uint32 otherwise; test_mid_round_resume_matches_stepwise gives uint8
-    keys at n = 1 and 2 (and on path(5) at n = 7).
+    Its keys are uint16 at n = 100 and uint32 otherwise (lattice(3,3) has
+    V = 64, and its return code 64 takes the n = 1000 keys past 16 bits);
+    test_mid_round_resume_matches_stepwise gives uint8 keys at n = 1 and 2
+    (and on path(5) at n = 7).
     """
     g = CROSS_GRAPHS[graph_name]
     mech = default_mechanism(g) if mech_seed is None else shuffled_mechanism(g, mech_seed)
@@ -487,15 +489,13 @@ def test_round_invariants_resume_after_abort():
 def _mutant_round_step(kind, calls):
     """experiment._round_step with one seeded fault, counting its calls in `calls`.
 
-    The ranks come from a running maximum over the group starts, not from
-    per-rotor offsets, so the fault-free parts are a second implementation
-    of the step.
+    The ranks come from a running maximum over the group starts, found from
+    the rotors, not from the group starts given, so the fault-free parts are
+    a second implementation of the step.
     """
 
-    def round_step(key, b, c, rho, deg, indptr, slot_key, ranks):
+    def round_step(key, rotor, _start, b, c, rho, deg, indptr, slot_key):
         calls.append(key.size)
-        key.sort()
-        rotor = (key >> b).astype(np.intp)
         x = rotor >> c
         m = key.size
         run_edge = np.ones(m + 1, dtype=bool)
@@ -525,12 +525,44 @@ def _mutant_round_step(kind, calls):
     return round_step
 
 
-def _visit_in_key_order(state, key, b):
-    """experiment._visit_first with a seeded fault: fresh vertices in key order, not by first arrival."""
-    y = (key >> b).astype(np.intp)
-    y = y[~state._range_mask[y]]
-    _, first = np.unique(y, return_index=True)
-    y = y[np.sort(first)]
+def _split_too_far(key, b, fin):
+    """experiment._sort_keys with a seeded fault: where a round's sorted keys hold finished
+    ones, the split between live and finished is one key too far, retiring a live particle."""
+    key.sort()
+    live = int(np.searchsorted(key, fin))
+    live -= 0 < live < key.size
+    rotor = (key >> b).astype(np.intp)
+    return live, rotor[:live], np.flatnonzero(rotor[1:] != rotor[:-1]) + 1
+
+
+def _misdecoding(key_layout):
+    """key_layout with a seeded fault: the return to the origin decodes to the last sink, and
+    that sink's arrivals to the origin."""
+
+    def layout(*args):
+        *kept, finished = key_layout(*args)
+        return (*kept, finished[np.r_[: finished.size - 2, -1, -2]])
+
+    return layout
+
+
+def _seed_fault(monkeypatch, kind, calls):
+    """Settle on _mutant_round_step(kind, calls), with the fault of kind if it lies past the move."""
+    if kind == "finished-split-off-by-one":
+        monkeypatch.setattr(experiment, "_sort_keys", _split_too_far)
+    elif kind == "finished-code-misdecoded":
+        monkeypatch.setattr(experiment, "_key_layout", _misdecoding(experiment._key_layout))
+    monkeypatch.setattr(experiment, "_round_step", _mutant_round_step(kind, calls))
+
+
+def _visit_from_tails(state, arrivals, start, b, first, finished):
+    """experiment._visit_first with a seeded fault: fresh vertices ordered by the turn of each
+    arrival group's last key, not its first."""
+    tails = arrivals[np.append(start - 1, arrivals.size - 1)]
+    y = (tails >> b).astype(np.intp)
+    y[y >= first] = finished[y[y >= first] - first]
+    fresh = ~state._range_mask[y]
+    y = y[fresh][np.argsort(tails[fresh] & ((1 << b) - 1))]
     state._range_mask[y] = True
     state._visits[state._num_visited : state._num_visited + y.size] = y
     state._num_visited += y.size
@@ -546,21 +578,23 @@ def _trial_survivors(g, mech, n):
 
 
 @pytest.mark.parametrize("kind", ["rank-dropped", "rank-reversed", "first-sets-rotor",
-                                  "rotor-overshoots", "last-write-dropped"])
+                                  "rotor-overshoots", "last-write-dropped",
+                                  "finished-split-off-by-one", "finished-code-misdecoded"])
 def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
     """Each seeded round-step fault differs from the stepwise engine and breaks the checked invariant.
 
     The kernel may run one round past the stepwise steps, so a fault that
     leaves particles cycling, as last-write-dropped does, aborts at once; an
-    abort counts as differing.  rank-reversed leaves every round's end state
-    conserved; only the per-move values inside the round show it.
-    settle_trials runs the same step: every fault but rank-reversed changes
-    some run's survivors there, while rank-reversed only swaps which of a
-    rotor's leavers takes which move, which survivors cannot see.
+    abort, or an index error from a misplaced split, counts as differing.
+    rank-reversed leaves every round's end state conserved; only the per-move
+    values inside the round show it.  settle_trials runs the same step and
+    split: every fault but two changes some run's survivors there.
+    rank-reversed only swaps which of a rotor's leavers takes which move,
+    and settle_trials counts returns by their code, which it never decodes.
     settle_trials takes no max_steps, so last-write-dropped is not run there.
     """
     calls = []
-    monkeypatch.setattr(experiment, "_round_step", _mutant_round_step(kind, calls))
+    _seed_fault(monkeypatch, kind, calls)
     trials_end = kind != "last-write-dropped"
     survivors_differ = False
     for g in CROSS_GRAPHS.values():
@@ -572,14 +606,14 @@ def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
                 stepwise = settle_stepwise(init_experiment(g, mech, config, n))
                 cap = stepwise.t + n
                 batched = init_experiment(g, mech, config, n)
-                with contextlib.suppress(AbortedMaxSteps):
+                with contextlib.suppress(AbortedMaxSteps, IndexError):
                     run_until_settled(batched, max_steps=cap)
                 with pytest.raises(AssertionError):
                     assert_fields_equal(settled_fields(batched), settled_fields(stepwise))
 
                 checked = init_experiment(g, mech, config, n)
                 tracker = experiment.InvariantTracker(checked, profile, wt)
-                with contextlib.suppress(AbortedMaxSteps):
+                with contextlib.suppress(AbortedMaxSteps, IndexError):
                     run_until_settled(checked, max_steps=cap, on_round=tracker.on_round)
                 assert tracker.finish() > 1e-8 * tracker.target
 
@@ -589,7 +623,7 @@ def test_kernel_mutations_fail_stepwise_and_invariant(monkeypatch, kind):
                 assert calls  # settle_trials moved its rounds on the faulty step
                 survivors_differ |= got != expected
     if trials_end:
-        assert survivors_differ is (kind != "rank-reversed")
+        assert survivors_differ is (kind not in ("rank-reversed", "finished-code-misdecoded"))
 
 
 def test_trial_bits_mutation_fails_the_ensemble(monkeypatch):
@@ -600,7 +634,7 @@ def test_trial_bits_mutation_fails_the_ensemble(monkeypatch):
     still equals the stepwise engine.
     """
     calls = []
-    monkeypatch.setattr(experiment, "_round_step", _mutant_round_step("trial-bits-dropped", calls))
+    _seed_fault(monkeypatch, "trial-bits-dropped", calls)
     for g in CROSS_GRAPHS.values():
         mech = shuffled_mechanism(g, 11)
         got, expected = _trial_survivors(g, mech, 20)
@@ -614,14 +648,14 @@ def test_trial_bits_mutation_fails_the_ensemble(monkeypatch):
 
 
 def test_range_order_mutation_fails_stepwise(monkeypatch):
-    """Fresh vertices recorded in key order, not by their first arrival turn, break range_order only.
+    """Fresh vertices ordered by their last arrival turn, not their first, break range_order only.
 
-    The keys of a round are in vertex order, so the fault shows against
-    settle_stepwise.  Everything else the kernel writes still equals the
+    Several particles reach a fresh vertex in one round, so the fault shows
+    against settle_stepwise.  Everything else the kernel writes still equals the
     stepwise engine's, and settle_trials, which records no range, still
     gives the reference survivors.
     """
-    monkeypatch.setattr(experiment, "_visit_first", _visit_in_key_order)
+    monkeypatch.setattr(experiment, "_visit_first", _visit_from_tails)
     order_differs = False
     for g in CROSS_GRAPHS.values():
         mech = shuffled_mechanism(g, 11)
@@ -642,16 +676,17 @@ def test_uint64_keys_settle_as_the_narrow_ones(monkeypatch):
 
     The key type is the narrowest unsigned type that holds the largest key;
     the cross tests cover uint8, uint16 and uint32 (checked here, see
-    test_batched_settle_matches_stepwise).  uint64 keys need (V - 1)·2^b >=
-    2^32, which no test graph reaches cheaply, so _key_layout is patched to
+    test_batched_settle_matches_stepwise).  uint64 keys need V·2^b >= 2^32
+    (V the return code on every built-in graph), which no test graph reaches
+    cheaply, so _key_layout is patched to
     widen the slot keys, and with them every particle key: a settle, an
     abort and a hooked resume, and settle_trials, must end as with narrow keys.
     """
     layout = experiment._key_layout
     for name, n, width in [("path(5)", 7, np.uint8), ("lattice(2,6)", 100, np.uint16),
-                           ("lattice(3,3)", 1000, np.uint16), ("lattice(2,6)", 1000, np.uint32)]:
+                           ("lattice(3,3)", 1000, np.uint32), ("lattice(2,6)", 1000, np.uint32)]:
         g = EXACT_GRAPHS.get(name) or CROSS_GRAPHS[name]
-        assert layout(g.num_vertices, default_mechanism(g), n, 1)[2].dtype == width
+        assert layout(g, default_mechanism(g), n, 1)[2].dtype == width
 
     g = CROSS_GRAPHS["lattice(2,6)"]
     mech = shuffled_mechanism(g, 11)
@@ -677,7 +712,8 @@ def test_uint64_keys_settle_as_the_narrow_ones(monkeypatch):
     widths = []
     step_ = experiment._round_step
     monkeypatch.setattr(experiment, "_key_layout",
-                        lambda *args: (*layout(*args)[:2], layout(*args)[2].astype(np.uint64)))
+                        lambda *args: (*layout(*args)[:2], layout(*args)[2].astype(np.uint64),
+                                       *layout(*args)[3:]))
     monkeypatch.setattr(experiment, "_round_step",
                         lambda key, *args: widths.append(key.dtype) or step_(key, *args))
     wide_fields, wide = settle_all()
@@ -731,6 +767,73 @@ def test_mid_round_resume_matches_stepwise(graph_name, config_kind, n):
                 aborted.append((message, settled_fields(resumed)))
             assert aborted[0][0] == aborted[1][0]
             assert_fields_equal(aborted[0][1], aborted[1][1])
+
+
+# the sinks s0 and s1 get ids 0 and 5, below the live id 6 of d, so neither keeps its id as
+# its finished code
+SINK_FIRST = load_edge_list("s0 a\na b\nb c\na o\no b\no c\nc s1\nb d\nd s0\nd o\nc d\n",
+                            origin="o", sinks=["s0", "s1"])
+LAYOUT_CASES = {
+    "sink-first-edge-list": (SINK_FIRST, 50),
+    # V = 8 and V = 64: the return code V takes one more vertex bit than any vertex id, and
+    # with it the keys, uint8 and uint16 for the ids alone, a wider type
+    "path(8)": (build_path(8), 32),
+    "lattice(3,3)": (CROSS_GRAPHS["lattice(3,3)"], 1000),
+}
+
+
+def _by_step(state, max_steps, moves):
+    settle_stepwise(state, max_steps, observer=lambda st: moves.append(
+        (st.t - 1, *st.last_event, st.status.item(st.last_event[0]))))
+
+
+def _by_round(state, max_steps, moves):
+    run_until_settled(state, max_steps)
+
+
+def _by_hooked_round(state, max_steps, moves):
+    def record(movers, turns, source, target, taken, arrived):
+        moves.extend(zip(turns.tolist(), movers.tolist(), source.tolist(), target.tolist(),
+                         arrived.tolist()))
+    run_until_settled(state, max_steps, on_round=record)
+
+
+@pytest.mark.parametrize("name", LAYOUT_CASES)
+def test_finished_codes_settle_as_stepwise(name):
+    """Finished codes that are not the sinks' ids, or that widen the keys, settle as step() does.
+
+    From t = 0 and from mid-round resumes, to the end and to caps inside a
+    round, the kernel, hooked and not, ends with settle_stepwise's fields
+    and abort message, and the hook sees its moves.
+    """
+    g, n = LAYOUT_CASES[name]
+    mech = shuffled_mechanism(g, 11)
+    config = random_config(g, 21)
+    layout = experiment._key_layout(g, mech, n, 1)
+    assert np.array_equal(layout[4][:-1], sorted(g.sinks)) and layout[4][-1] == g.origin
+    if name == "sink-first-edge-list":
+        assert layout[3] == g.num_vertices and min(g.sinks) < g.num_vertices - 1
+    else:
+        ids_only = np.min_scalar_type((g.num_vertices - 1) << layout[0] | (n - 1))
+        assert layout[2].itemsize > ids_only.itemsize
+    full = settle_stepwise(init_experiment(g, mech, config, n))
+    for k in (0, 1, n // 2 + 1):
+        for cap in (full.t + n, full.t // 2 // n * n + n // 2 + 1, full.t - 1):
+            runs = []
+            for settle in (_by_step, _by_round, _by_hooked_round):
+                state, moves = _resumed(g, mech, config, n, k), []
+                try:
+                    settle(state, cap, moves)
+                    message = None
+                except AbortedMaxSteps as exc:
+                    message = str(exc)
+                runs.append((message, settled_fields(state), moves))
+            (message, fields, moves), *kernel = runs
+            assert moves
+            for got in kernel:
+                assert got[0] == message
+                assert_fields_equal(got[1], fields)
+            assert kernel[1][2] == moves
 
 
 @pytest.mark.deadline(5)  # the any-order oracle gives no step count to cap the settle
