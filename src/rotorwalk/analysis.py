@@ -27,11 +27,12 @@ from .harmonic import HarmonicProfile, solve_harmonic
 from .weights import (
     RotorConfig,
     WeightTable,
+    _random_configs,
     min_weight_config,
-    random_config,
     weight_table,
 )
 from .experiment import (
+    _TRIAL_ELEMENTS,
     DEFAULT_MAX_STEPS,
     ExperimentState,
     InvariantTracker,
@@ -191,7 +192,9 @@ def random_ensemble(
     if trials < 1:
         raise InvalidParameter(f"trials must be >= 1, got {trials}")
     alpha = (solve_harmonic(graph) if profile is None else profile).escape_probability
-    configs = (random_config(graph, seed + k) for k in range(trials))
+    group = max(1, _TRIAL_ELEMENTS // graph.num_vertices)  # configs drawn in one stream call
+    configs = (config for k in range(seed, seed + trials, group)
+               for config in _random_configs(graph, range(k, min(k + group, seed + trials))))
     rates = [s / n for s in settle_trials(graph, mechanism, configs, n)]
 
     arr = np.asarray(rates)

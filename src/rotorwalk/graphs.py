@@ -22,7 +22,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import GraphInvalid, InvalidParameter
-from .rng import philox_generator
+from .rng import _permutations, _words
 
 
 def _rows(indptr: np.ndarray, flat: np.ndarray) -> tuple[tuple[int, ...], ...]:
@@ -397,17 +397,14 @@ def default_mechanism(g: Graph) -> RotorMechanism:
 
 
 def shuffled_mechanism(g: Graph, seed: int) -> RotorMechanism:
-    """Mechanism with a seeded uniform permutation of each vertex's edges."""
-    rng = philox_generator(seed)
+    """Mechanism with a seeded uniform permutation of each vertex's edges.
+
+    The non-sink vertices take rng.permutation(deg) in id order from one
+    philox_generator(seed), computed by rng._permutations; the goldens rest on it.
+    """
     live = ~g.is_sink
     deg = g.degrees[live]
-    # one rng.permuted call per run of equal consecutive degrees, in id order:
-    # it shuffles the run's rows one after another with the draws of one
-    # rng.permutation(deg) per non-sink vertex, on which the goldens rest
-    starts = np.flatnonzero(np.diff(deg, prepend=-1))
-    runs = zip(deg[starts].tolist(), np.diff(starts, append=deg.size).tolist())
-    entry = np.concatenate([rng.permuted(np.broadcast_to(np.arange(d), (k, d)), axis=1).ravel()
-                            for d, k in runs])
+    entry = _permutations(_words(seed)[0], deg)
     entry += np.repeat(g.adj_indptr[:-1][live], deg)
     indptr = np.concatenate(([0], np.cumsum(np.where(live, g.degrees, 0))))
     return RotorMechanism(indptr, g.adj_flat[entry], name=f"shuffled(seed={seed})")

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DimensionMismatch
 from .graphs import Graph, RotorMechanism
 from .harmonic import HarmonicProfile
-from .rng import philox_generator
+from .rng import _integers, _words
 
 logger = logging.getLogger(__name__)
 
@@ -148,13 +148,18 @@ def count_min_weight_ties(g: Graph, wt: WeightTable) -> int:
 def random_config(g: Graph, seed: int) -> RotorConfig:
     """Independent uniformly random rotor at every non-sink vertex.
 
-    One vectorized draw; it gives the same values as one scalar draw per
-    non-sink vertex in id order.
+    philox_generator(seed).integers(0, deg) over the non-sink vertices in id
+    order, as one scalar draw per vertex gives, computed by rng._integers.
     """
+    return _random_configs(g, [seed])[0]
+
+
+def _random_configs(g: Graph, seeds: range | list[int]) -> list[RotorConfig]:
+    """random_config(g, seed) for each seed, drawn in one stream call over their keys."""
     live = ~g.is_sink
-    pos = np.full(g.num_vertices, -1, dtype=np.int64)
-    pos[live] = philox_generator(seed).integers(0, g.degrees[live])
-    return RotorConfig(pos=pos)
+    pos = np.full((len(seeds), g.num_vertices), -1, dtype=np.int64)
+    pos[:, live] = _integers(np.array([_words(s)[0] for s in seeds]), g.degrees[live])
+    return [RotorConfig(pos=p) for p in pos]
 
 
 def check_config(g: Graph, config: RotorConfig) -> None:

@@ -84,6 +84,15 @@ def test_seed_outside_128_bits_exits_2(capsys, tmp_path, argv):
     assert not (tmp_path / "weights.csv").exists()
 
 
+@pytest.mark.parametrize("flag", ["--seed-mech", "--seed-config"])
+@pytest.mark.parametrize("seed", ["-1", str(1 << 128)])
+def test_run_seed_outside_128_bits_exits_2(capsys, flag, seed):
+    code, _, err = run_cli(capsys, "run", "--path", "3", "--mechanism", "shuffled",
+                           "--config", "random", f"{flag}={seed}")
+    assert code == 2
+    assert err == f"error: seed must be in [0, 2^128), got {seed}\n"
+
+
 def test_green_missing_edges_file(capsys):
     code, _, err = run_cli(capsys, "green", "--edges", "missing.txt",
                            "--origin", "o", "--sinks", "s")

@@ -165,15 +165,21 @@ def test_stalled_solve_stops_on_its_residual(monkeypatch):
 
 def test_import_path_has_no_scipy():
     """Importing the package and solving, running or verifying, load no scipy,
-    numpy.ma, multiprocessing or concurrent.futures module."""
-    # a solve, and a shuffled run that meets fresh range vertices in its
-    # settle, after importing every layer module the benchmark imports
+    numpy.ma, multiprocessing or concurrent.futures module; only the Monte
+    Carlo checks of a verify load numpy.random."""
+    # a solve, and a shuffled run from a random configuration that meets fresh
+    # range vertices in its settle, after importing every layer module the
+    # benchmark imports
     calls = {
         "solve": "rotorwalk.solve_harmonic(rotorwalk.build_lattice_ball(3, 6))\n",
         "run": (
             "from rotorwalk import analysis, cli, experiment, graphs, harmonic, serialize, verify, weights\n"
-            "assert cli.main(['run', '--lattice', '3', '6', '--n', '50',"
-            " '--mechanism', 'shuffled', '--seed-mech', '1']) == 0\n"
+            "assert cli.main(['run', '--lattice', '3', '6', '--n', '50', '--mechanism', 'shuffled',"
+            " '--seed-mech', '1', '--config', 'random', '--seed-config', '2']) == 0\n"
+        ),
+        "ensemble": (
+            "g = rotorwalk.build_bary_tree(3, 5)\n"
+            "rotorwalk.random_ensemble(g, rotorwalk.default_mechanism(g), n=100, trials=20, seed=3)\n"
         ),
         # a verify forks its Monte Carlo check without a process pool
         "verify": (
@@ -189,10 +195,11 @@ def test_import_path_has_no_scipy():
             "import sys, rotorwalk\n" + call
             + "print(sorted(m for m in sys.modules if m.split('.')[0] in"
             " ('scipy', 'multiprocessing', 'concurrent') or m.split('.')[:2] == ['numpy', 'ma']))\n"
+            "print('numpy.random' in sys.modules)\n"
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120, check=True)
-        assert proc.stdout.splitlines()[-1] == "[]", name
+        assert proc.stdout.splitlines()[-2:] == ["[]", str(name == "verify")], name
 
 
 def test_profile_arrays_frozen(p3):
