@@ -56,7 +56,7 @@ from .serialize import (
     weights_csv,
 )
 from .verify import all_passed, run_verification
-from .weights import count_min_weight_ties, min_weight_config, random_config, weight_table
+from .weights import RotorConfig, _near_min_scan, random_config, weight_table
 
 def _int_token(tok) -> int:
     try:
@@ -221,8 +221,8 @@ def cmd_rho_min(ns: argparse.Namespace) -> int:
     mech = _build_mechanism(g, ns)
     profile = solve_harmonic(g)
     wt = weight_table(g, mech, profile)
-    config = min_weight_config(g, wt)
-    ties = count_min_weight_ties(g, wt)
+    pos, ties = _near_min_scan(g, wt)  # min_weight_config and its tie count, in one scan
+    config = RotorConfig(pos=pos)
     print(f"graph: {g.describe()} mechanism: {mech.describe()}")
     print(f"tie-break events: {ties}")
     out = _out_dir(ns) or Path(".")

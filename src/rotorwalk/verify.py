@@ -11,9 +11,9 @@ makes them its CheckRecord; the suite passes iff every record does.  The row
 sum stands where a cyclic sum of increments would not: that sum is zero for
 any table, corrupted or not.
 
-The Monte Carlo visit-count check, the longest, runs in a child forked after
-the fixtures are built (see _overlapped), while this process runs the others;
-the records are the same as when the checks run one after another.
+The Monte Carlo checks each run in a child forked after the fixtures are built
+(see _overlapped), so this process, which runs the others, never imports
+numpy.random; the records are as when the checks run one after another.
 
 With inject_corruption the suite adds negative controls: check_weight_increment
 and check_lower_bound run on corrupted weight tables and are expected to
@@ -275,7 +275,8 @@ def run_verification(
     walks = 20_000 if quick else 100_000
 
     fixtures = [_fixture(g) for g in graphs]
-    with _overlapped(functools.partial(check_mc_green, fixtures, walks)) as mc_green_record:
+    with _overlapped(functools.partial(check_mc_green, fixtures, walks)) as mc_green_record, \
+            _overlapped(functools.partial(check_srw_escape, fixtures, walks)) as srw_record:
         records = [
             check_residual(fixtures),
             check_weight_increment(fixtures),
@@ -283,8 +284,7 @@ def run_verification(
             check_invariant(fixtures, n_values),
             check_lower_bound(fixtures, bound_ns),
         ]
-        srw_record = check_srw_escape(fixtures, walks)
-        records += [mc_green_record(), srw_record]
+        records += [mc_green_record(), srw_record()]
     if inject_corruption:
         records += _corruption_controls()
     return records

@@ -106,6 +106,18 @@ def test_z3_ball_extrapolates_to_watson():
     assert abs(a - 1 / green) <= 5e-5
 
 
+
+def test_z2_ball_grows_like_the_potential_kernel():
+    # on Z^2 the walk from the origin makes (2/pi) ln r + b + O(1/r) visits
+    # there before leaving the radius-r ball (the potential kernel's
+    # expansion), so 1/alpha fitted as a ln r + b + c/r + d/r^2 by least
+    # squares has a = 2/pi; b is a shape constant of the L1 ball
+    radii = np.array([8, 11, 16, 22, 32, 45, 64, 90])
+    inv_alphas = [1 / solve_harmonic(build_lattice_ball(2, int(r))).escape_probability for r in radii]
+    design = np.stack([np.log(radii), np.ones(radii.size), 1.0 / radii, 1.0 / radii**2], axis=1)
+    (a, b, _, _), *_ = np.linalg.lstsq(design, inv_alphas, rcond=None)
+    assert abs(a - 2 / math.pi) <= 1e-5, f"a - 2/pi = {a - 2 / math.pi:.3e}, b = {b:.5f}"
+
 def test_matches_dense_oracle(small_graph):
     profile = solve_harmonic(small_graph)
     green, voltage, alpha = dense_green(small_graph)
@@ -165,8 +177,8 @@ def test_stalled_solve_stops_on_its_residual(monkeypatch):
 
 def test_import_path_has_no_scipy():
     """Importing the package and solving, running or verifying, load no scipy,
-    numpy.ma, multiprocessing or concurrent.futures module; only the Monte
-    Carlo checks of a verify load numpy.random."""
+    numpy.ma, multiprocessing, concurrent.futures or numpy.random module; a
+    verify's Monte Carlo checks load numpy.random in the children it forks."""
     # a solve, and a shuffled run from a random configuration that meets fresh
     # range vertices in its settle, after importing every layer module the
     # benchmark imports
@@ -181,7 +193,7 @@ def test_import_path_has_no_scipy():
             "g = rotorwalk.build_bary_tree(3, 5)\n"
             "rotorwalk.random_ensemble(g, rotorwalk.default_mechanism(g), n=100, trials=20, seed=3)\n"
         ),
-        # a verify forks its Monte Carlo check without a process pool
+        # a verify forks its Monte Carlo checks without a process pool
         "verify": (
             "from rotorwalk import cli\n"
             "assert cli.main(['verify', '--quick']) == 0\n"
@@ -199,7 +211,7 @@ def test_import_path_has_no_scipy():
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, timeout=120, check=True)
-        assert proc.stdout.splitlines()[-2:] == ["[]", str(name == "verify")], name
+        assert proc.stdout.splitlines()[-2:] == ["[]", "False"], name
 
 
 def test_profile_arrays_frozen(p3):

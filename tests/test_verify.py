@@ -117,8 +117,16 @@ def test_reduction_keeps_the_first_of_equal_deviations():
     assert pairs([float("inf"), float("inf")]) == record(False, float("inf"), "at 0")
 
 
-def _pid_record(fixtures, walks):
-    return verify.CheckRecord("mc-green-zscore", True, 0.0, 3.0, str(os.getpid()))
+# each Monte Carlo check, its record's name and its place among the records
+_MC_CHECKS = [("check_mc_green", "mc-green-zscore", 5), ("check_srw_escape", "srw-escape-zscore", 6)]
+_MC_IDS = [check for check, *_ in _MC_CHECKS]
+
+
+def _pid_record(name):
+    """A stand-in check whose record carries the name and the pid of the process it ran in."""
+    def check(fixtures, walks):
+        return verify.CheckRecord(name, True, 0.0, 3.0, str(os.getpid()))
+    return check
 
 
 def _assert_no_child():
@@ -127,14 +135,24 @@ def _assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_mc_green_check_runs_in_a_forked_worker(monkeypatch):
-    monkeypatch.setattr(verify, "check_mc_green", _pid_record)
+@pytest.mark.parametrize("check, name, at", _MC_CHECKS, ids=_MC_IDS)
+def test_mc_green_check_runs_in_a_forked_worker(monkeypatch, check, name, at):
+    monkeypatch.setattr(verify, check, _pid_record(name))
     records = verify.run_verification(quick=True)
-    assert records[5].detail != str(os.getpid())
+    assert records[at].name == name and records[at].detail != str(os.getpid())
     _assert_no_child()
     monkeypatch.delattr(os, "fork")
     records = verify.run_verification(quick=True)
-    assert records[5].detail == str(os.getpid())
+    assert records[at].name == name and records[at].detail == str(os.getpid())
+    _assert_no_child()
+
+
+def test_monte_carlo_checks_run_in_two_workers(monkeypatch):
+    for check, name, _ in _MC_CHECKS:
+        monkeypatch.setattr(verify, check, _pid_record(name))
+    records = verify.run_verification(quick=True)
+    pids = {records[at].detail for *_, at in _MC_CHECKS}
+    assert len(pids) == 2 and str(os.getpid()) not in pids
     _assert_no_child()
 
 
@@ -151,37 +169,39 @@ def test_records_equal_with_and_without_the_worker(monkeypatch):
 
 
 @pytest.mark.parametrize("forked", [True, False])
-def test_mc_green_check_failure_reaches_the_caller(monkeypatch, forked):
+@pytest.mark.parametrize("check", _MC_IDS)
+def test_mc_green_check_failure_reaches_the_caller(monkeypatch, check, forked):
     def fail(fixtures, walks):
-        raise AbortedMaxSteps("walk cap reached in check_mc_green")
+        raise AbortedMaxSteps(f"walk cap reached in {check}")
 
     # the forked worker inherits the patched module attribute
-    monkeypatch.setattr(verify, "check_mc_green", fail)
+    monkeypatch.setattr(verify, check, fail)
     if not forked:
         monkeypatch.delattr(os, "fork")
-    with pytest.raises(AbortedMaxSteps, match="walk cap reached in check_mc_green"):
+    with pytest.raises(AbortedMaxSteps, match=f"walk cap reached in {check}"):
         verify.run_verification(quick=True)
     _assert_no_child()
 
 
 @pytest.mark.deadline(30)
 @pytest.mark.parametrize("forked", [True, False])
-def test_worker_that_exits_without_a_result_raises(monkeypatch, forked):
+@pytest.mark.parametrize("check, name, at", _MC_CHECKS, ids=_MC_IDS)
+def test_worker_that_exits_without_a_result_raises(monkeypatch, check, name, at, forked):
     """A child that dies before it sends an outcome is an error in the caller, not a hang."""
     caller = os.getpid()
 
     def exit_in_child(fixtures, walks):
         if os.getpid() != caller:
             os._exit(1)
-        return _pid_record(fixtures, walks)
+        return _pid_record(name)(fixtures, walks)
 
-    monkeypatch.setattr(verify, "check_mc_green", exit_in_child)
+    monkeypatch.setattr(verify, check, exit_in_child)
     if forked:
         with pytest.raises(ChildProcessError, match="exited without a result"):
             verify.run_verification(quick=True)
     else:
         monkeypatch.delattr(os, "fork")
-        assert verify.run_verification(quick=True)[5].detail == str(caller)
+        assert verify.run_verification(quick=True)[at].detail == str(caller)
     _assert_no_child()
 
 
@@ -194,4 +214,17 @@ def test_caller_failure_does_not_wait_on_a_writing_worker(monkeypatch, forked):
     with pytest.raises(KeyError, match="before the result is read"):
         with verify._overlapped(lambda: bytes(1 << 22)):
             raise KeyError("before the result is read")
+    _assert_no_child()
+
+
+@pytest.mark.deadline(30)
+@pytest.mark.parametrize("forked", [True, False])
+def test_caller_failure_does_not_wait_on_nested_writing_workers(monkeypatch, forked):
+    """Two children, as run_verification nests them, each with a result larger than a pipe's
+    buffer: the inner one inherits the outer read end, and still neither hangs the caller."""
+    if not forked:
+        monkeypatch.delattr(os, "fork")
+    with pytest.raises(KeyError, match="before the results are read"):
+        with verify._overlapped(lambda: bytes(1 << 22)), verify._overlapped(lambda: bytes(1 << 22)):
+            raise KeyError("before the results are read")
     _assert_no_child()
