@@ -5,6 +5,13 @@ its Green function, derive edge weights whose per-vertex minimizers give the
 escape-rate-maximizing rotor configuration, and run the deterministic
 n-particle escape experiment with its conserved quantity checked throughout.
 """
+import os
+
+if "OPENBLAS_NUM_THREADS" not in os.environ:  # no call here threads BLAS: see README, Install
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    import numpy  # noqa: F401
+    del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .errors import (
     AbortedMaxSteps,
     DimensionMismatch,

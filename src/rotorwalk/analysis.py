@@ -15,7 +15,7 @@ asserted: it is no theorem, and on path(5) the gap rises from n = 4 to 5.
 """
 from __future__ import annotations
 
-import logging
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -41,8 +41,6 @@ from .experiment import (
     run_until_settled,
     settle_trials,
 )
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass
@@ -254,7 +252,7 @@ def theorem_check(
     inv_ok = max_dev <= INVARIANT_TOL
     if not inv_ok:
         violations.append(BoundViolation(min(n_values), -1, "invariant", max_dev, INVARIANT_TOL))
-        logger.warning("conserved quantity deviated beyond %g", INVARIANT_TOL)
+        warnings.warn(f"conserved quantity deviated beyond {INVARIANT_TOL:g}", RuntimeWarning)
 
     monotone = all(gaps[k + 1] <= gaps[k] + BOUND_SLACK for k in range(len(gaps) - 1))
     violations += [BoundViolation(n_values[k + 1], -1, "gap-increase", gaps[k + 1], gaps[k])

@@ -179,24 +179,29 @@ def _check_adjacency(g: Graph) -> None:
 
     A valid adjacency is accepted from its sorted row*V+target keys alone:
     repeated keys must touch a sink, and the keys must equal their mirror
-    images target*V+row as a multiset.  A rejected one is scanned row by row
-    for the message: each row's distinct neighbours in first-appearance
-    order, then symmetry with multiplicity.
+    images target*V+row as a multiset.  They take the narrowest unsigned type
+    that holds V*V (uint32 up to V = 65,535), three E-long arrays at once: the
+    keys (row ids first), the cast targets, the mirrors.  A rejected adjacency
+    is scanned row by row for the message: each row's distinct neighbours in
+    first-appearance order, then symmetry with multiplicity.
     """
     n = g.num_vertices
     flat = g.adj_flat
-    row = np.repeat(np.arange(n), g.degrees)
-    if g.degrees.all() and flat.min() >= 0 and flat.max() < n and not (flat == row).any():
-        keys = row * n
-        keys += flat
-        keys.sort()
-        repeated = keys[1:][keys[1:] == keys[:-1]]
-        mirror = flat * n
-        mirror += row
-        mirror.sort()
-        sink = g.is_sink
-        if (sink[repeated // n] | sink[repeated % n]).all() and np.array_equal(keys, mirror):
-            return
+    if g.degrees.all() and flat.min() >= 0 and flat.max() < n:
+        keys = np.repeat(np.arange(n, dtype=np.min_scalar_type(n * n)), g.degrees)
+        target = flat.astype(keys.dtype)
+        if not (target == keys).any():
+            mirror = target * n
+            mirror += keys
+            keys *= n
+            keys += target
+            del target
+            keys.sort()
+            repeated = keys[1:][keys[1:] == keys[:-1]]
+            mirror.sort()
+            sink = g.is_sink
+            if (sink[repeated // n] | sink[repeated % n]).all() and np.array_equal(keys, mirror):
+                return
 
     sink = g.is_sink.tolist()
     counts = [Counter(adj) for adj in g.adjacency]
@@ -223,18 +228,21 @@ def _graph_from_edges(edges: np.ndarray, origin, sinks, labels, name="") -> Grap
 
     Each vertex lists its neighbours in edge sequence, both directions of an
     edge at its place: a stable sort of the interleaved (u, v), (v, u) pairs
-    by source.
+    by source, an entry's target being its partner at flat index ^ 1.  The
+    edge array is dropped before validation.
     """
     sources = edges.ravel()
-    targets = edges[:, ::-1].ravel()[np.argsort(sources, kind="stable")]
+    partner = np.argsort(sources, kind="stable")
+    partner ^= 1
     g = Graph(
         adj_indptr=np.concatenate(([0], np.cumsum(np.bincount(sources, minlength=len(labels))))),
-        adj_flat=targets,
+        adj_flat=sources[partner],
         origin=origin,
         sinks=frozenset(sinks),
         labels=tuple(labels),
         name=name,
     )
+    del edges, sources, partner
     check_graph(g)
     return g
 
@@ -276,22 +284,22 @@ def build_lattice_ball(d: int, radius: int) -> Graph:
     in_ball = np.flatnonzero(norm <= radius)
     in_ball = in_ball[np.argsort(norm[in_ball], kind="stable")]
     sink = in_ball.size
-    index = np.full(side**d, sink, dtype=np.int64)
-    index[in_ball] = np.arange(sink)
-
-    # cell offsets of the directions axis by axis, + before -
-    offsets = np.kron(side ** np.arange(d - 1, -1, -1), [1, -1])
-    j = index[in_ball[:, None] + offsets]
-    i = np.broadcast_to(np.arange(sink)[:, None], j.shape)
-    keep = (j == sink) | (j > i)
-    edges = np.stack([i[keep], j[keep]], axis=1)
 
     # "x,y,z" labels, one column of coordinate text per axis; a ball
     # coordinate c sits at cube cell c + r + 1
     text = np.array([str(c) for c in range(-radius, radius + 1)], dtype=object)
     columns = (text[cell - 1].tolist() for cell in np.unravel_index(in_ball, (side,) * d))
     labels = [*map(",".join, zip(*columns)), "sink"]
-    return _graph_from_edges(edges, 0, {sink}, labels, name=f"lattice(d={d}, r={radius})")
+
+    # cell offsets of the directions axis by axis, + before -; the cube's tables go first
+    index = np.full(side**d, sink, dtype=np.min_scalar_type(sink))
+    index[in_ball] = np.arange(sink)
+    j = index[in_ball[:, None] + np.kron(side ** np.arange(d - 1, -1, -1), [1, -1])]
+    del norm, in_ball, index
+    i = np.broadcast_to(np.arange(sink)[:, None], j.shape)
+    keep = (j == sink) | (j > i)
+    return _graph_from_edges(np.stack([i[keep], j[keep]], axis=1), 0, {sink}, labels,
+                             name=f"lattice(d={d}, r={radius})")
 
 
 def build_bary_tree(b: int, depth: int) -> Graph:
@@ -416,7 +424,9 @@ def check_mechanism(g: Graph, mech: RotorMechanism) -> None:
     Malformed row arrays raise GraphInvalid first; otherwise it names the
     lowest failing vertex.  Rows are compared over the CSR arrays: a non-sink
     row of matching degree and in-range targets is a permutation when its
-    sorted (row, target) keys equal the adjacency's.
+    sorted (row, target) keys equal the adjacency's: three E-long arrays of
+    the keys' type at most (the mechanism's keys, the adjacency's cast targets
+    and keys) and one E-long mask.
     """
     _check_rows(mech.indptr, mech.flat, "mechanism")
     n = g.num_vertices
@@ -424,14 +434,14 @@ def check_mechanism(g: Graph, mech: RotorMechanism) -> None:
         raise GraphInvalid("mechanism length does not match vertex count")
     sink = g.is_sink
     deg = np.diff(mech.indptr)
-    row = np.repeat(np.arange(n), deg)
     bad = np.where(sink, deg != 0, deg != g.degrees)
-    bad[row[(mech.flat < 0) | (mech.flat >= n)]] = True
+    outside = np.flatnonzero((mech.flat < 0) | (mech.flat >= n))
+    bad[np.searchsorted(mech.indptr, outside, side="right") - 1] = True  # their rows
 
     # the rows still good have their adjacency's degree, so their keys align
     same = ~bad & ~sink
-    keys = _sorted_row_keys(row, mech.flat, same)
-    adj_keys = _sorted_row_keys(np.repeat(np.arange(n), g.degrees), g.adj_flat, same)
+    keys = _sorted_row_keys(deg, mech.flat, same)
+    adj_keys = _sorted_row_keys(g.degrees, g.adj_flat, same)
     bad[adj_keys[keys != adj_keys] // n] = True
 
     if bad.any():
@@ -441,10 +451,11 @@ def check_mechanism(g: Graph, mech: RotorMechanism) -> None:
         raise GraphInvalid(f"mechanism at {g.labels[x]} is not a permutation of its edges")
 
 
-def _sorted_row_keys(row: np.ndarray, target: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Sorted keys row * V + target of the CSR entries in the rows where keep is set."""
-    pick = keep[row]
-    keys = row[pick] * keep.size
-    keys += target[pick]
+def _sorted_row_keys(deg: np.ndarray, target: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Sorted keys row * V + target, in the narrowest unsigned type that holds V*V, of the
+    CSR entries (rows of deg entries) in the rows keep sets; the rest may wrap in the cast."""
+    n = keep.size
+    keys = target.astype(np.min_scalar_type(n * n))[np.repeat(keep, deg)]
+    keys += np.repeat(np.flatnonzero(keep).astype(keys.dtype) * n, deg[keep])
     keys.sort()
     return keys

@@ -93,50 +93,23 @@ def _permutations(key: np.ndarray, deg: np.ndarray) -> np.ndarray:
 
     numpy's Fisher-Yates swaps i = d - 1 .. 1 with the first u & mask <= i of
     its uint32 draws u, mask being the least 2^k - 1 >= i.  A row's first draw
-    depends on every rejection before it, so a Python loop finds the row
-    starts, by one lookup in end_d[p] (where a row of degree d begun at draw p
-    ends; one pass over the draws per bound, for degrees up to the largest d
-    held by at least d rows) or else draw by draw.  Then all rows take their
+    depends on every rejection before it, so _row_starts finds the V row
+    starts, with more draws until they cover every row; its tables are gone
+    before the E int64 entries are built in place.  Then all rows take their
     draws and swaps together, one step of each at a time.
     """
     mask = [(1 << b.bit_length()) - 1 for b in range(int(deg.max(initial=1)))]
     counts = np.bincount(deg, minlength=2)
-    tabled = int(np.flatnonzero(counts >= np.arange(counts.size))[-1])
     # a step takes (mask + 1) / (b + 1) draws on average, with a variance below that
     mean = float(counts[2:] @ np.cumsum([(m + 1) / (b + 1) for b, m in enumerate(mask)][1:]))
     u = _uint32(key[None], 0, int(mean + 4 * mean**0.5) + 1)[0]
-    while True:  # until the draws cover every row
-        size, end, tables = u.size, np.arange(u.size + 2, dtype=np.int32), {}
-        for b in range(1, tabled):
-            nxt = np.full_like(end, size + 1)  # past the draws
-            if mask[b] == b:  # every draw accepts
-                nxt[:-1] = end[1:]
-            else:  # end one past each accept, back-filled, as end is nondecreasing
-                np.copyto(nxt[:-2], end[1:-1], where=u & mask[b] <= b)
-                np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
-            end = nxt
-            if counts[b + 1]:
-                tables[b + 1] = memoryview(end)
-        starts, p, draws = [], 0, memoryview(u)
-        try:
-            for d in deg.tolist():
-                starts.append(p)
-                if d in tables:
-                    p = tables[d][p]
-                    continue
-                for b in range(d - 1, 0, -1):
-                    while draws[p] & mask[b] > b:
-                        p += 1
-                    p += 1
-        except IndexError:
-            p = size + 1
-        if p <= size:
-            break
-        u = np.concatenate([u, _uint32(key[None], size, size)[0]])
+    while (starts := _row_starts(u, deg, mask, counts)) is None:
+        u = np.concatenate([u, _uint32(key[None], u.size, u.size)[0]])
 
     order, first = np.argsort(-deg, kind="stable"), np.cumsum(deg) - deg
-    by_deg, pos, row = deg[order], np.array(starts, dtype=np.int64)[order], first[order]
-    entry, mask = np.arange(deg.sum()) - np.repeat(first, deg), np.array(mask)
+    by_deg, pos, row = deg[order], starts[order], first[order]
+    entry, mask = np.arange(deg.sum()), np.array(mask)
+    entry -= np.repeat(first, deg)
     for t in range(len(mask) - 1):
         k = int(np.count_nonzero(by_deg > t + 1))
         b = by_deg[:k] - 1 - t
@@ -148,3 +121,36 @@ def _permutations(key: np.ndarray, deg: np.ndarray) -> np.ndarray:
         i, j = row[:k] + b, row[:k] + j
         entry[i], entry[j] = entry[j], entry[i]
     return entry
+
+
+def _row_starts(u: np.ndarray, deg: np.ndarray, mask: list[int], counts: np.ndarray):
+    """The draw at which each row of deg begins (V int64), or None if u runs out first: by one
+    lookup in end_d[p] (where a row of degree d begun at draw p ends; one int32 table of
+    u.size + 2 per bound, for degrees up to the largest d held by at least d rows) or else
+    draw by draw."""
+    tabled = int(np.flatnonzero(counts >= np.arange(counts.size))[-1])
+    size, end, tables = u.size, np.arange(u.size + 2, dtype=np.int32), {}
+    for b in range(1, tabled):
+        nxt = np.full_like(end, size + 1)  # past the draws
+        if mask[b] == b:  # every draw accepts
+            nxt[:-1] = end[1:]
+        else:  # end one past each accept, back-filled, as end is nondecreasing
+            np.copyto(nxt[:-2], end[1:-1], where=u & mask[b] <= b)
+            np.minimum.accumulate(nxt[::-1], out=nxt[::-1])
+        end = nxt
+        if counts[b + 1]:
+            tables[b + 1] = memoryview(end)
+    starts, p, draws = [], 0, memoryview(u)
+    try:
+        for d in deg.tolist():
+            starts.append(p)
+            if d in tables:
+                p = tables[d][p]
+                continue
+            for b in range(d - 1, 0, -1):
+                while draws[p] & mask[b] > b:
+                    p += 1
+                p += 1
+    except IndexError:
+        return None
+    return np.array(starts, dtype=np.int64) if p <= size else None

@@ -22,7 +22,6 @@ producer through check_config to the experiment state without conversion.
 """
 from __future__ import annotations
 
-import logging
 import numbers
 from dataclasses import dataclass
 
@@ -33,11 +32,10 @@ from .graphs import Graph, RotorMechanism
 from .harmonic import HarmonicProfile
 from .rng import _integers, _words
 
-logger = logging.getLogger(__name__)
-
 # weights closer than this are treated as exact ties so solver noise cannot
 # flip the chosen rotor between runs
 TIE_TOL = 1e-13
+_BLOCK = 1 << 14  # entries in one of weight_table's row blocks, at most
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +82,10 @@ def weight_table(g: Graph, mech: RotorMechanism, profile: HarmonicProfile) -> We
     (k, 1, d) rotated rows by the (d, 1) index column gives the k weights;
     numpy evaluates it as that same dot per row, while a 2-D gemv, einsum
     or multiply-add sum orders the additions differently and moves the
-    last bits of some weights.
+    last bits of some weights.  A class goes in blocks of k rows of at most
+    _BLOCK entries, so besides the E float64 weights the temporaries are the
+    class's row starts and, per block, the k * d int64 slots, their target
+    voltages and one rotated copy.
     """
     if profile.voltage.shape != (g.num_vertices,):
         raise DimensionMismatch("profile does not match the graph")
@@ -93,13 +94,15 @@ def weight_table(g: Graph, mech: RotorMechanism, profile: HarmonicProfile) -> We
     deg = np.diff(indptr)
     values = np.zeros(int(indptr[-1]))
     for d in (np.flatnonzero(np.bincount(deg)[1:]) + 1).tolist():
-        slots = indptr[:-1][deg == d, None] + np.arange(d)
-        tv = v[mech.flat[slots]]
-        j = np.arange(d, dtype=np.float64)[:, None]
-        for i in range(d):
-            # column j holds the target at position (i + 1 + j) mod d
-            rotated = np.roll(tv, -(i + 1), axis=1)
-            values[slots[:, i]] = -np.matmul(rotated[:, None, :], j).ravel() / d
+        starts = indptr[:-1][deg == d]
+        j, k = np.arange(d, dtype=np.float64)[:, None], max(1, _BLOCK // d)
+        for block in range(0, starts.size, k):
+            slots = starts[block : block + k, None] + np.arange(d)
+            tv = v[mech.flat[slots]]
+            for i in range(d):
+                # column j holds the target at position (i + 1 + j) mod d
+                rotated = np.roll(tv, -(i + 1), axis=1)
+                values[slots[:, i]] = -np.matmul(rotated[:, None, :], j).ravel() / d
     return WeightTable(values=values, indptr=mech.indptr)
 
 
@@ -107,24 +110,24 @@ def _near_min_scan(g: Graph, wt: WeightTable) -> tuple[np.ndarray, int]:
     """First near-minimal mechanism index of every vertex (-1 at sinks), and the tie count.
 
     A weight within TIE_TOL of its vertex's minimum is near-minimal; a
-    non-sink vertex with several near-minimal edges is a tie.
+    non-sink vertex with several near-minimal edges is a tie.  Each entry's
+    float64 threshold lives only for the bool mask near; a row's first hit
+    and count come from searchsorted of its bounds into the flat indices of
+    the hits (about V of them), then E, so a row with none (NaN) reports E.
     """
     values = wt.values
     deg = np.diff(wt.indptr)
-    owner = np.repeat(np.arange(deg.size), deg)
     has_edges = deg > 0
     starts = wt.indptr[:-1][has_edges]
 
     mins = np.full(deg.size, np.inf)
     mins[has_edges] = np.minimum.reduceat(values, starts)
-    near = values <= mins[owner] + TIE_TOL
-    # mechanism index of each near-minimal edge; the others are past every index
-    index = np.where(near, np.arange(values.size) - wt.indptr[owner], values.size)
-    first = np.full(deg.size, -1, dtype=np.int64)
-    first[has_edges] = np.minimum.reduceat(index, starts)
-
-    first[g.is_sink] = -1
-    tied = ~g.is_sink & (np.bincount(owner[near], minlength=deg.size) > 1)
+    near = values <= np.repeat(mins + TIE_TOL, deg)
+    hits = np.append(np.flatnonzero(near), values.size)
+    lo, hi = np.searchsorted(hits, wt.indptr[:-1]), np.searchsorted(hits, wt.indptr[1:])
+    first = np.where(lo < hi, hits[lo] - wt.indptr[:-1], values.size)
+    first[~has_edges | g.is_sink] = -1
+    tied = ~g.is_sink & (hi - lo > 1)
     return first, int(np.count_nonzero(tied))
 
 
@@ -134,10 +137,7 @@ def min_weight_config(g: Graph, wt: WeightTable) -> RotorConfig:
     Weights within TIE_TOL of the minimum count as tied; ties resolve to the
     smallest mechanism index.
     """
-    pos, ties = _near_min_scan(g, wt)
-    if ties:
-        logger.debug("min-weight ties at %d of %d vertices", ties, g.num_vertices)
-    return RotorConfig(pos=pos)
+    return RotorConfig(pos=_near_min_scan(g, wt)[0])
 
 
 def count_min_weight_ties(g: Graph, wt: WeightTable) -> int:

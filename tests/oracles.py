@@ -157,15 +157,18 @@ def reference_ensemble(g, mech, n, trials, seed):
 
 
 def reference_settle_any_order(g, mech, config, n, seed):
-    """Escapes, final rotors and departures from each vertex of n particles, moved in any order.
+    """Escapes, final rotors and departures from each vertex of n particles, moved in any
+    order, and the escape count after each particle stops.
 
     The origin holds n particles and keeps each one that returns; a sink keeps
     each one it absorbs.  Each move is made by a particle that can still move,
     picked by a Philox draw from stream seed, or with seed None particle by
     particle: one moves until it stops before the next starts.  By the abelian
     property of rotor-routing (Holroyd, Levine, Meszaros, Peres, Propp and
-    Wilson, "Chip-firing and rotor-routing on directed graphs", 2008) the three
-    results are the same for every order; the number of steps is not.
+    Wilson, "Chip-firing and rotor-routing on directed graphs", 2008) the first
+    three results are the same for every order; the number of steps is not.
+    With seed None the first k particles to stop are a k-particle settle on
+    their own, so the k-th escape count is the escapes I_k of k particles.
     """
     order = mech.order
     rho = config.pos.tolist()
@@ -174,6 +177,7 @@ def reference_settle_any_order(g, mech, config, n, seed):
     movable = list(range(n))
     rng = None if seed is None else philox_generator(seed)
     escapes = 0
+    stopped = []
     while movable:
         k = len(movable) - 1 if rng is None else int(rng.integers(0, len(movable)))
         i = movable[k]
@@ -183,9 +187,10 @@ def reference_settle_any_order(g, mech, config, n, seed):
         positions[i] = y = order[x][rho[x]]
         if y == g.origin or y in g.sinks:
             escapes += y != g.origin
+            stopped.append(escapes)
             movable[k] = movable[-1]
             movable.pop()
-    return escapes, rho, departures
+    return escapes, rho, departures, stopped
 
 
 def reference_invariant(g, voltage, weight_of, positions, rho, rho0, visited, t, n):
@@ -377,6 +382,18 @@ def reference_check_graph(g):
     if not all(seen):
         missing = next(g.labels[i] for i, s in enumerate(seen) if not s)
         raise GraphInvalid(f"graph is disconnected (vertex {missing} unreachable)")
+
+
+def reference_check_mechanism(g, mech):
+    """Raise GraphInvalid at the lowest vertex whose rotor order fails, with the package's message."""
+    if len(mech.order) != g.num_vertices:
+        raise GraphInvalid("mechanism length does not match vertex count")
+    for x, (order, adj) in enumerate(zip(mech.order, g.adjacency)):
+        if x in g.sinks:
+            if order:
+                raise GraphInvalid(f"sink {g.labels[x]} must have an empty mechanism")
+        elif Counter(order) != Counter(adj):
+            raise GraphInvalid(f"mechanism at {g.labels[x]} is not a permutation of its edges")
 
 
 def reference_graph_from_edges(edges, origin, sinks, labels, name=""):

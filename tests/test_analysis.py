@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rotorwalk import analysis, experiment
+from rotorwalk.weights import WeightTable
 from rotorwalk import (
     InvalidParameter,
     RotorConfig,
@@ -164,6 +165,18 @@ def test_theorem_check_flags_bad_config(p3):
     assert all(v.n in failing for v in res.violations if v.kind == "lower-bound")
 
 
+def test_theorem_check_warns_on_a_corrupted_table(p3_solved):
+    """One weight moved by 0.125, as verify's corrupted-weights control does: the
+    conserved quantity drifts, and theorem_check both records it and warns."""
+    g, mech, profile, wt = p3_solved
+    bad = wt.values.copy()
+    bad[int(wt.indptr[1])] += 0.125
+    with pytest.warns(RuntimeWarning, match=r"^conserved quantity deviated beyond 1e-08$"):
+        res = theorem_check(g, mech, [1, 2, 4], profile=profile, wt=WeightTable(bad, wt.indptr))
+    assert not res.invariant_ok
+    assert [v.kind for v in res.violations if v.kind == "invariant"] == ["invariant"]
+
+
 def _weight_max_config(g, wt):
     return RotorConfig(pos=tuple(
         -1 if g.is_sink[x] else int(np.argmax(wt.vertex_slice(x)))
@@ -243,7 +256,8 @@ def test_theorem_on_irregular_graphs(seed):
 
     The lower bound and the invariant hold, the conserved quantity stays within
     1e-9 relative under min-weight and a random configuration, and the kernel
-    settles to the escapes and rotors of particle-by-particle and random move orders.
+    settles to the escapes and rotors of particle-by-particle and random move orders,
+    and to the escape curve of one particle-by-particle pass at each n.
     """
     g = load_edge_list(*random_edge_list(seed))
     profile = solve_harmonic(g)
@@ -256,11 +270,14 @@ def test_theorem_on_irregular_graphs(seed):
             rep = escape_sweep(g, mech, config, n_values, profile=profile, wt=wt,
                                check_invariant=True)
             assert rep.max_invariant_dev <= 1e-9 * max(1.0, profile.voltage[g.origin])
+            # particle by particle, each prefix of k stopped particles is the k-particle settle
+            curve = reference_settle_any_order(g, mech, config, max(n_values), None)[3]
             for n in n_values:
                 state = init_experiment(g, mech, config, n)
                 run_until_settled(state)
+                assert state.survivors == curve[n - 1]
                 for order_seed in (None, seed):
-                    escapes, rho, _ = reference_settle_any_order(g, mech, config, n, order_seed)
+                    escapes, rho, _, _ = reference_settle_any_order(g, mech, config, n, order_seed)
                     assert (state.survivors, state.rho.tolist()) == (escapes, rho)
 
 

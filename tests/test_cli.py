@@ -504,6 +504,21 @@ def test_observe_trace_matches_its_digest(capsys, tmp_path):
     assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
+def test_workload_size_precompute_matches_its_digest(capsys, tmp_path):
+    """The benchmark's precompute size, lattice(3,22): 15,226 live rows of degree 6, more
+    than fill one weight_table block, and 97,428 directed entries.  The sha256 of both
+    files, in sha256sum's format, was recorded with int64 validation keys and an
+    unblocked weight table."""
+    code, _, _ = run_cli(capsys, "rho-min", "--lattice", "3", "22", "--mechanism", "shuffled",
+                         "--seed-mech", "7", "--out-dir", str(tmp_path))
+    assert code == 0
+    lines = (GOLDEN / "rho-min-lattice-3-22-shuffled-7.sha256").read_text().splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        digest, name = line.split()
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_aborted_trace_matches_golden(capsys, tmp_path):
     """A cap inside a round: the trace keeps the moves before it, and the error names
     the first turn past it, as recorded from the stepwise engine."""

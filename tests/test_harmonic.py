@@ -214,6 +214,28 @@ def test_import_path_has_no_scipy():
         assert proc.stdout.splitlines()[-2:] == ["[]", "False"], name
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").is_file(), reason="reads the thread count from /proc")
+def test_import_loads_numpy_with_one_blas_thread():
+    """Importing the package first loads numpy with one OpenBLAS thread and leaves
+    OPENBLAS_NUM_THREADS as it was; a count the caller sets, or a numpy loaded
+    before, keeps numpy's own thread count."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def threads(imports, **extra):
+        code = (f"import os, {imports}\n"
+                "print(open('/proc/self/status').read().split('Threads:')[1].split()[0],"
+                " os.environ.get('OPENBLAS_NUM_THREADS'))\n")
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**env, **extra}, timeout=60, check=True).stdout.split()
+
+    assert threads("rotorwalk") == ["1", "None"]
+    assert threads("numpy, rotorwalk") == threads("numpy")
+    two = threads("numpy", OPENBLAS_NUM_THREADS="2")
+    assert threads("rotorwalk", OPENBLAS_NUM_THREADS="2") == two
+
+
 def test_profile_arrays_frozen(p3):
     profile = solve_harmonic(p3)
     with pytest.raises(ValueError):

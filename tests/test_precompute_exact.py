@@ -9,16 +9,20 @@ of the scalar-loop Dirichlet system: voltages to 1e-13 relative, and the
 integer answers built on them exactly.
 """
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rotorwalk import (
+    Graph,
     GraphInvalid,
+    RotorMechanism,
     build_bary_tree,
     build_lattice_ball,
     build_path,
     check_graph,
+    check_mechanism,
     count_min_weight_ties,
     default_mechanism,
     load_edge_list,
@@ -33,6 +37,7 @@ from oracles import (
     random_edge_list,
     reference_bary_tree,
     reference_check_graph,
+    reference_check_mechanism,
     reference_default_mechanism,
     reference_graph_from_edges,
     reference_lattice_ball,
@@ -63,7 +68,8 @@ CASES = {
     **{
         f"lattice({d},{r})": (lambda d=d, r=r: build_lattice_ball(d, r),
                               lambda d=d, r=r: reference_lattice_ball(d, r))
-        for d, r in [(d, r) for d in (1, 2, 3, 4) for r in (1, 3, 5)] + [(5, 3), (2, 40), (3, 22)]
+        # lattice(2,50): 5,101 live rows of degree 4, more than one weight_table block
+        for d, r in [(d, r) for d in (1, 2, 3, 4) for r in (1, 3, 5)] + [(5, 3), (2, 40), (2, 50), (3, 22)]
     },
     "tree(2,6)": (lambda: build_bary_tree(2, 6), lambda: reference_bary_tree(2, 6)),
     "tree(3,8)": (lambda: build_bary_tree(3, 8), lambda: reference_bary_tree(3, 8)),
@@ -250,3 +256,88 @@ def test_check_graph_matches_scalar_loop_on_random_corruptions():
         want = _message(reference_check_graph, g)
         assert want.startswith("graph is disconnected")
         assert _message(check_graph, g) == want
+
+
+@pytest.fixture(scope="module", params=[65_535, 65_536], ids=["V=65535", "V=65536"])
+def long_path(request):
+    """A path on each side of the validation keys' switch from uint32 to uint64."""
+    g = build_path(request.param)
+    assert np.min_scalar_type(g.num_vertices**2) == (np.uint32 if g.num_vertices < 65_536 else np.uint64)
+    return g
+
+
+def _with_entry(g, index, value):
+    """g with adjacency entry index set to value."""
+    flat = g.adj_flat.copy()
+    flat[index] = value
+    return Graph(g.adj_indptr, flat, g.origin, g.sinks, g.labels)
+
+
+def test_check_graph_on_both_sides_of_the_key_type_switch(long_path):
+    """Faults at the highest ids, whose keys are the largest, name the reference's fault."""
+    g, v = long_path, long_path.num_vertices  # build_path has run check_graph on it
+    last = int(g.adj_indptr[v - 2])  # the last live row: v-3, then the sink v-1
+    corrupted = {
+        "one-way edge": _with_entry(g, last, v - 1),
+        "self-loop": _with_entry(g, last, v - 2),
+        "id out of range": _with_entry(g, last + 1, v),
+        "live duplicate": _with_entry(g, int(g.adj_indptr[v - 3]), v - 2),  # v-3 lists v-2 twice
+    }
+    for name, bad in corrupted.items():
+        want = _message(reference_check_graph, bad)
+        assert want is not None, name
+        assert _message(check_graph, bad) == want, name
+
+
+def test_check_mechanism_on_both_sides_of_the_key_type_switch(long_path):
+    g, v = long_path, long_path.num_vertices
+    mech = default_mechanism(g)
+    check_mechanism(g, mech)
+    check_mechanism(g, shuffled_mechanism(g, 3))
+    last = int(mech.indptr[v - 2])  # the last live row: v-3, then the sink v-1
+
+    def edited(value, offset=0):
+        flat = mech.flat.copy()
+        flat[last + offset] = value
+        return RotorMechanism(mech.indptr, flat)
+
+    swapped = mech.flat.copy()
+    swapped[[last, last + 1]] = swapped[[last + 1, last]]
+    check_mechanism(g, RotorMechanism(mech.indptr, swapped))
+    corrupted = {
+        "sink twice": edited(v - 1),
+        "id out of range": edited(v, offset=1),
+        "negative id": edited(-1, offset=1),
+        "sink row not empty": RotorMechanism(np.append(mech.indptr[:-1], last + 3),
+                                             np.append(mech.flat, v - 2)),
+    }
+    for name, bad in corrupted.items():
+        want = _message(lambda m: reference_check_mechanism(g, m), bad)
+        assert want is not None, name
+        assert _message(lambda m: check_mechanism(g, m), bad) == want, name
+
+
+def test_precompute_memory_per_entry():
+    """The precompute path on lattice(3,22), shuffled(7), peaks below 58 bytes per directed entry.
+
+    At the end it holds about 41 bytes per entry: 24 in the E-long arrays (the
+    adjacency's and the mechanism's int64 targets, the float64 weights) and the
+    rest in the labels and the V-long arrays, here one vertex per 6.4 entries.
+    The peak, 53 bytes per entry, is check_mechanism's: three E-long uint32
+    arrays (the mechanism's sorted keys, the adjacency's cast targets and its
+    keys) and one bool mask on top.  Build and validation, the shuffle, the
+    solve, the weight table and the min-weight scan each stay below it.
+    """
+    tracemalloc.start()
+    try:
+        g = build_lattice_ball(3, 22)
+        mech = shuffled_mechanism(g, 7)
+        wt = weight_table(g, mech, solve_harmonic(g))
+        config = min_weight_config(g, wt)
+        check_mechanism(g, mech)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert config.pos.size == g.num_vertices
+    assert g.adj_flat.size == 97_428
+    assert peak <= 58 * g.adj_flat.size, peak / g.adj_flat.size

@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import exact_voltage, exact_weights, random_edge_list, reference_invariant
+from oracles import (
+    exact_voltage,
+    exact_weights,
+    random_edge_list,
+    reference_invariant,
+    reference_settle_any_order,
+)
 from stepwise import settle_stepwise
 from rotorwalk import (
     build_bary_tree,
@@ -64,12 +70,18 @@ def test_min_weight_config_and_lower_bound_hold_exactly(solved, mech_seed):
         ties += exact[x].count(low) > 1
     assert count_min_weight_ties(g, wt) == ties
 
-    # alpha = 1/G(o), G(o) = deg(o) v(o): survivors/n >= alpha as integers times a rational
+    # alpha = 1/G(o), G(o) = deg(o) v(o): I_n/n >= alpha as integers times a rational, at
+    # every n <= 1000 from one particle-by-particle pass, whose k-th escape count is the
+    # k-particle settle's; the kernel's settles meet that curve
     green_o = g.degree(g.origin) * v[g.origin]
-    for n in range(1, 101):
+    curve = reference_settle_any_order(g, mech, config, 1000, None)[3]
+    assert len(curve) == 1000
+    for n, escapes in enumerate(curve, 1):
+        assert escapes * green_o >= n, f"n={n}"
+    for n in (1, 2, 7, 50, 100):
         state = init_experiment(g, mech, config, n)
         run_until_settled(state)
-        assert state.survivors * green_o >= n, f"n={n}"
+        assert state.survivors == curve[n - 1], f"n={n}"
 
 
 @pytest.mark.parametrize("mech_seed", [None, 3], ids=["default", "shuffled3"])

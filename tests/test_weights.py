@@ -20,7 +20,7 @@ from rotorwalk import (
 )
 
 from rotorwalk.rng import philox_generator
-from rotorwalk.weights import WeightTable
+from rotorwalk.weights import TIE_TOL, WeightTable, _near_min_scan
 
 from oracles import dense_green, reference_edge_weight, reference_weight_increment
 
@@ -139,6 +139,38 @@ def test_star_all_ties_resolve_to_index_zero():
     assert np.allclose(wt.vertex_slice(g.origin), 0.0, atol=1e-15)
     assert count_min_weight_ties(g, wt) == 1
     assert min_weight_config(g, wt).pos[g.origin] == 0
+
+
+def _reference_near_min_scan(g, wt):
+    """Row by row: the first index within TIE_TOL of the row's minimum (the entry count
+    if none, as with NaN weights; -1 at sinks), and the rows with several such indices."""
+    first, ties = [], 0
+    for x in range(g.num_vertices):
+        row = wt.vertex_slice(x)
+        near = [i for i, w in enumerate(row.tolist()) if w <= row.min(initial=np.inf) + TIE_TOL]
+        first.append(-1 if g.is_sink[x] or not row.size else near[0] if near else wt.values.size)
+        ties += not g.is_sink[x] and len(near) > 1
+    return first, ties
+
+
+@pytest.mark.parametrize("g", [build_lattice_ball(2, 50), build_bary_tree(3, 4), star(4)],
+                         ids=lambda g: g.describe())
+def test_near_min_scan_equals_row_loop(g):
+    """lattice(2,50) has 5,101 live rows of degree 4, more than one weight_table block.
+    Rounded weights tie in many rows; a NaN row has no near-minimal entry."""
+    mech = shuffled_mechanism(g, 5)
+    wt = weight_table(g, mech, solve_harmonic(g))
+    rounded = WeightTable(values=np.round(wt.values, 2), indptr=wt.indptr)
+    with_nan = wt.values.copy()
+    with_nan[wt.indptr[g.origin]:wt.indptr[g.origin + 1]] = np.nan
+    for table in (wt, rounded, WeightTable(values=with_nan, indptr=wt.indptr)):
+        first, ties = _reference_near_min_scan(g, table)
+        pos, count = _near_min_scan(g, table)
+        assert pos.dtype == np.int64
+        assert (pos.tolist(), count) == (first, ties)
+        assert min_weight_config(g, table).pos.tolist() == first
+        assert count_min_weight_ties(g, table) == ties
+    assert _reference_near_min_scan(g, rounded)[1] > 0
 
 
 def test_min_config_is_argmin(small_graph):
