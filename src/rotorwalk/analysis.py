@@ -209,6 +209,19 @@ INVARIANT_TOL = 1e-8  # relative deviation of the conserved quantity from n*v(or
 BOUND_SLACK = 1e-9  # roundoff allowed below the escape probability
 
 
+def _verdicts(rep: EscapeReport, v_origin: float) -> tuple[float, list[float]]:
+    """The two guarantees of one sweep, as deviations that theorem_check and verify both read.
+
+    Invariant: the sweep's worst deviation (0.0 if it was not checked) over
+    the smallest n's target n*v(origin), never over less than 1; it holds
+    within INVARIANT_TOL.  Lower bound: per n, alpha - rate where the rate
+    lies below alpha - BOUND_SLACK, else 0.0.
+    """
+    scale = max(1.0, min(rep.n_values) * v_origin)
+    shortfalls = [rep.alpha - r if r < rep.alpha - BOUND_SLACK else 0.0 for r in rep.rates]
+    return (rep.max_invariant_dev or 0.0) / scale, shortfalls
+
+
 def theorem_check(
     graph: Graph,
     mechanism: RotorMechanism,
@@ -218,54 +231,37 @@ def theorem_check(
     profile: Optional[HarmonicProfile] = None,
     wt: Optional[WeightTable] = None,
 ) -> TheoremCheckResult:
-    """Verify the guarantees of the minimizing configuration across one sweep.
+    """Verify the guarantees of the minimizing configuration across one checked escape_sweep.
 
-    Reads a single escape_sweep with invariant checks.  Lower bound: survivors
-    never increase during a run, so the settled rate is the minimum of
-    survivors/n over every t >= n; one lower-bound violation is recorded per n
-    whose settled rate is below escape probability minus BOUND_SLACK, at its
-    settle time t.  Invariant: the sweep's worst absolute deviation, divided by
-    the smallest n's target n*v(origin) (never looser than a per-n scale), must
-    stay within INVARIANT_TOL; a failure is one violation at the smallest n
-    with t = -1.  A nonnegative gap is the lower bound itself.  Across n, each
-    rise of the final gap is recorded as a gap-increase violation and clears
-    gaps_monotone_ok, but leaves ok alone: no theorem makes the gaps
-    non-increasing, and on path(5) the gap rises from n = 4 to 5.  A custom
-    config exercises the same checks without the guarantees; violations are
-    then expected and are recorded rather than raised.  profile and wt, if
-    given, are passed on to escape_sweep.
+    _verdicts decides both.  One lower-bound violation is recorded per n with
+    a shortfall, at its settle time t; an invariant failure is one violation
+    at the smallest n with t = -1.  Across n, each rise of the final gap is
+    recorded as a gap-increase violation and clears gaps_monotone_ok, but
+    leaves ok alone: no theorem makes the gaps non-increasing, and on path(5)
+    the gap rises from n = 4 to 5.  A custom config exercises the same checks
+    without the guarantees; violations are then expected and recorded, not
+    raised.  profile and wt, if given, are passed on to escape_sweep.
     """
     profile = solve_harmonic(graph) if profile is None else profile
     rep = escape_sweep(
         graph, mechanism, config, n_values, profile=profile, wt=wt, check_invariant=True
     )
-    alpha = rep.alpha
-    gaps = rep.gaps
+    alpha, gaps = rep.alpha, rep.gaps
+    max_dev, shortfalls = _verdicts(rep, float(profile.voltage[graph.origin]))
     violations = [
         BoundViolation(n, t, "lower-bound", rate, alpha)
-        for n, t, rate in zip(rep.n_values, rep.steps, rep.rates)
-        if rate < alpha - BOUND_SLACK
+        for n, t, rate, short in zip(rep.n_values, rep.steps, rep.rates, shortfalls) if short
     ]
     lower_ok = not violations
-    scale = max(1.0, min(n_values) * float(profile.voltage[graph.origin]))
-    max_dev = rep.max_invariant_dev / scale
     inv_ok = max_dev <= INVARIANT_TOL
     if not inv_ok:
         violations.append(BoundViolation(min(n_values), -1, "invariant", max_dev, INVARIANT_TOL))
         warnings.warn(f"conserved quantity deviated beyond {INVARIANT_TOL:g}", RuntimeWarning)
-
-    monotone = all(gaps[k + 1] <= gaps[k] + BOUND_SLACK for k in range(len(gaps) - 1))
-    violations += [BoundViolation(n_values[k + 1], -1, "gap-increase", gaps[k + 1], gaps[k])
-                   for k in range(len(gaps) - 1) if gaps[k + 1] > gaps[k] + BOUND_SLACK]
+    rises = [BoundViolation(n_values[k + 1], -1, "gap-increase", gaps[k + 1], gaps[k])
+             for k in range(len(gaps) - 1) if gaps[k + 1] > gaps[k] + BOUND_SLACK]
 
     return TheoremCheckResult(
-        alpha=alpha,
-        n_values=rep.n_values,
-        rates=rep.rates,
-        gaps=gaps,
-        max_invariant_dev=max_dev,
-        invariant_ok=inv_ok,
-        lower_bound_ok=lower_ok,
-        gaps_monotone_ok=monotone,
-        violations=violations,
+        alpha=alpha, n_values=rep.n_values, rates=rep.rates, gaps=gaps, max_invariant_dev=max_dev,
+        invariant_ok=inv_ok, lower_bound_ok=lower_ok, gaps_monotone_ok=not rises,
+        violations=violations + rises,
     )

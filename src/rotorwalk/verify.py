@@ -11,9 +11,10 @@ makes them its CheckRecord; the suite passes iff every record does.  The row
 sum stands where a cyclic sum of increments would not: that sum is zero for
 any table, corrupted or not.
 
-The Monte Carlo checks each run in a child forked after the fixtures are built
-(see _overlapped), so this process, which runs the others, never imports
-numpy.random; the records are as when the checks run one after another.
+The two Monte Carlo checks run one after the other in one worker forked after
+the fixtures are built (see _overlapped), so this process, which runs the
+others meanwhile, never imports numpy.random; the records are as when every
+check runs here.
 
 With inject_corruption the suite adds negative controls: check_weight_increment
 and check_lower_bound run on corrupted weight tables and are expected to
@@ -30,7 +31,7 @@ from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .analysis import BOUND_SLACK, INVARIANT_TOL, escape_sweep
+from .analysis import BOUND_SLACK, INVARIANT_TOL, _verdicts, escape_sweep
 from .graphs import (Graph, RotorMechanism, build_bary_tree, build_lattice_ball, build_path,
                      default_mechanism, shuffled_mechanism)
 from .harmonic import DEFAULT_TOL, HarmonicProfile, mc_green, solve_harmonic, srw_escape_mc
@@ -147,28 +148,25 @@ def check_telescope(fixtures: list[Fixture]):
 def check_invariant(fixtures: list[Fixture], n_values):
     """Conserved quantity stays at n*v(origin), relatively within INVARIANT_TOL."""
     for g, profile, mechs, tables in fixtures:
-        scale = max(1.0, profile.voltage[g.origin])
+        # None: the min-weight configuration, built inside escape_sweep
+        configs = [None] + [random_config(g, s) for s in _CONFIG_SEEDS]
         for mech, wt in zip(mechs, tables):
-            # None: the min-weight configuration, built inside escape_sweep
-            for config in [None] + [random_config(g, s) for s in _CONFIG_SEEDS]:
+            for config in configs:
                 rep = escape_sweep(g, mech, config, n_values, profile=profile, wt=wt,
                                    check_invariant=True)
-                yield (rep.max_invariant_dev or 0.0) / scale, f"{g.describe()} mech={mech.describe()}"
+                dev, _ = _verdicts(rep, float(profile.voltage[g.origin]))
+                yield dev, f"{g.describe()} mech={mech.describe()}"
 
 
 @_reduced("min-config-lower-bound", BOUND_SLACK)
 def check_lower_bound(fixtures: list[Fixture], n_values):
-    """survivors/n >= alpha - BOUND_SLACK at every t >= n under the minimizing config.
-
-    Survivors never increase during a run, so the settled rate is the minimum
-    of survivors/n over t >= n: one unobserved escape_sweep per mechanism
-    decides the check on the fast settle path.
-    """
+    """Settled rate, the minimum of survivors/n over t >= n, at least alpha - BOUND_SLACK under
+    the minimizing config: one unobserved escape_sweep per mechanism, on the fast settle path."""
     for g, profile, mechs, tables in fixtures:
         for mech, wt in zip(mechs, tables):
             rep = escape_sweep(g, mech, None, n_values, profile=profile, wt=wt)
-            short = max((rep.alpha - r for r in rep.rates if r < rep.alpha - BOUND_SLACK), default=0.0)
-            yield short, f"{g.describe()} mech={mech.describe()}"
+            _, shortfalls = _verdicts(rep, float(profile.voltage[g.origin]))
+            yield max(shortfalls), f"{g.describe()} mech={mech.describe()}"
 
 
 @_reduced("mc-green-zscore", _Z_MAX)
@@ -267,7 +265,8 @@ def run_verification(
     graphs: list[Graph] | None = None,
     inject_corruption: bool = False,
 ) -> list[CheckRecord]:
-    """Run every check; returns one record per check, check_mc_green's from a forked worker."""
+    """Run every check; returns one record per check, the two Monte Carlo ones from one forked
+    worker that runs check_mc_green, then check_srw_escape, while this process runs the rest."""
     if graphs is None:
         graphs = quick_fixtures() if quick else full_fixtures()
     n_values = [1, 2, 7] if quick else [1, 2, 7, 50]
@@ -275,8 +274,8 @@ def run_verification(
     walks = 20_000 if quick else 100_000
 
     fixtures = [_fixture(g) for g in graphs]
-    with _overlapped(functools.partial(check_mc_green, fixtures, walks)) as mc_green_record, \
-            _overlapped(functools.partial(check_srw_escape, fixtures, walks)) as srw_record:
+    with _overlapped(lambda: [check_mc_green(fixtures, walks),
+                              check_srw_escape(fixtures, walks)]) as monte_carlo_records:
         records = [
             check_residual(fixtures),
             check_weight_increment(fixtures),
@@ -284,7 +283,7 @@ def run_verification(
             check_invariant(fixtures, n_values),
             check_lower_bound(fixtures, bound_ns),
         ]
-        records += [mc_green_record(), srw_record()]
+        records += monte_carlo_records()
     if inject_corruption:
         records += _corruption_controls()
     return records

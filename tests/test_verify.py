@@ -6,7 +6,8 @@ import pytest
 
 import rotorwalk.analysis as analysis
 import rotorwalk.verify as verify
-from rotorwalk import AbortedMaxSteps, build_path, default_mechanism, solve_harmonic, weight_table
+from rotorwalk import (AbortedMaxSteps, build_path, default_mechanism, random_config,
+                       solve_harmonic, theorem_check, weight_table)
 from rotorwalk.weights import WeightTable
 
 
@@ -89,6 +90,47 @@ def test_one_weight_table_per_fixture_mechanism(monkeypatch, quick):
     assert [r.ok for r in records[:-2]] == [True] * 7
 
 
+def test_random_configs_drawn_once_per_fixture(monkeypatch):
+    drawn = Counter()
+
+    def counting_config(g, seed):
+        drawn[g.describe(), seed] += 1
+        return random_config(g, seed)
+
+    monkeypatch.setattr(verify, "random_config", counting_config)
+    verify.run_verification(quick=True)
+    assert drawn == Counter({(g.describe(), s): 1 for g in verify.quick_fixtures()
+                             for s in verify._CONFIG_SEEDS})
+
+
+def test_lower_bound_verdict_agrees_with_theorem_check():
+    """The corrupted-config control's negated path(3) table at n = 1, 2: check_lower_bound's
+    deviation is theorem_check's largest alpha - rate, and both fail the bound."""
+    g = build_path(3)
+    mech = default_mechanism(g)
+    profile = solve_harmonic(g)
+    wt = weight_table(g, mech, profile)
+    negated = WeightTable(-wt.values, wt.indptr)
+    rec = verify.check_lower_bound([verify.Fixture(g, profile, (mech,), (negated,))], [1, 2])
+    with pytest.warns(RuntimeWarning, match="conserved quantity"):  # it breaks the invariant too
+        res = theorem_check(g, mech, [1, 2], profile=profile, wt=negated)
+    shortfalls = [v.bound - v.value for v in res.violations if v.kind == "lower-bound"]
+    assert not rec.ok and not res.lower_bound_ok
+    assert shortfalls and rec.max_dev == max(shortfalls)
+
+
+def test_invariant_verdict_agrees_with_theorem_check(monkeypatch, corrupted_p3):
+    """The +0.125 table, n from 1: check_invariant on the min-weight configuration alone
+    reads theorem_check's relative deviation, and both fail the invariant."""
+    g, mech, profile, bad = corrupted_p3
+    monkeypatch.setattr(verify, "_CONFIG_SEEDS", ())
+    rec = verify.check_invariant([verify.Fixture(g, profile, (mech,), (bad,))], [1, 2, 4])
+    with pytest.warns(RuntimeWarning, match="conserved quantity"):
+        res = theorem_check(g, mech, [1, 2, 4], profile=profile, wt=bad)
+    assert not rec.ok and not res.invariant_ok
+    assert rec.max_dev == res.max_invariant_dev
+
+
 def test_negative_controls_run_the_shipped_checks(monkeypatch):
     def passing(fixtures, *args):
         return verify.CheckRecord("stub", True, 0.0, 1.0)
@@ -147,12 +189,21 @@ def test_mc_green_check_runs_in_a_forked_worker(monkeypatch, check, name, at):
     _assert_no_child()
 
 
-def test_monte_carlo_checks_run_in_two_workers(monkeypatch):
+def test_monte_carlo_checks_run_in_one_worker(monkeypatch):
+    """Both Monte Carlo records come from one forked child, the only fork of the run."""
     for check, name, _ in _MC_CHECKS:
         monkeypatch.setattr(verify, check, _pid_record(name))
-    records = verify.run_verification(quick=True)
+    fork, forked_by = os.fork, []
+
+    def counting_fork():
+        forked_by.append(os.getpid())  # the child appends to its own copy
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    records = verify.run_verification(quick=True, inject_corruption=True)
     pids = {records[at].detail for *_, at in _MC_CHECKS}
-    assert len(pids) == 2 and str(os.getpid()) not in pids
+    assert len(pids) == 1 and str(os.getpid()) not in pids
+    assert forked_by == [os.getpid()]
     _assert_no_child()
 
 
@@ -220,8 +271,8 @@ def test_caller_failure_does_not_wait_on_a_writing_worker(monkeypatch, forked):
 @pytest.mark.deadline(30)
 @pytest.mark.parametrize("forked", [True, False])
 def test_caller_failure_does_not_wait_on_nested_writing_workers(monkeypatch, forked):
-    """Two children, as run_verification nests them, each with a result larger than a pipe's
-    buffer: the inner one inherits the outer read end, and still neither hangs the caller."""
+    """Two nested children, each with a result larger than a pipe's buffer: the inner one
+    inherits the outer read end, and still neither hangs the caller."""
     if not forked:
         monkeypatch.delattr(os, "fork")
     with pytest.raises(KeyError, match="before the results are read"):
