@@ -15,6 +15,8 @@ what pins the escape rate of the minimum-weight configuration to the
 theoretical maximum.
 """
 from rotorwalk import (
+    InvariantTracker,
+    ParticleStatus,
     build_lattice_ball,
     build_path,
     compute_invariant,
@@ -23,12 +25,12 @@ from rotorwalk import (
     min_weight_config,
     run_until_settled,
     solve_harmonic,
-    step,
     weight_table,
 )
 
 # Start small: the three-vertex path with two particles, rotors at their
-# minimum-weight positions. Print every step.
+# minimum-weight positions. Print every move, as an invariant tracker's
+# observer sees it after each round.
 g = build_path(3)
 mech = default_mechanism(g)
 profile = solve_harmonic(g)
@@ -36,16 +38,24 @@ wt = weight_table(g, mech, profile)
 cfg = min_weight_config(g, wt)
 
 st = init_experiment(g, mech, cfg, n=2)
+positions = st.positions.tolist()
 print("two particles on the three-vertex path")
-print(f"  t={st.t}  positions={st.positions.tolist()}  survivors={st.survivors}"
+print(f"  t={st.t}  positions={positions}  survivors={st.survivors}"
       f"  M={compute_invariant(st, profile, wt)}")
-while not st.settled:
-    step(st)
-    mover = "-" if st.last_event is None else st.last_event[0]
-    print(f"  t={st.t}  mover={mover}  positions={st.positions.tolist()}"
-          f"  survivors={st.survivors}  M={compute_invariant(st, profile, wt)}")
-print("  statuses:", [s.name for s in st.statuses])
-print("  visited vertices:", sorted(g.labels[x] for x in st.range))
+
+
+def print_moves(st, moves):
+    for t, mover, target, survivors, m in zip(moves.t.tolist(), moves.mover.tolist(),
+                                              moves.target.tolist(), moves.survivors.tolist(),
+                                              moves.invariant.tolist()):
+        positions[mover] = target
+        print(f"  t={t + 1}  mover={mover}  positions={positions}"
+              f"  survivors={survivors}  M={m}")
+
+
+run_until_settled(st, on_round=InvariantTracker(st, profile, wt, observer=print_moves).on_round)
+print("  statuses:", [ParticleStatus(s).name for s in st.status.tolist()])
+print("  visited vertices:", sorted(g.labels[x] for x in st.range_order.tolist()))
 
 # The invariant starts at n * voltage(origin) and never moves, so with the
 # minimum-weight rotors the survivor fraction can never drop below

@@ -57,7 +57,6 @@ from .experiment import (
     compute_invariant,
     init_experiment,
     run_until_settled,
-    step,
 )
 from .analysis import (
     EnsembleSummary,
@@ -116,7 +115,6 @@ __all__ = [
     "shuffled_mechanism",
     "solve_harmonic",
     "srw_escape_mc",
-    "step",
     "theorem_check",
     "weight_table",
     "__version__",

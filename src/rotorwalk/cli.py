@@ -93,7 +93,7 @@ def _config_file_values(ns: argparse.Namespace) -> dict:
         data.update(graph_section)
     unknown = set(data) - (set(vars(ns)) - {"command", "func", "config_file"})
     if unknown:
-        raise InvalidParameter(f"unknown config file keys: {sorted(unknown)}")
+        raise InvalidParameter(f"unknown config file keys: {sorted(unknown, key=str)}")
     values = {}
     for key, value in data.items():
         # a value arrives as its flag would give it: text, a list of text, or --check-invariant's bool

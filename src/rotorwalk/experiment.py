@@ -16,36 +16,36 @@ which stays exactly equal to its t=0 value n * v(origin) for every initial
 configuration.  Survivors are the particles that have not returned; on a
 sink truncation the settled survivor count is the experiment's escape count.
 
-A settle moves whole rounds at once (run_until_settled), with the same steps,
-rotors and range order as step().  That is exact because a rotor changes
-only when a particle leaves its vertex, and every live particle moves
-exactly once per round.  So the particles leaving x in a round are the ones
-at x when the round starts, in turn order, and the k-th of them (k = 0, 1,
-...) takes mechanism position (rho(x) + k + 1) mod deg(x).  Each live
-particle is one unsigned key x << b | u, u its turn in the round, so one
-in-place sort of a round's keys puts each vertex's leavers together in turn
-order; a move rewrites the vertex bits and keeps the turn.  An arrival at a
-sink or the origin has a code above every live vertex id (_key_layout), so
-the sort of a round's arrivals also puts the finished ones last.
-settle_trials settles a group of independent runs from t = 0 on the same
-round step and gives each run's survivors, exactly: a particle at x in
+A settle moves whole rounds at once (run_until_settled), with the steps,
+rotors and range order of that recurrence made one move at a time.  That is
+exact because a rotor changes only when a particle leaves its vertex, and
+every live particle moves exactly once per round.  So the particles leaving x
+in a round are the ones at x when the round starts, in turn order, and the
+k-th of them (k = 0, 1, ...) takes mechanism position (rho(x) + k + 1) mod
+deg(x).  Each live particle is one unsigned key x << b | u, u its turn in the
+round, so one in-place sort of a round's keys puts each vertex's leavers
+together in turn order; a move rewrites the vertex bits and keeps the turn.
+An arrival at a sink or the origin has a code above every live vertex id
+(_key_layout), so the sort of a round's arrivals also puts the finished ones
+last.  settle_trials settles a group of independent runs from t = 0 on the
+same round step and gives each run's survivors, exactly: a particle at x in
 trial j has the key (x << c | j) << b | u, and x << c | j indexes one flat
 rho of the group's rotors, so no two trials share a rotor.
 
-The state is held in numpy arrays, which step() and the round kernel both
-write in place, the kernel positions and statuses once, as a settle ends.
+The state is held in numpy arrays, which the round kernel writes in place:
+rotors and the range each round, positions and statuses as a settle ends.
 compute_invariant recomputes the quantity in whole arrays with the scalar
 definition's floating-point operations: the rotor-weight terms are added
 one at a time in first-visit order (np.add.accumulate), not pairwise as
 np.sum adds, so each value is bit for bit the scalar sum's.
 
-step() is the single-move engine and the reference the kernel is tested
-against; run_until_settled never calls it.  The kernel reports each round,
-a partial first round included, through an optional hook (its movers,
-turns, from and to vertices, mechanism positions taken and arrival
-statuses), from which InvariantTracker, carrying each particle's voltage
-itself, gives the conserved quantity after each of the round's moves, bit
-for bit what compute_invariant gives after the same move of step().
+The round step is the one engine that moves particles, driven only by
+run_until_settled and settle_trials.  A settle reports each round, a
+partial first round included, through an optional hook (its movers, turns,
+from and to vertices, mechanism positions taken and arrival statuses), from
+which InvariantTracker, carrying each particle's voltage itself, gives the
+conserved quantity after each of the round's moves, bit for bit what
+compute_invariant gives on the state after that one move.
 """
 from __future__ import annotations
 
@@ -91,8 +91,8 @@ class ExperimentState:
     """Mutable state of one experiment run, held in numpy arrays.
 
     positions, status and rho (the current rotor positions, -1 at sinks) are
-    arrays that step() and the round kernel read and write in place; rho0 is
-    the initial configuration.  The range is a boolean mask plus the visited
+    arrays that the round kernel reads and writes in place; rho0 is the
+    initial configuration.  The range is a boolean mask plus the visited
     vertices in first-visit order (range_order).  Graph and mechanism are
     shared read-only.
     """
@@ -115,7 +115,6 @@ class ExperimentState:
         self.rho0 = self.rho.copy()
         self.survivors = n
         self.remaining = n          # particles not yet RETURNED or ABSORBED
-        self.last_event: Optional[tuple[int, int, int]] = None  # (mover, from, to)
 
         self._range_mask = np.zeros(num_vertices, dtype=bool)
         self._range_mask[graph.origin] = True
@@ -127,10 +126,6 @@ class ExperimentState:
     @property
     def settled(self) -> bool:
         return self.remaining == 0
-
-    @property
-    def statuses(self) -> list[ParticleStatus]:
-        return [ParticleStatus(s) for s in self.status.tolist()]
 
     @property
     def range_order(self) -> np.ndarray:
@@ -147,44 +142,6 @@ def init_experiment(graph: Graph, mechanism: RotorMechanism, config: RotorConfig
     return ExperimentState(graph, mechanism, config, n)
 
 
-def step(state: ExperimentState) -> ExperimentState:
-    """Process one step for particle (t+1) mod n and advance t."""
-    t = state.t
-    i = (t + 1) % state.n
-    st = state.status.item(i)
-    if st >= _RETURNED:
-        state.last_event = None
-        state.t = t + 1
-        return state
-    x = state.positions.item(i)  # never a sink: arrival there marks ABSORBED
-    indptr = state.mechanism.indptr
-    base = indptr.item(x)
-    r = state.rho.item(x) + 1
-    if r == indptr.item(x + 1) - base:
-        r = 0
-    state.rho[x] = r
-    y = state.mechanism.flat.item(base + r)
-    state.positions[i] = y
-    if not state._range_mask[y]:
-        state._range_mask[y] = True
-        state._visits[state._num_visited] = y
-        state._num_visited += 1
-
-    if y == state._origin:
-        state.status[i] = _RETURNED
-        state.survivors -= 1
-        state.remaining -= 1
-    elif state.graph.is_sink.item(y):
-        state.status[i] = _ABSORBED
-        state.remaining -= 1
-    elif st == _AT_ORIGIN:
-        state.status[i] = _ACTIVE
-
-    state.last_event = (i, x, y)
-    state.t = t + 1
-    return state
-
-
 def run_until_settled(
     state: ExperimentState,
     max_steps: int = DEFAULT_MAX_STEPS,
@@ -192,14 +149,14 @@ def run_until_settled(
 ) -> ExperimentState:
     """Run the round kernel, from any t, until every particle has returned or been absorbed.
 
-    Each round's moves are made at once in numpy, reaching the state step()
-    would reach (t, positions, rotors, statuses and the range in first-visit
-    order; the module docstring says why) in the state's own arrays, hooked
-    or not: positions and statuses, like t, survivors and remaining, are
-    written when the settle ends or stops; rotors and the range are updated
-    each round.  From part-way through a round, the live particles whose
-    turns in it have passed wait and lead the next round (their keys, merged
-    in, make its only second sort).  A round whose turns reach max_steps
+    Each round's moves are made at once in numpy, reaching the state its moves
+    made one at a time would reach (t, positions, rotors, statuses and the
+    range in first-visit order; the module docstring says why) in the state's own
+    arrays, hooked or not: positions and statuses, like t, survivors and
+    remaining, are written when the settle ends or stops; rotors and the range
+    are updated each round.  From part-way through a round, the live particles
+    whose turns in it have passed wait and lead the next round (their keys,
+    merged in, make its only second sort).  A round whose turns reach max_steps
     moves only the particles whose turns come first, then raises
     AbortedMaxSteps, naming the first live turn at or past max_steps, with t
     one past its last move; it can be resumed.
@@ -238,7 +195,7 @@ def run_until_settled(
             round_start = t - t % n
             over = None  # the first turn at or past max_steps, if this round reaches it
             if round_start + n > max_steps:
-                # as step() does, move the particles whose turns come first
+                # as single moves would, move the particles whose turns come first
                 turns = key & turn_bits
                 late = turns >= max(max_steps - round_start, 0)
                 if late.any():
@@ -284,7 +241,6 @@ def run_until_settled(
         state.t = t
         state.survivors = n - int(np.count_nonzero(status == _RETURNED))
         state.remaining = int(np.count_nonzero(status < _RETURNED))
-    state.last_event = None
     return state
 
 
@@ -455,7 +411,7 @@ class InvariantTracker:
     to run_until_settled, so it sees every later move (a partial first round
     included).  compute_invariant samples the state at construction and in
     finish(); in between, on_round evaluates moves of each round, bit for bit
-    compute_invariant's values after the same move of step(), and folds
+    compute_invariant's values on the state after that one move, and folds
     their deviation from n * v(origin) into max_dev.  It evaluates every move
     if an observer is given or particles x vertices is within
     _EVENT_CHECK_BUDGET; above it, about once per round: the first move whose

@@ -24,10 +24,11 @@ from rotorwalk import (
     shuffled_mechanism,
     solve_harmonic,
     srw_escape_mc,
-    step,
     theorem_check,
     weight_table,
 )
+
+from stepwise import step
 
 MC_SEED = 20250815
 

@@ -255,7 +255,8 @@ def test_importing_the_cli_leaves_yaml_unloaded():
     ("green", "path: 3\nn: 5\ncheck_invariant: true\ntrace: t.csv\n", ["check_invariant", "n", "trace"]),
     ("rho-min", "path: 3\nn: 5\n", ["n"]),
     ("green", "path: 3\nmechanism: shuffled\n", ["mechanism"]),
-], ids=["run-bogus", "green-run-keys", "rho-min-n", "green-mechanism"])
+    ("run", "path: 4\n1: x\nfoo: y\n", [1, "foo"]),
+], ids=["run-bogus", "green-run-keys", "rho-min-n", "green-mechanism", "run-mixed-key-types"])
 def test_config_file_rejects_unknown_keys(capsys, tmp_path, monkeypatch, command, text, unknown):
     """A file holds only the options of its own subcommand."""
     monkeypatch.chdir(tmp_path)

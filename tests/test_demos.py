@@ -13,7 +13,15 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 EXPECTED = {
     "01_harmonic_profile.py": "escape probability alpha",
     "02_min_weight_rotors.py": "tie-break events: 0",
-    "03_escape_experiment.py": "statuses: ['RETURNED', 'ABSORBED']",
+    "03_escape_experiment.py": """two particles on the three-vertex path
+  t=0  positions=[0, 0]  survivors=2  M=4.0
+  t=1  mover=1  positions=[0, 1]  survivors=2  M=4.0
+  t=2  mover=0  positions=[1, 1]  survivors=2  M=4.0
+  t=3  mover=1  positions=[1, 2]  survivors=2  M=4.0
+  t=4  mover=0  positions=[0, 2]  survivors=1  M=4.0
+  statuses: ['RETURNED', 'ABSORBED']
+  visited vertices: ['0', '1', '2']
+""",
     "04_convergence_and_ensembles.py": "pass",
     "05_verification.py": "all passed: True",
 }

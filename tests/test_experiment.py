@@ -24,7 +24,6 @@ from rotorwalk import (
     run_until_settled,
     shuffled_mechanism,
     solve_harmonic,
-    step,
     weight_table,
 )
 
@@ -36,7 +35,7 @@ from oracles import (
     reference_settle_any_order,
 )
 from rotorwalk.experiment import settle_trials
-from stepwise import settle_stepwise
+from stepwise import settle_stepwise, step
 
 
 def test_p3_two_particle_trace(p3_solved):
@@ -65,7 +64,7 @@ def test_p3_two_particle_trace(p3_solved):
             step(state)
 
     assert state.settled
-    assert state.statuses == [ParticleStatus.RETURNED, ParticleStatus.ABSORBED]
+    assert state.status.tolist() == [ParticleStatus.RETURNED, ParticleStatus.ABSORBED]
     assert state.survivors == 1
     assert state.range == {o, a, s}
 
@@ -89,7 +88,7 @@ def test_single_particle_bad_config_returns(p3_solved):
     run_until_settled(state)
     assert state.survivors == 0
     assert state.t == 2
-    assert state.statuses == [ParticleStatus.RETURNED]
+    assert state.status.tolist() == [ParticleStatus.RETURNED]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 20])
@@ -148,9 +147,9 @@ def test_invariant_matches_reference_formula(small_graph):
 
     visited = {g.origin}
     while not state.settled:
-        step(state)
-        if state.last_event is not None:
-            visited.add(state.last_event[2])
+        event = step(state)
+        if event is not None:
+            visited.add(event[2])
         expected = reference_invariant(
             g, profile.voltage, weight_of,
             state.positions, state.rho, config.pos.tolist(), visited, state.t, n,
@@ -220,7 +219,7 @@ def test_settled_run_is_idempotent(p3_solved):
     run_until_settled(state)
     t, positions = state.t, state.positions.tolist()
     run_until_settled(state)
-    step(state)  # terminal mover: a no-op that still advances the clock
+    assert step(state) is None  # terminal mover: a no-op that still advances the clock
     assert state.positions.tolist() == positions
     assert state.t == t + 1
 
@@ -349,23 +348,6 @@ def _resumed(g, mech, config, n, k):
     return state
 
 
-def test_run_until_settled_never_calls_step(monkeypatch):
-    g = CROSS_GRAPHS["lattice(2,6)"]
-    mech = shuffled_mechanism(g, 11)
-    config = random_config(g, 21)
-    n = 100
-    full = settle_stepwise(init_experiment(g, mech, config, n))
-    states = [_resumed(g, mech, config, n, k) for k in (1, 3, 150)]
-
-    def refuse(state):
-        raise AssertionError("run_until_settled called step()")
-
-    monkeypatch.setattr(experiment, "step", refuse)
-    for state in states:
-        run_until_settled(state, max_steps=full.t + n)
-        assert_fields_equal(settled_fields(state), settled_fields(full))
-
-
 EXACT_GRAPHS = {
     "path(5)": build_path(5),
     "lattice(2,6)": build_lattice_ball(2, 6),
@@ -390,7 +372,7 @@ def test_invariant_equals_scalar_loop_after_every_move(graph_name, mech_seed, co
     config = min_weight_config(g, wt) if config_kind == "min" else random_config(g, 21)
     n = 200
 
-    def check(st):
+    def check(st, event=None):
         assert compute_invariant(st, profile, wt) == reference_compute_invariant(st, profile, wt)
 
     state = init_experiment(g, mech, config, n)
@@ -419,8 +401,8 @@ def _stepwise_moves(g, mech, config, n, profile, wt):
     """The same columns from the stepwise engine, with compute_invariant after every move."""
     rows = []
 
-    def record(st):
-        mover, x, y = st.last_event
+    def record(st, event):
+        mover, x, y = event
         rows.append((st.t - 1, mover, x, y, st.status.item(mover), st.survivors,
                      compute_invariant(st, profile, wt)))
 
@@ -742,8 +724,8 @@ def test_mid_round_resume_matches_stepwise(graph_name, config_kind, n):
         stepwise = _resumed(g, mech, config, n, k)
         start = stepwise.t
         expected = []
-        settle_stepwise(stepwise, observer=lambda st: expected.append(
-            (st.t - 1, st.last_event[0], compute_invariant(st, profile, wt))))
+        settle_stepwise(stepwise, observer=lambda st, event: expected.append(
+            (st.t - 1, event[0], compute_invariant(st, profile, wt))))
 
         state = _resumed(g, mech, config, n, k)
         got = []
@@ -783,8 +765,8 @@ LAYOUT_CASES = {
 
 
 def _by_step(state, max_steps, moves):
-    settle_stepwise(state, max_steps, observer=lambda st: moves.append(
-        (st.t - 1, *st.last_event, st.status.item(st.last_event[0]))))
+    settle_stepwise(state, max_steps, observer=lambda st, event: moves.append(
+        (st.t - 1, *event, st.status.item(event[0]))))
 
 
 def _by_round(state, max_steps, moves):
@@ -871,7 +853,7 @@ def test_tracker_on_a_resumed_state_equals_compute_invariant(calls):
     n = 100
     expected = []
     stepwise = settle_stepwise(_resumed(g, mech, config, n, calls),
-                               observer=lambda st: expected.append(compute_invariant(st, profile, wt)))
+                               observer=lambda st, _: expected.append(compute_invariant(st, profile, wt)))
 
     state = _resumed(g, mech, config, n, calls)
     got = []

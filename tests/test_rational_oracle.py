@@ -98,7 +98,7 @@ def test_conserved_quantity_is_exact_after_every_move(solved, mech_seed, config_
         config = random_config(g, config_seed)
 
     for n in (1, 7, 20):
-        def check(state):
+        def check(state, event=None):
             value = reference_invariant(
                 g, v, lambda x, i: exact[x][i], state.positions, state.rho, state.rho0,
                 state.range_order.tolist(), state.t, n,

@@ -305,12 +305,16 @@ def test_weight_table_rejects_mismatched_profile(p3_solved):
         weight_table(g, mech, other)
 
 
-def test_package_exports():
-    """Every exported name resolves; the removed scalar weight path is gone."""
+def test_package_exports(p3_solved):
+    """Every exported name resolves; the removed scalar weight path and single-move engine are gone."""
     import rotorwalk
 
     for name in rotorwalk.__all__:
         assert hasattr(rotorwalk, name), name
-    for name in ("edge_weight", "weight_increment", "IndexOutOfRange", "SinkHasNoRotor"):
+    for name in ("edge_weight", "weight_increment", "IndexOutOfRange", "SinkHasNoRotor", "step"):
         assert not hasattr(rotorwalk, name), name
     assert not hasattr(WeightTable, "at")
+    g, mech, _, wt = p3_solved
+    state = rotorwalk.init_experiment(g, mech, min_weight_config(g, wt), 2)
+    for name in ("statuses", "last_event"):
+        assert not hasattr(state, name), name
